@@ -32,11 +32,9 @@ from .multigraph import (
     parse_adjacency,
 )
 from .quotients import (
-    ClassId,
     QuotientGraph,
     build_quotient_enum,
     build_quotient_local,
-    class_of,
 )
 from .certifier import (
     CanonicalForm,
@@ -48,11 +46,8 @@ from .certifier import (
 )
 from .freeproduct import (
     FPWord,
-    RClass,
     build_truncation,
     disconnecting_pair_disconnects,
-    fp_multiply,
-    requiv_class,
     verify_circle_truncations,
 )
 from .finite import (
@@ -70,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalForm",
     "Certificate",
-    "ClassId",
     "EdgeCut",
     "FGAutomorphism",
     "FPWord",
@@ -78,7 +72,6 @@ __all__ = [
     "Multigraph",
     "OrbitCapExceeded",
     "QuotientGraph",
-    "RClass",
     "RankError",
     "ReducedWord",
     "WordSyntaxError",
@@ -90,7 +83,6 @@ __all__ = [
     "build_truncation",
     "certify",
     "chain_moves",
-    "class_of",
     "classify",
     "compose_chain",
     "corpus_graphs",
@@ -99,13 +91,11 @@ __all__ = [
     "elementary_automorphisms",
     "enumerate_hamiltonian_cycles",
     "find_cut_separating_pair",
-    "fp_multiply",
     "is_outerplanar",
     "level_one_quotient",
     "orbit_minimal_set",
     "parse_adjacency",
     "parse_spec",
-    "requiv_class",
     "second_cycle_cyclic",
     "split_check",
     "verify_circle_truncations",

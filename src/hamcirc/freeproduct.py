@@ -18,8 +18,11 @@ from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
 from .multigraph import Multigraph
+from .quotients import edge_tag, order_pair, project
 
 CLASS_BUDGET = 100_000
+
+Syllables = tuple[tuple[str, int], ...]
 
 
 class TruncationBudgetExceeded(RuntimeError):
@@ -31,7 +34,7 @@ class TruncationBudgetExceeded(RuntimeError):
 class FPWord:
     """Normal form in Z_m * Z_n: alternating ('a', i) / ('b', j) syllables."""
 
-    syllables: tuple[tuple[str, int], ...]
+    syllables: Syllables
     m: int
     n: int
 
@@ -71,16 +74,16 @@ class FPWord:
         return cls.from_syllables(sylls, m, n)
 
     def __str__(self) -> str:
-        return "".join(f"{s}{e}" for s, e in self.syllables)
+        return syllables_str(self.syllables)
 
     def display(self) -> str:
         return str(self) or "1"
 
-    def _key(self):
-        return (len(self.syllables), self.syllables)
+    def sort_key(self):
+        return syllable_key(self.syllables)
 
     def __lt__(self, other: "FPWord") -> bool:
-        return self._key() < other._key()
+        return self.sort_key() < other.sort_key()
 
     def __mul__(self, other: "FPWord") -> "FPWord":
         if (self.m, self.n) != (other.m, other.n):
@@ -99,16 +102,28 @@ class FPWord:
 
     def truncate_after_b(self, r: int) -> "FPWord":
         """The prefix through the r-th b-syllable (the whole word if fewer)."""
-        seen = 0
-        for i, (letter, _) in enumerate(self.syllables):
-            if letter == "b":
-                seen += 1
-                if seen == r:
-                    return FPWord(self.syllables[: i + 1], self.m, self.n)
-        return self
+        return FPWord(_truncate_after_b(self.syllables, r), self.m, self.n)
 
 
-def _normalize(sylls: tuple[tuple[str, int], ...], m: int, n: int) -> tuple[tuple[str, int], ...]:
+def syllables_str(sylls: Syllables) -> str:
+    return "".join(f"{s}{e}" for s, e in sylls)
+
+
+def syllable_key(sylls: Syllables) -> tuple:
+    return (len(sylls), sylls)
+
+
+def _truncate_after_b(sylls: Syllables, r: int) -> Syllables:
+    seen = 0
+    for i, (letter, _) in enumerate(sylls):
+        if letter == "b":
+            seen += 1
+            if seen == r:
+                return sylls[: i + 1]
+    return sylls
+
+
+def _normalize(sylls: Syllables, m: int, n: int) -> Syllables:
     out: list[tuple[str, int]] = []
     for letter, exp in sylls:
         order = m if letter == "a" else n
@@ -127,26 +142,8 @@ def _normalize(sylls: tuple[tuple[str, int], ...], m: int, n: int) -> tuple[tupl
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RClass:
-    """Truncation class: a word with at most r b-syllables names the class."""
-
-    representative: FPWord
-    depth: int
-
-
-def requiv_class(w: FPWord, r: int) -> RClass:
-    if r < 1:
-        raise ValueError("depth must be at least 1")
-    return RClass(w.truncate_after_b(r), r)
-
-
-def fp_multiply(u: FPWord, v: FPWord) -> FPWord:
-    return u * v
-
-
-def enumerate_fp_words(m: int, n: int, max_b: int) -> Iterator[FPWord]:
-    """All normal forms with at most max_b b-syllables, in a stable order."""
+def _normal_forms(m: int, n: int, max_b: int) -> Iterator[Syllables]:
+    """Syllable tuples of all normal forms with at most max_b b-syllables."""
 
     def extend(sylls: tuple, last: Optional[str], b_used: int) -> Iterator[tuple]:
         yield sylls
@@ -157,27 +154,27 @@ def enumerate_fp_words(m: int, n: int, max_b: int) -> Iterator[FPWord]:
             for e in range(1, n):
                 yield from extend(sylls + (("b", e),), "b", b_used + 1)
 
-    for sylls in extend((), None, 0):
+    return extend((), None, 0)
+
+
+def enumerate_fp_words(m: int, n: int, max_b: int) -> Iterator[FPWord]:
+    """All normal forms with at most max_b b-syllables, in a stable order."""
+    for sylls in _normal_forms(m, n, max_b):
         yield FPWord(sylls, m, n)
 
 
 @dataclass(frozen=True)
 class FPQuotient:
     graph: Multigraph
-    class_index: dict
     depth: int
     gens: tuple[FPWord, ...]
-    edge_pairs: tuple[tuple[FPWord, FPWord], ...]
-
-    def vertex_of_word(self, w: FPWord) -> int:
-        return self.class_index[requiv_class(w, self.depth)]
+    edge_pairs: tuple[tuple[Syllables, Syllables], ...]
 
     def edge_index_of_pair(self, u: FPWord, v: FPWord) -> int:
-        want = tuple(sorted((u, v)))
-        for i, pair in enumerate(self.edge_pairs):
-            if pair == want:
-                return i
-        raise KeyError(f"no edge for group pair {u.display()},{v.display()}")
+        try:
+            return self.edge_pairs.index(tuple(w.syllables for w in sorted((u, v))))
+        except ValueError:
+            raise KeyError(f"no edge for group pair {u.display()},{v.display()}") from None
 
 
 def fp_symmetric_closure(gens: Iterable[FPWord]) -> tuple[FPWord, ...]:
@@ -209,36 +206,28 @@ def build_truncation(
     if any(g.b_count() > 1 for g in sym):
         raise ValueError("generators may use at most one b-syllable")
 
-    words = list(enumerate_fp_words(m, n, depth + 1))
-    reps = sorted({w.truncate_after_b(depth) for w in words})
+    words = list(_normal_forms(m, n, depth + 1))
+    reps = sorted({_truncate_after_b(w, depth) for w in words}, key=syllable_key)
     if len(reps) > budget:
         raise TruncationBudgetExceeded(f"{len(reps)} classes exceeds {budget}")
     index = {rep: i for i, rep in enumerate(reps)}
 
+    tagged = [(g.syllables, edge_tag(g)) for g in sym]
     pairs: dict = {}
     for w in words:
-        cw = w.truncate_after_b(depth)
-        for g in sym:
-            v = w * g
-            if v.truncate_after_b(depth) == cw:
-                continue
-            key = tuple(sorted((w, v)))
-            if key not in pairs:
-                pairs[key] = min(g, g.inverse()).display()
+        cw = _truncate_after_b(w, depth)
+        for t, tag in tagged:
+            v = _normalize(w + t, m, n)
+            if _truncate_after_b(v, depth) != cw:  # otherwise a loop
+                pairs.setdefault(order_pair(w, v, syllable_key), tag)
 
-    items = sorted(
-        (
-            tuple(sorted((index[u.truncate_after_b(depth)], index[v.truncate_after_b(depth)]))),
-            (u, v),
-            tag,
-        )
-        for (u, v), tag in pairs.items()
+    graph, edge_pairs = project(
+        [syllables_str(rep) or "1" for rep in reps],
+        lambda w: index[_truncate_after_b(w, depth)],
+        pairs,
+        syllable_key,
     )
-    labels = [rep.display() for rep in reps]
-    graph = Multigraph(labels, [(cu, cv, tag) for (cu, cv), _pair, tag in items])
-    edge_pairs = tuple(pair for _cc, pair, _tag in items)
-    class_index = {RClass(rep, depth): i for rep, i in index.items()}
-    return FPQuotient(graph, class_index, depth, sym, edge_pairs)
+    return FPQuotient(graph, depth, sym, edge_pairs)
 
 
 def gen_a(m: int, n: int) -> FPWord:
@@ -302,11 +291,7 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
         counts.append(circle.graph.n_vertices)
         cyc.append(circle.graph.is_cycle())
         conn.append(full.graph.is_connected())
-        circle_pairs = {
-            tuple(p.syllables for p in pair) for pair in circle.edge_pairs
-        }
-        full_pairs = {tuple(p.syllables for p in pair) for pair in full.edge_pairs}
-        span.append(circle_pairs <= full_pairs)
+        span.append(set(circle.edge_pairs) <= set(full.edge_pairs))
     return TruncationReport(
         m, n, tuple(depths), tuple(counts), tuple(cyc), tuple(conn), tuple(span)
     )

@@ -77,11 +77,7 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
     for level in range(1, max_level + 1):
         full = build_quotient_local(n, tree_generators(n) + [s], level)
         circle = build_quotient_local(n, [s], level)
-        circle_pairs = {
-            (u.letters, v.letters) for u, v in circle.edge_pairs
-        }
-        full_pairs = {(u.letters, v.letters) for u, v in full.edge_pairs}
-        contained = circle_pairs <= full_pairs
+        contained = set(circle.edge_pairs) <= set(full.edge_pairs)
         levels.append(
             LevelReport(
                 level=level,

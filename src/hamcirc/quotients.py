@@ -17,7 +17,7 @@ edge per occurrence of a^-1 in each generator) and is the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .multigraph import Multigraph
 from .words import (
@@ -25,6 +25,7 @@ from .words import (
     concat_letters,
     count_reduced_words,
     invert_letters,
+    letters_str,
     reduced_words,
     word_key,
 )
@@ -37,33 +38,15 @@ class EnumerationBudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ClassId:
-    """A class is named by its defining prefix."""
-
-    representative: ReducedWord
-    level: int
-
-
-def class_of(w: ReducedWord, level: int) -> ClassId:
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    return ClassId(w.prefix(min(len(w), level)), level)
-
-
-@dataclass(frozen=True)
 class QuotientGraph:
     graph: Multigraph
-    class_index: dict
+    class_index: dict  # defining prefix (letter tuple) -> vertex
     level: int
     gens: tuple[ReducedWord, ...]
-    edge_pairs: tuple[tuple[ReducedWord, ReducedWord], ...]
-
-    @property
-    def rank(self) -> int:
-        return self.gens[0].rank
+    edge_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def vertex_of_word(self, w: ReducedWord) -> int:
-        return self.class_index[class_of(w, self.level)]
+        return self.class_index[w.letters[: self.level]]
 
 
 def symmetric_closure(gens: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
@@ -81,47 +64,59 @@ def symmetric_closure(gens: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
     return tuple(sorted(seen.values(), key=lambda w: w.sort_key()))
 
 
-def _order_pair(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (u, v) if word_key(u) <= word_key(v) else (v, u)
+def edge_tag(g) -> str:
+    """The tag on the edges of a generator g (a ReducedWord or an FPWord):
+    the smaller of g and g^-1 in text form."""
+    return min(g, g.inverse(), key=lambda x: x.sort_key()).display()
 
 
-def _class_reps(rank: int, level: int) -> list[tuple[int, ...]]:
-    return sorted(reduced_words(rank, level), key=word_key)
+def order_pair(u: tuple, v: tuple, key: Callable) -> tuple[tuple, tuple]:
+    """The endpoints of a group edge, smaller key first."""
+    return (u, v) if key(u) <= key(v) else (v, u)
 
 
-def _project(
+def project(
+    labels: Sequence[str],
+    vertex_of: Callable[[Hashable], int],
+    pairs: dict,
+    key: Callable,
+) -> tuple[Multigraph, tuple]:
+    """Collapse group edges onto their classes; the F_n prefix quotients
+    and the Z_m * Z_n truncations are both built this way.
+
+    ``pairs`` maps each group edge (u, v) to its tag and ``vertex_of``
+    maps a group element to its class.  Loops are dropped; parallel edges
+    stay, ordered by class pair and then by key(u), key(v).  Returns the
+    multigraph and the group pair behind each of its edges.
+    """
+    items = []
+    for (u, v), tag in pairs.items():
+        cu, cv = vertex_of(u), vertex_of(v)
+        if cu == cv:
+            continue
+        if cu > cv:
+            cu, cv = cv, cu
+        items.append((cu, cv, key(u), key(v), u, v, tag))
+    items.sort()
+    graph = Multigraph(labels, [(cu, cv, tag) for cu, cv, _, _, _, _, tag in items])
+    return graph, tuple((u, v) for _, _, _, _, u, v, _ in items)
+
+
+def _prefix_quotient(
     rank: int,
     level: int,
     gens: tuple[ReducedWord, ...],
     pairs: dict,
 ) -> QuotientGraph:
-    reps = _class_reps(rank, level)
-    index_by_raw = {raw: i for i, raw in enumerate(reps)}
-    labels = [ReducedWord(raw, rank).display() for raw in reps]
-
-    def cls(raw: tuple[int, ...]) -> int:
-        return index_by_raw[raw[:level]]
-
-    items = []
-    for (u, v), tag in pairs.items():
-        cu, cv = cls(u), cls(v)
-        if cu == cv:
-            continue
-        if cu > cv:
-            cu, cv = cv, cu
-        items.append((cu, cv, word_key(u), word_key(v), u, v, tag))
-    items.sort()
-
-    edges = [(cu, cv, tag) for cu, cv, _ku, _kv, _u, _v, tag in items]
-    edge_pairs = tuple(
-        (ReducedWord(u, rank), ReducedWord(v, rank))
-        for _cu, _cv, _ku, _kv, u, v, _tag in items
+    reps = sorted(reduced_words(rank, level), key=word_key)
+    index = {raw: i for i, raw in enumerate(reps)}
+    graph, edge_pairs = project(
+        [letters_str(raw) or "1" for raw in reps],
+        lambda raw: index[raw[:level]],
+        pairs,
+        word_key,
     )
-    graph = Multigraph(labels, edges)
-    class_index = {
-        ClassId(ReducedWord(raw, rank), level): i for i, raw in enumerate(reps)
-    }
-    return QuotientGraph(graph, class_index, level, gens, edge_pairs)
+    return QuotientGraph(graph, index, level, gens, edge_pairs)
 
 
 def build_quotient_enum(
@@ -144,17 +139,14 @@ def build_quotient_enum(
         raise EnumerationBudgetExceeded(
             f"{count_reduced_words(n, horizon)} words exceeds budget {budget}"
         )
+    tagged = [(g.letters, edge_tag(g)) for g in sym]
     pairs: dict = {}
     for w in reduced_words(n, horizon):
-        for g in sym:
-            v = concat_letters(w, g.letters)
-            if v[:level] == w[:level]:
-                continue  # same class: loop
-            key = _order_pair(w, v)
-            if key not in pairs:
-                tag = min(g, g.inverse(), key=lambda x: x.sort_key())
-                pairs[key] = tag.display()
-    return _project(n, level, sym, pairs)
+        for t, tag in tagged:
+            v = concat_letters(w, t)
+            if v[:level] != w[:level]:  # otherwise a loop
+                pairs.setdefault(order_pair(w, v, word_key), tag)
+    return _prefix_quotient(n, level, sym, pairs)
 
 
 def build_quotient_local(
@@ -173,32 +165,21 @@ def build_quotient_local(
     if level < 1:
         raise ValueError("level must be at least 1")
     sym = symmetric_closure(gens)
+    tagged = [(g.letters, edge_tag(g)) for g in sym]
     pairs: dict = {}
-
-    def add(u: tuple[int, ...], v: tuple[int, ...], g: ReducedWord) -> None:
-        key = _order_pair(u, v)
-        if key not in pairs:
-            tag = min(g, g.inverse(), key=lambda x: x.sort_key())
-            pairs[key] = tag.display()
-
     for v in reduced_words(n, level):
         if len(v) < level:
-            for g in sym:
-                add(v, concat_letters(v, g.letters), g)
+            for t, tag in tagged:
+                pairs.setdefault(order_pair(v, concat_letters(v, t), word_key), tag)
         else:
             a = v[-1]
-            for g in sym:
-                t = g.letters
+            for t, tag in tagged:
                 for j, tj in enumerate(t):
                     if tj != -a:
                         continue
                     w = v + invert_letters(t[:j])
-                    add(w, concat_letters(w, t), g)
-    return _project(n, level, sym, pairs)
-
-
-def quotient_vertex_count(n: int, level: int) -> int:
-    return count_reduced_words(n, level)
+                    pairs.setdefault(order_pair(w, concat_letters(w, t), word_key), tag)
+    return _prefix_quotient(n, level, sym, pairs)
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:
@@ -206,8 +187,6 @@ def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:
     return (
         a.level == b.level
         and a.graph.labels == b.graph.labels
-        and [(u.letters, v.letters) for u, v in a.edge_pairs]
-        == [(u.letters, v.letters) for u, v in b.edge_pairs]
-        and [e.tag for e in a.graph.edges] == [e.tag for e in b.graph.edges]
-        and [(e.u, e.v) for e in a.graph.edges] == [(e.u, e.v) for e in b.graph.edges]
+        and a.edge_pairs == b.edge_pairs
+        and a.graph.edges == b.graph.edges
     )

@@ -49,6 +49,10 @@ def letter_str(x: int) -> str:
     return c if x > 0 else c.upper()
 
 
+def letters_str(letters: tuple[int, ...]) -> str:
+    return "".join(letter_str(x) for x in letters)
+
+
 def letter_key(x: int) -> tuple[int, int]:
     """Sort key realizing the order a < A < b < B < ..."""
     return (abs(x), 0 if x > 0 else 1)
@@ -97,7 +101,7 @@ class ReducedWord:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(letter_str(x) for x in self.letters)
+        return letters_str(self.letters)
 
     def display(self) -> str:
         """Text form with the identity rendered as "1"."""
@@ -166,18 +170,6 @@ def cyclic_reduce_letters(u: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
         left += 1
         right -= 1
     return u[left:right], u[:left]
-
-
-def concat(u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    return u * v
-
-
-def invert(w: ReducedWord) -> ReducedWord:
-    return w.inverse()
-
-
-def letter_count(w: ReducedWord, gen: int) -> int:
-    return w.letter_count(gen)
 
 
 def reduced_words(rank: int, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -23,10 +23,15 @@ from hamcirc.outerplanar import verify_outerplanar_quotient
 from hamcirc.quotients import (
     build_quotient_enum,
     build_quotient_local,
-    quotient_vertex_count,
     quotients_equal,
 )
-from hamcirc.words import ReducedWord, letter_str, reduce_letters, reduced_words
+from hamcirc.words import (
+    ReducedWord,
+    count_reduced_words,
+    letter_str,
+    reduce_letters,
+    reduced_words,
+)
 
 
 @contextmanager
@@ -143,12 +148,11 @@ def test_criterion_05_degree_law_and_dual_construction():
                 local = build_quotient_local(2, [word], level)
                 enum = build_quotient_enum(2, [word], level)
                 assert quotients_equal(local, enum)
-                for cid, idx in local.class_index.items():
-                    rep = cid.representative
+                for rep, idx in local.class_index.items():
                     expected = (
                         2
                         if len(rep) < level
-                        else word.letter_count(abs(rep.letters[-1]))
+                        else word.letter_count(abs(rep[-1]))
                     )
                     assert local.graph.degree(idx) == expected
 
@@ -279,7 +283,7 @@ def suite_quotient_vertex_count(target=1000):
         word = ReducedWord(tuple(letters), n)
         level = rng.randrange(1, 5 if n == 2 else 4)
         q = build_quotient_local(n, [word], level)
-        assert q.graph.n_vertices == quotient_vertex_count(n, level)
+        assert q.graph.n_vertices == count_reduced_words(n, level)
         assert sum(q.graph.degrees()) == 2 * q.graph.n_edges
         cases += 1
     return cases
@@ -300,16 +304,13 @@ def suite_expansion_connectivity(max_words=30):
     for word in pool:
         for level in (2, 3, 4, 5):
             q = build_quotient_local(2, [word], level)
-            for cid in q.class_index:
-                rep = cid.representative
+            for rep, idx in q.class_index.items():
                 if len(rep) != level - 1:
                     continue
-                block = [q.vertex_of_word(rep)]
+                block = [idx]
                 for x in (1, -1, 2, -2):
-                    if x != -rep.letters[-1]:
-                        block.append(
-                            q.vertex_of_word(ReducedWord(rep.letters + (x,), 2))
-                        )
+                    if x != -rep[-1]:
+                        block.append(q.vertex_of_word(ReducedWord(rep + (x,), 2)))
                 assert q.graph.induced_subgraph(block).is_connected(), (
                     word, level, rep,
                 )

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from hamcirc.cli import main
 
@@ -89,6 +92,26 @@ class TestQuotientCommand:
             "}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # parallel edges with different tags, and penwidth highlights
+            (
+                ["quotient", "-n", "2", "-s", "aabb", "--with-tree", "-l", "3"],
+                "684207c8241c3eda6793c655ca2e9ce4f8eb3f54507fcdd7106082ece05d9475",
+            ),
+            (
+                ["cycletree", "-m", "4", "-n", "3", "-r", "2"],
+                "c842debc88a7cdc467de5f18b04ec350f57745222fd75c9b101066b3294f4ff9",
+            ),
+        ],
+    )
+    def test_golden_dot_digest(self, capsys, tmp_path, argv, digest):
+        out_path = tmp_path / "golden.dot"
+        code, _, _ = run_cli(capsys, *argv, "--dot", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
     def test_with_tree_highlights_circle(self, capsys, tmp_path):
         out_path = tmp_path / "full.dot"
         code, _, _ = run_cli(
@@ -107,14 +130,12 @@ class TestQuotientCommand:
         doc = json.loads(out)
         assert doc["generators"] == sorted(["aabb", "BBAA", "abAB", "baBA"])
 
-    def test_enum_matches_local_summary(self, capsys):
-        _, local_out, _ = run_cli(
-            capsys, "quotient", "-n", "2", "-s", "aabb", "-l", "2", "--json"
+    def test_enum_flag_is_gone(self, capsys):
+        code, _, err = run_cli(
+            capsys, "quotient", "-n", "2", "-s", "aabb", "-l", "2", "--enum"
         )
-        _, enum_out, _ = run_cli(
-            capsys, "quotient", "-n", "2", "-s", "aabb", "-l", "2", "--json", "--enum"
-        )
-        assert json.loads(local_out) == json.loads(enum_out)
+        assert code == 3
+        assert "--enum" in err
 
 
 class TestOtherCommands:
@@ -204,13 +225,16 @@ class TestEnvironmentOverrides:
         assert code == 3
         assert "cap" in err
 
-    def test_enum_budget_exceeded_is_clean_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "quotient", "-n", "2", "-s", "aabb", "-l", "3",
-            "--enum", "--budget", "50",
-        )
-        assert code == 3
-        assert "budget" in err
+
+class TestInternalErrors:
+    def test_orbit_inconsistency_exits_four(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("closure found a shorter word")
+
+        monkeypatch.setattr("hamcirc.certifier.minimal_orbit", broken)
+        code, _, err = run_cli(capsys, "certify", "-n", "2", "aaab")
+        assert code == 4
+        assert err.startswith("internal error:")
 
 
 def test_module_entry_point():

@@ -8,10 +8,8 @@ from hamcirc.freeproduct import (
     build_truncation,
     disconnecting_pair_disconnects,
     enumerate_fp_words,
-    fp_multiply,
     gen_a,
     gen_ab,
-    requiv_class,
     verify_circle_truncations,
 )
 
@@ -63,7 +61,7 @@ class TestNormalForm:
         words = [word for _, word in zip(range(60), enumerate_fp_words(3, 3, 2))]
         for _ in range(300):
             u, v, x = (rng.choice(words) for _ in range(3))
-            assert fp_multiply(fp_multiply(u, v), x) == fp_multiply(u, fp_multiply(v, x))
+            assert (u * v) * x == u * (v * x)
 
     def test_identity_laws(self):
         one = FPWord.identity(3, 2)
@@ -74,17 +72,13 @@ class TestNormalForm:
 
 class TestTruncationClasses:
     def test_truncate_after_first_b(self):
-        assert requiv_class(fp("a1b1a2b1a1"), 1).representative.display() == "a1b1"
+        assert fp("a1b1a2b1a1").truncate_after_b(1).display() == "a1b1"
 
     def test_short_word_is_its_own_class(self):
-        assert requiv_class(fp("a2"), 1).representative == fp("a2")
+        assert fp("a2").truncate_after_b(1) == fp("a2")
 
     def test_truncate_after_second_b(self):
-        assert requiv_class(fp("a1b1a2b1a1"), 2).representative.display() == "a1b1a2b1"
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            requiv_class(fp("a1"), 0)
+        assert fp("a1b1a2b1a1").truncate_after_b(2).display() == "a1b1a2b1"
 
 
 class TestTruncationGraphs:
@@ -127,6 +121,10 @@ class TestTruncationGraphs:
     def test_depth_two_single_cycle(self):
         q = build_truncation(3, 2, [gen_ab(3, 2)], 2)
         assert q.graph.is_cycle()
+
+    def test_depth_validation(self):
+        with pytest.raises(ValueError):
+            build_truncation(3, 2, [gen_ab(3, 2)], 0)
 
     def test_budget(self):
         with pytest.raises(TruncationBudgetExceeded):

@@ -3,8 +3,7 @@ import json
 import pytest
 
 from hamcirc.outerplanar import verify_outerplanar_quotient
-from hamcirc.quotients import quotient_vertex_count
-from hamcirc.words import ReducedWord
+from hamcirc.words import ReducedWord, count_reduced_words
 
 
 def w(text, rank=2):
@@ -16,9 +15,9 @@ class TestCertifiedWords:
         report = verify_outerplanar_quotient(2, w("aabb"), 3)
         assert report.precondition_ok and report.passed
         assert [lv.vertices for lv in report.levels] == [
-            quotient_vertex_count(2, 1),
-            quotient_vertex_count(2, 2),
-            quotient_vertex_count(2, 3),
+            count_reduced_words(2, 1),
+            count_reduced_words(2, 2),
+            count_reduced_words(2, 3),
         ]
         assert all(lv.outerplanar for lv in report.levels)
         assert all(lv.circle_is_ham_cycle for lv in report.levels)

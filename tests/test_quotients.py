@@ -7,12 +7,10 @@ from hamcirc.quotients import (
     EnumerationBudgetExceeded,
     build_quotient_enum,
     build_quotient_local,
-    class_of,
-    quotient_vertex_count,
     quotients_equal,
     symmetric_closure,
 )
-from hamcirc.words import ReducedWord
+from hamcirc.words import ReducedWord, count_reduced_words
 
 
 def w(text, rank=2):
@@ -20,18 +18,23 @@ def w(text, rank=2):
 
 
 class TestClassOf:
+    """Words map to the vertex of their level-L prefix."""
+
+    @staticmethod
+    def rep_of(q, word):
+        return q.graph.labels[q.vertex_of_word(word)]
+
     def test_long_word_truncates(self):
-        assert class_of(w("aabba", 3), 3).representative == w("aab", 3)
+        q = build_quotient_local(3, [w("aabbcc", 3)], 3)
+        assert self.rep_of(q, w("aabba", 3)) == "aab"
 
     def test_short_word_is_singleton(self):
-        assert class_of(w("ab"), 3).representative == w("ab")
+        q = build_quotient_local(2, [w("aabb")], 3)
+        assert self.rep_of(q, w("ab")) == "ab"
 
     def test_identity(self):
-        assert class_of(w(""), 1).representative == w("")
-
-    def test_level_validation(self):
-        with pytest.raises(ValueError):
-            class_of(w("a"), 0)
+        q = build_quotient_local(2, [w("aabb")], 1)
+        assert self.rep_of(q, w("")) == "1"
 
 
 class TestGeneratingSets:
@@ -85,7 +88,7 @@ class TestStarAndSmallExamples:
     def test_tree_generators_deeper_level_give_tree(self):
         q = build_quotient_local(2, [w("a"), w("b")], 3)
         g = q.graph
-        assert g.n_vertices == quotient_vertex_count(2, 3)
+        assert g.n_vertices == count_reduced_words(2, 3)
         assert g.n_edges == g.n_vertices - 1
         assert g.is_connected()
         ql = build_quotient_enum(2, [w("a"), w("b")], 3)
@@ -181,25 +184,24 @@ class TestDegreeLaw:
         word = w(text)
         for level in levels:
             q = build_quotient_local(2, [word], level)
-            for cid, idx in q.class_index.items():
-                rep = cid.representative
+            for rep, idx in q.class_index.items():
                 if len(rep) < level:
                     assert q.graph.degree(idx) == 2
                 else:
-                    gen = abs(rep.letters[-1])
+                    gen = abs(rep[-1])
                     assert q.graph.degree(idx) == word.letter_count(gen)
 
 
 class TestVertexCount:
     def test_formula(self):
-        assert quotient_vertex_count(2, 4) == 161
-        assert quotient_vertex_count(3, 3) == 187
+        assert count_reduced_words(2, 4) == 161
+        assert count_reduced_words(3, 3) == 187
 
     @pytest.mark.parametrize("n,level", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 6)])
     def test_built_quotients_match(self, n, level):
         word = ReducedWord.parse("aabb" if n == 2 else "aabbcc", n)
         q = build_quotient_local(n, [word], level)
-        assert q.graph.n_vertices == quotient_vertex_count(n, level)
+        assert q.graph.n_vertices == count_reduced_words(n, level)
 
 
 class TestExpansionConnectivity:
@@ -219,15 +221,14 @@ class TestExpansionConnectivity:
         for word in pool:
             for level in (2, 3, 4):
                 q = build_quotient_local(2, [word], level)
-                for cid in q.class_index:
-                    rep = cid.representative
+                for rep, idx in q.class_index.items():
                     if len(rep) != level - 1:
                         continue
-                    last = rep.letters[-1]
-                    block = [q.vertex_of_word(rep)]
+                    last = rep[-1]
+                    block = [idx]
                     for x in (1, -1, 2, -2):
                         if x != -last:
-                            ext = ReducedWord(rep.letters + (x,), 2)
+                            ext = ReducedWord(rep + (x,), 2)
                             block.append(q.vertex_of_word(ext))
                     sub = q.graph.induced_subgraph(block)
                     assert sub.is_connected(), (word, level, rep)
@@ -261,3 +262,5 @@ class TestBudget:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             build_quotient_local(2, [w("aabb")], 0)
+        with pytest.raises(ValueError):
+            build_quotient_enum(2, [w("aabb")], 0)
