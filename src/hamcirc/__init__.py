@@ -11,7 +11,6 @@ on bundled fixtures.
 from .words import ReducedWord, RankError, WordSyntaxError
 from .automorphisms import (
     FGAutomorphism,
-    apply_automorphism,
     apply_chain,
     chain_moves,
     compose_chain,
@@ -75,7 +74,6 @@ __all__ = [
     "RankError",
     "ReducedWord",
     "WordSyntaxError",
-    "apply_automorphism",
     "apply_chain",
     "build_finite_cayley",
     "build_quotient_enum",

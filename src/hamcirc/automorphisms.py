@@ -198,10 +198,6 @@ class FGAutomorphism:
         return ";".join(str(m) for m in self.moves) or "id"
 
 
-def apply_automorphism(phi: FGAutomorphism, w: ReducedWord) -> ReducedWord:
-    return phi.apply(w)
-
-
 def apply_chain(chain: Iterable[FGAutomorphism], w: ReducedWord) -> ReducedWord:
     """Apply a chain of automorphisms in order (first element first)."""
     for phi in chain:

@@ -26,12 +26,7 @@ from .certifier import (
     classify,
 )
 from .finite import build_finite_cayley, parse_spec, verify_unique_finite
-from .freeproduct import (
-    TruncationBudgetExceeded,
-    build_truncation,
-    gen_ab,
-    verify_circle_truncations,
-)
+from .freeproduct import TruncationBudgetExceeded, verify_circle_truncations
 from .minimize import DEFAULT_ORBIT_CAP, OrbitCapExceeded
 from .outerplanar import tree_generators, verify_outerplanar_quotient
 from .quotients import build_quotient_local, edge_tag
@@ -175,11 +170,8 @@ def _cmd_cycletree(args) -> int:
         raise UsageError("depth must be at least 1")
     report = verify_circle_truncations(args.m, args.n, args.depth)
     if args.dot:
-        circle = build_truncation(
-            args.m, args.n, [gen_ab(args.m, args.n)], args.depth
-        )
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(circle.graph.to_dot())
+            fh.write(report.deepest_circle.to_dot())
     if args.json:
         _emit_json(report.to_json_dict())
     else:

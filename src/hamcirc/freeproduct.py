@@ -13,7 +13,7 @@ checked depth.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
@@ -187,6 +187,14 @@ def fp_symmetric_closure(gens: Iterable[FPWord]) -> tuple[FPWord, ...]:
     return tuple(sorted(seen.values()))
 
 
+def count_truncation_classes(m: int, n: int, depth: int) -> int:
+    """Classes of the depth-r truncation, in closed form: the normal forms
+    with fewer than r b-syllables, plus those ending in their r-th one."""
+    a, b = m - 1, n - 1
+    below = sum((1 + a) ** 2 * b**k * a ** (k - 1) for k in range(1, depth))
+    return (1 + a) + below + (1 + a) * b**depth * a ** (depth - 1)
+
+
 def build_truncation(
     m: int,
     n: int,
@@ -198,7 +206,8 @@ def build_truncation(
 
     Every generator changes the number of b-syllables by at most one, so
     enumerating words with at most depth+1 b-syllables produces every edge
-    between distinct classes; loops are dropped.
+    between distinct classes; loops are dropped.  The class count is
+    checked against ``budget`` in closed form, before any enumeration.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -206,10 +215,11 @@ def build_truncation(
     if any(g.b_count() > 1 for g in sym):
         raise ValueError("generators may use at most one b-syllable")
 
+    classes = count_truncation_classes(m, n, depth)
+    if classes > budget:
+        raise TruncationBudgetExceeded(f"{classes} classes exceeds {budget}")
     words = list(_normal_forms(m, n, depth + 1))
     reps = sorted({_truncate_after_b(w, depth) for w in words}, key=syllable_key)
-    if len(reps) > budget:
-        raise TruncationBudgetExceeded(f"{len(reps)} classes exceeds {budget}")
     index = {rep: i for i, rep in enumerate(reps)}
 
     tagged = [(g.syllables, edge_tag(g)) for g in sym]
@@ -247,6 +257,7 @@ class TruncationReport:
     circle_is_cycle: tuple[bool, ...]
     full_connected: tuple[bool, ...]
     circle_spans_full: tuple[bool, ...]
+    deepest_circle: Multigraph = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -283,6 +294,8 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
     and that it spans the connected full-generating-set truncation."""
     if m < 3 or n < 2:
         raise ValueError("family needs m >= 3 and n >= 2")
+    if r_max < 1:
+        raise ValueError("r_max must be at least 1")
     depths, counts, cyc, conn, span = [], [], [], [], []
     for r in range(1, r_max + 1):
         circle = build_truncation(m, n, [gen_ab(m, n)], r)
@@ -293,7 +306,8 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
         conn.append(full.graph.is_connected())
         span.append(set(circle.edge_pairs) <= set(full.edge_pairs))
     return TruncationReport(
-        m, n, tuple(depths), tuple(counts), tuple(cyc), tuple(conn), tuple(span)
+        m, n, tuple(depths), tuple(counts), tuple(cyc), tuple(conn), tuple(span),
+        circle.graph,
     )
 
 

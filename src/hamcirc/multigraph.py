@@ -64,9 +64,6 @@ class Multigraph:
     def neighbors(self, v: int) -> list[int]:
         return [w for w, _ in self._adj[v]]
 
-    def incident_edges(self, v: int) -> list[int]:
-        return [idx for _, idx in self._adj[v]]
-
     def edges_between(self, u: int, v: int) -> list[int]:
         return [idx for w, idx in self._adj[u] if w == v]
 
@@ -137,13 +134,6 @@ class Multigraph:
             if e.u in index and e.v in index
         ]
         return Multigraph([self.labels[v] for v in kept], edges)
-
-    def labeled_edges(self) -> list[tuple[str, str, Optional[str]]]:
-        out = []
-        for e in self.edges:
-            a, b = sorted((self.labels[e.u], self.labels[e.v]))
-            out.append((a, b, e.tag))
-        return sorted(out, key=lambda t: (t[0], t[1], t[2] or ""))
 
     def to_dot(self, highlight: Iterable[int] = (), name: str = "") -> str:
         hi = set(highlight)
@@ -323,21 +313,65 @@ def find_cut_separating_pair(
 
 
 def is_outerplanar(g: Multigraph) -> bool:
-    """No K4 and no K2,3 minor; equivalently, planar after adding a vertex
-    adjacent to everything.  Computed on the simple support."""
-    import networkx as nx
+    """No K4 and no K2,3 minor.  Mitchell's reduction (IPL 9, 1979) on each block
+    peels degree-2 vertices down to a triangle, joining their two neighbours, then
+    puts each back between them on the rebuilt cycle.  A Yes is a certificate: that
+    cycle is hamiltonian on block edges and no two block edges cross it."""
+    adj = [set(g.neighbors(v)) for v in range(g.n_vertices)]
+    for block in _blocks(adj):
+        work = {v: adj[v] & block for v in block}
+        todo, peeled = list(block), []
+        while len(work) > 3 and todo:
+            v = todo.pop()
+            if len(work.get(v, ())) == 2:
+                u, w = work.pop(v)
+                work[u] = work[u] - {v} | {w}
+                work[w] = work[w] - {v} | {u}
+                peeled.append((v, u, w))
+                todo += [u, w]
+        if len(work) > 3:  # an outerplanar block always has a degree-2 vertex
+            return False
+        a, b, c = work
+        nxt = {a: b, b: c, c: a}
+        for v, u, w in reversed(peeled):
+            if nxt[w] == u:
+                u, w = w, u
+            if nxt[u] != w:  # on an outerplanar block, u and w are consecutive
+                return False
+            nxt[u], nxt[v] = v, w
+        pos, v = {}, a
+        while v not in pos and nxt[v] in adj[v]:
+            pos[v], v = len(pos), nxt[v]
+        if len(pos) < len(block):
+            return False
+        ends: list[int] = []  # right ends of the open spans, innermost last
+        for lo, neg_hi in sorted((pos[x], -pos[y]) for x in block for y in adj[x] & block
+                                 if pos[x] < pos[y]):  # by left end, outer spans first
+            while ends and ends[-1] <= lo:
+                ends.pop()
+            if ends and ends[-1] < -neg_hi:  # two block edges cross
+                return False
+            ends.append(-neg_hi)
+    return True
 
-    simple = g.simple_support()
-    n = simple.n_vertices
-    if n <= 2:
-        return True
-    G = nx.Graph()
-    G.add_nodes_from(range(n))
-    G.add_edges_from((e.u, e.v) for e in simple.edges)
-    apex = n
-    G.add_edges_from((apex, v) for v in range(n))
-    ok, _ = nx.check_planarity(G)
-    return ok
+
+def _blocks(adj: list[set[int]]) -> list[set[int]]:
+    """Vertex sets of the biconnected blocks with at least 3 vertices."""
+    disc, tree, stack = {}, [], [(r, r) for r in range(len(adj))]
+    while stack:  # marking on pop visits depth-first; a root is its own parent
+        v, p = stack.pop()
+        if v not in disc:
+            disc[v] = len(disc)
+            tree.append((p, v))
+            stack += [(w, v) for w in adj[v] if w not in disc]
+    low = {v: min([d] + [disc[w] for w in adj[v]]) for v, d in disc.items()}
+    for p, v in reversed(tree):  # tree edges in low leave the cut test below exact
+        low[p] = min(low[p], low[v])
+    head, blocks = {}, {}
+    for p, v in tree:  # v opens a block unless its subtree reaches above p
+        head[v] = v if low[v] >= disc[p] else head[p]
+        blocks.setdefault(head[v], {p}).add(v)
+    return [b for b in blocks.values() if len(b) > 2]
 
 
 # --- independent minor-search oracle (small graphs only) ------------------

@@ -129,14 +129,14 @@ def test_criterion_03_rank_two_exhaustive_equivalence():
 
 def test_criterion_04_explicit_squares_witness():
     with criterion(4, "witness chain maps abABcc exactly to aabbcc"):
-        from hamcirc.automorphisms import apply_automorphism, compose_chain
+        from hamcirc.automorphisms import compose_chain
 
         word = ReducedWord.parse("abABcc", 3)
         form = classify(3, word)
         assert form.kind == "Squares"
         target = ReducedWord.parse("aabbcc", 3)
         assert apply_chain(form.witness, word) == target
-        assert apply_automorphism(compose_chain(form.witness, 3), word) == target
+        assert compose_chain(form.witness, 3).apply(word) == target
 
 
 def test_criterion_05_degree_law_and_dual_construction():

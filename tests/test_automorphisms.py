@@ -177,11 +177,11 @@ class TestFiveStepChain:
         ]
 
     def test_compose_chain_equals_stepwise_application(self):
-        from hamcirc.automorphisms import apply_automorphism, compose_chain
+        from hamcirc.automorphisms import compose_chain
         from hamcirc.certifier import classify
 
         word = w("aaabab", 2)
         form = classify(2, word)
         assert form.kind == "Squares"
         composed = compose_chain(form.witness, 2)
-        assert apply_automorphism(composed, word) == apply_chain(form.witness, word)
+        assert composed.apply(word) == apply_chain(form.witness, word)

@@ -144,6 +144,27 @@ class TestOtherCommands:
         assert code == 0
         assert "cycle of length 6: PASS" in out
 
+    def test_cycletree_dot_builds_each_truncation_once(self, capsys, tmp_path, monkeypatch):
+        import hamcirc.freeproduct as freeproduct
+
+        calls = []
+        build = freeproduct.build_truncation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(freeproduct, "build_truncation", counting)
+        # an import by name in the CLI would bypass the module attribute
+        monkeypatch.setattr("hamcirc.cli.build_truncation", counting, raising=False)
+        out_path = tmp_path / "circle.dot"
+        code, _, _ = run_cli(
+            capsys, "cycletree", "-m", "3", "-n", "2", "-r", "3", "--dot", str(out_path)
+        )
+        assert code == 0
+        assert len(calls) == 6  # circle and full truncation at depths 1..3
+        assert out_path.read_text().count(" -- ") == 42  # the depth-3 circle
+
     def test_cycletree_json(self, capsys):
         code, out, _ = run_cli(capsys, "cycletree", "-m", "4", "-n", "2", "-r", "2", "--json")
         doc = json.loads(out)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hamcirc.freeproduct import (
     FPWord,
     TruncationBudgetExceeded,
     build_truncation,
+    count_truncation_classes,
     disconnecting_pair_disconnects,
     enumerate_fp_words,
     gen_a,
@@ -130,6 +133,25 @@ class TestTruncationGraphs:
         with pytest.raises(TruncationBudgetExceeded):
             build_truncation(3, 2, [gen_ab(3, 2)], 3, budget=5)
 
+    def test_budget_refuses_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("normal forms enumerated before the budget check")
+
+        monkeypatch.setattr("hamcirc.freeproduct._normal_forms", no_enumeration)
+        with pytest.raises(TruncationBudgetExceeded, match="^18660 classes exceeds 10$"):
+            build_truncation(4, 3, [gen_ab(4, 3)], 5, budget=10)
+
+    def test_class_count_closed_form(self):
+        checked = 0
+        for m, n, depth in itertools.product((2, 3, 4, 5), (2, 3, 4), (1, 2, 3, 4)):
+            count = count_truncation_classes(m, n, depth)
+            if count > 1500:  # 6 of the 48 points; (5, 4, 4) alone builds in ~30 s
+                continue
+            q = build_truncation(m, n, [gen_ab(m, n)], depth)
+            assert count == q.graph.n_vertices, (m, n, depth)
+            checked += 1
+        assert checked == 42
+
     def test_generator_b_syllable_limit(self):
         bad = fp("a1b1a1b1")
         with pytest.raises(ValueError):
@@ -163,6 +185,16 @@ class TestVerification:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             verify_circle_truncations(2, 2, 1)
+        with pytest.raises(ValueError):
+            verify_circle_truncations(3, 2, 0)
+
+    def test_report_keeps_deepest_circle(self):
+        report = verify_circle_truncations(3, 2, 2)
+        deepest = build_truncation(3, 2, [gen_ab(3, 2)], 2).graph
+        assert report.deepest_circle.to_dot() == deepest.to_dot()
+        assert "deepest_circle" not in report.to_json_dict()
+        stripped = dataclasses.replace(report, deepest_circle=None)
+        assert stripped == report
 
 
 class TestDisconnectingPair:

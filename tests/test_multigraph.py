@@ -206,6 +206,57 @@ class TestOuterplanarity:
             g = Multigraph([str(i) for i in range(n)], edges)
             assert is_outerplanar(g) == outerplanar_by_minor_search(g)
 
+    def test_rejects_k23_behind_reducible_chains(self):
+        # K2,3 with hubs u, v and spokes a, b, w, plus the paths u-c-x, u-d-x
+        # and x-w: peeling degree-2 vertices alone gets it down to a triangle,
+        # so the re-insertion has to reject it
+        g = parse_adjacency(
+            "u w\nu a\na v\nu b\nb v\nv w\nu c\nc x\nu d\nd x\nx w\n"
+        )
+        assert not outerplanar_by_minor_search(g)
+        assert not is_outerplanar(g)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_networkx_on_near_outerplanar_graphs(self, seed, nx_outerplanar):
+        rng = random.Random(seed)
+        verdicts = set()
+        small = 0
+        for _ in range(100):
+            g = _near_outerplanar(rng, rng.choice([rng.randrange(3, 6), rng.randrange(6, 200)]))
+            verdict = is_outerplanar(g)
+            assert verdict == nx_outerplanar(g), g.edges
+            if g.n_vertices <= 8:
+                assert verdict == outerplanar_by_minor_search(g), g.edges
+                small += 1
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+        assert small >= 10
+
+
+def _near_outerplanar(rng: random.Random, n: int) -> Multigraph:
+    """An n-gon with random non-crossing chords and 0-2 random extra edges,
+    paths and cycles glued on at cut vertices, some doubled edges, relabelled."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    spans = [(0, n - 1)]
+    while spans:  # chords split a span of polygon positions, so none cross
+        lo, hi = spans.pop()
+        if hi - lo >= 2:
+            mid = rng.randrange(lo + 1, hi)
+            for a, b in ((lo, mid), (mid, hi)):
+                if b - a >= 2 and rng.random() < 0.5:
+                    edges.append((a, b))
+                spans.append((a, b))
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3))]
+    total = n
+    for _ in range(rng.randrange(4)):
+        k = rng.randrange(1, 5)
+        ring = [rng.randrange(total)] + list(range(total, total + k))
+        edges += list(zip(ring, ring[1:])) + ([(ring[-1], ring[0])] if k >= 2 else [])
+        total += k
+    edges += rng.sample(edges, rng.randrange(3))
+    perm = rng.sample(range(total), total)
+    return Multigraph([str(i) for i in range(total)], [(perm[u], perm[v]) for u, v in edges])
+
 
 class TestDotExport:
     def test_empty_graph(self):

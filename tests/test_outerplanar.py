@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from hamcirc.outerplanar import verify_outerplanar_quotient
+import hamcirc
+from hamcirc.multigraph import is_outerplanar
+from hamcirc.outerplanar import tree_generators, verify_outerplanar_quotient
+from hamcirc.quotients import build_quotient_local
 from hamcirc.words import ReducedWord, count_reduced_words
 
 
@@ -81,3 +89,36 @@ def test_level_one_quotients_agree_with_minor_oracle():
         word = w(text)
         q = build_quotient_local(2, tree_generators(2) + [word], 1)
         assert is_outerplanar(q.graph) == outerplanar_by_minor_search(q.graph), text
+
+
+@pytest.mark.parametrize("text", ["aabb", "abab"])  # a Yes word and a No word
+def test_full_quotients_agree_with_networkx(text, nx_outerplanar):
+    for level in range(1, 6):
+        q = build_quotient_local(2, tree_generators(2) + [w(text)], level)
+        assert is_outerplanar(q.graph) == nx_outerplanar(q.graph), level
+
+
+def test_outerplanar_command_runs_without_networkx():
+    script = textwrap.dedent(
+        """
+        import sys
+
+        class RefuseNetworkx:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "networkx":
+                    raise ModuleNotFoundError(f"No module named {name!r} (blocked)")
+                return None
+
+        sys.meta_path.insert(0, RefuseNetworkx())
+        from hamcirc.cli import main
+        sys.exit(main(["outerplanar", "-n", "2", "-s", "aabb", "-l", "3"]))
+        """
+    )
+    src = str(Path(hamcirc.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "PASS"
