@@ -28,7 +28,7 @@ from .minimize import (
     whitehead_minimize,
 )
 from .multigraph import Multigraph
-from .quotients import build_quotient_local
+from .quotients import build_quotient_local, check_quotient_budget
 from .words import ReducedWord, letter_str
 
 VERDICT_YES = "Yes"
@@ -121,6 +121,7 @@ def default_max_level(n: int) -> int:
 
 
 def _verify_quotient_cycles(n: int, s: ReducedWord, max_level: int) -> tuple[int, ...]:
+    check_quotient_budget(n, max_level)
     for level in range(1, max_level + 1):
         q = build_quotient_local(n, [s], level)
         if not q.graph.is_cycle():

@@ -7,7 +7,8 @@ produce byte-identical output.
 
 The orbit budget can be preset via HAMCIRC_ORBIT_CAP; the --orbit-cap flag
 takes precedence.  The quotient command uses the per-class synthesis; the
-enumeration builder is the library-level oracle it is tested against.
+enumeration builder is the library-level oracle it is tested against.  A
+level over 500,000 quotient classes (quotients.QUOTIENT_BUDGET) exits 3.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .finite import build_finite_cayley, parse_spec, verify_unique_finite
 from .freeproduct import TruncationBudgetExceeded, verify_circle_truncations
 from .minimize import DEFAULT_ORBIT_CAP, OrbitCapExceeded
 from .outerplanar import tree_generators, verify_outerplanar_quotient
-from .quotients import build_quotient_local, edge_tag
+from .quotients import EnumerationBudgetExceeded, build_quotient_local, edge_tag
 from .words import ReducedWord
 from .automorphisms import chain_moves
 
@@ -261,6 +262,7 @@ def main(argv=None) -> int:
         OSError,
         OrbitCapExceeded,
         TruncationBudgetExceeded,
+        EnumerationBudgetExceeded,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

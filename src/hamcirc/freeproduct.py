@@ -7,7 +7,8 @@ its unique hamiltonian circle is the subgraph on (ab)^{+-1} alone.  The
 circle cannot be built whole, so it is verified on finite truncations:
 words are identified when they agree up to and including their r-th
 b-syllable, and the circle's truncation must be a single cycle for every
-checked depth.
+checked depth.  The circle is the (ab)-edge subgraph of the one full
+truncation built at each depth.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
 from .multigraph import Multigraph
-from .quotients import edge_tag, order_pair, project
+from .quotients import edge_tag, generator_subgraph, order_pair, project
 
 CLASS_BUDGET = 100_000
 
@@ -212,6 +213,8 @@ def build_truncation(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     sym = fp_symmetric_closure(gens)
+    if any((g.m, g.n) != (m, n) for g in sym):
+        raise ValueError(f"generators must lie in Z_{m} * Z_{n}")
     if any(g.b_count() > 1 for g in sym):
         raise ValueError("generators may use at most one b-syllable")
 
@@ -291,24 +294,22 @@ class TruncationReport:
 
 def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
     """Check that the circle's truncation is a single cycle for r <= r_max,
-    and that it spans the connected full-generating-set truncation."""
+    and that it spans the connected full-generating-set truncation.  The
+    circle is the (ab)-edge subgraph of the one truncation on {a, ab} built
+    per depth, and it spans when every class lies on a circle edge."""
     if m < 3 or n < 2:
         raise ValueError("family needs m >= 3 and n >= 2")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    depths, counts, cyc, conn, span = [], [], [], [], []
-    for r in range(1, r_max + 1):
-        circle = build_truncation(m, n, [gen_ab(m, n)], r)
-        full = build_truncation(m, n, [gen_a(m, n), gen_ab(m, n)], r)
-        depths.append(r)
-        counts.append(circle.graph.n_vertices)
-        cyc.append(circle.graph.is_cycle())
-        conn.append(full.graph.is_connected())
-        span.append(set(circle.edge_pairs) <= set(full.edge_pairs))
-    return TruncationReport(
-        m, n, tuple(depths), tuple(counts), tuple(cyc), tuple(conn), tuple(span),
-        circle.graph,
-    )
+    depths = tuple(range(1, r_max + 1))
+    rows = []
+    for r in depths:
+        full = build_truncation(m, n, [gen_a(m, n), gen_ab(m, n)], r).graph
+        circle = generator_subgraph(full, gen_ab(m, n))
+        spans = all(d > 0 for d in circle.degrees())
+        rows.append((full.n_vertices, circle.is_cycle(), full.is_connected(), spans))
+    counts, cyc, conn, span = zip(*rows)
+    return TruncationReport(m, n, depths, counts, cyc, conn, span, circle)
 
 
 def disconnecting_pair_disconnects(m: int, n: int, depth: int) -> bool:

@@ -21,6 +21,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .multigraph import Multigraph
 from .words import (
+    RankError,
     ReducedWord,
     concat_letters,
     count_reduced_words,
@@ -31,6 +32,7 @@ from .words import (
 )
 
 ENUM_BUDGET = 5_000_000
+QUOTIENT_BUDGET = 500_000  # classes of one prefix quotient
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -49,18 +51,19 @@ class QuotientGraph:
         return self.class_index[w.letters[: self.level]]
 
 
-def symmetric_closure(gens: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
-    """Close under inversion, deduplicate, reject the identity."""
-    ranks = set()
+def symmetric_closure(gens: Iterable[ReducedWord], rank: int) -> tuple[ReducedWord, ...]:
+    """Close under inversion, deduplicate, reject the identity and any
+    generator of another rank."""
     seen = {}
     for g in gens:
-        ranks.add(g.rank)
+        if g.rank != rank:
+            raise RankError(f"generator {g.display()} has rank {g.rank}, expected {rank}")
         if len(g) == 0:
             raise ValueError("generating set must not contain the identity")
         for h in (g, g.inverse()):
             seen.setdefault(h.letters, h)
-    if len(ranks) != 1:
-        raise ValueError("generators must share one rank")
+    if not seen:
+        raise ValueError("generating set must not be empty")
     return tuple(sorted(seen.values(), key=lambda w: w.sort_key()))
 
 
@@ -68,6 +71,19 @@ def edge_tag(g) -> str:
     """The tag on the edges of a generator g (a ReducedWord or an FPWord):
     the smaller of g and g^-1 in text form."""
     return min(g, g.inverse(), key=lambda x: x.sort_key()).display()
+
+
+def generator_subgraph(graph: Multigraph, g) -> Multigraph:
+    """The spanning subgraph on generator g's edges: the build on g alone."""
+    tag = edge_tag(g)
+    return graph.without_edges(i for i, e in enumerate(graph.edges) if e.tag != tag)
+
+
+def check_quotient_budget(n: int, level: int) -> None:
+    """Refuse a level of more than QUOTIENT_BUDGET classes before any work."""
+    classes = count_reduced_words(n, level)
+    if classes > QUOTIENT_BUDGET:
+        raise EnumerationBudgetExceeded(f"{classes} classes exceeds {QUOTIENT_BUDGET}")
 
 
 def order_pair(u: tuple, v: tuple, key: Callable) -> tuple[tuple, tuple]:
@@ -133,7 +149,7 @@ def build_quotient_enum(
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    sym = symmetric_closure(gens)
+    sym = symmetric_closure(gens, n)
     horizon = level + max(len(g) for g in sym)
     if count_reduced_words(n, horizon) > budget:
         raise EnumerationBudgetExceeded(
@@ -164,7 +180,8 @@ def build_quotient_local(
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    sym = symmetric_closure(gens)
+    check_quotient_budget(n, level)
+    sym = symmetric_closure(gens, n)
     tagged = [(g.letters, edge_tag(g)) for g in sym]
     pairs: dict = {}
     for v in reduced_words(n, level):

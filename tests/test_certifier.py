@@ -19,6 +19,7 @@ from hamcirc.certifier import (
     split_check,
     squares_word,
 )
+from hamcirc.quotients import EnumerationBudgetExceeded
 from hamcirc.words import ReducedWord
 
 
@@ -118,6 +119,17 @@ class TestCertify:
             certify(1, w("a", 1))
         with pytest.raises(ValueError):
             certify(3, w("aabb", 2))
+
+    def test_quotient_budget_applies_to_yes_verdicts_only(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("words enumerated before the budget check")
+
+        monkeypatch.setattr("hamcirc.quotients.reduced_words", no_enumeration)
+        with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes"):
+            certify(2, w("aabb"), max_level=12)
+        with pytest.raises(EnumerationBudgetExceeded):
+            certify(2, w("aaabab"), max_level=12)  # a Yes through a witness chain
+        assert certify(2, w("abab"), max_level=12).verdict == VERDICT_NO
 
     def test_higher_ranks(self):
         assert certify(3, w("aabbcc", 3)).verdict == VERDICT_YES

@@ -162,7 +162,7 @@ class TestOtherCommands:
             capsys, "cycletree", "-m", "3", "-n", "2", "-r", "3", "--dot", str(out_path)
         )
         assert code == 0
-        assert len(calls) == 6  # circle and full truncation at depths 1..3
+        assert len(calls) == 3  # the full truncation at depths 1..3
         assert out_path.read_text().count(" -- ") == 42  # the depth-3 circle
 
     def test_cycletree_json(self, capsys):
@@ -210,6 +210,21 @@ class TestOtherCommands:
         assert "warning" in err
         assert out.strip().endswith("FAIL")
 
+    def test_outerplanar_builds_each_level_once(self, capsys, monkeypatch):
+        import hamcirc.outerplanar as outerplanar
+
+        calls = []
+        build = outerplanar.build_quotient_local
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(outerplanar, "build_quotient_local", counting)
+        code, _, _ = run_cli(capsys, "outerplanar", "-n", "2", "-s", "aabb", "-l", "3")
+        assert code == 0
+        assert [args[2] for args in calls] == [1, 2, 3]  # the full quotient per level
+
     def test_outerplanar_json_schema(self, capsys):
         _, out, _ = run_cli(
             capsys, "outerplanar", "-n", "2", "-s", "aabb", "-l", "2", "--json"
@@ -245,6 +260,28 @@ class TestEnvironmentOverrides:
         )
         assert code == 3
         assert "cap" in err
+
+
+class TestQuotientBudget:
+    @pytest.mark.parametrize("argv", [
+        ["quotient", "-n", "2", "-s", "aabb", "-l", "14"],
+        ["outerplanar", "-n", "2", "-s", "aabb", "-l", "14"],
+        ["certify", "-n", "2", "aabb", "--max-level", "14"],
+    ])
+    def test_over_budget_level_exits_three_before_enumerating(self, capsys, monkeypatch, argv):
+        def no_enumeration(*args):
+            raise AssertionError("words enumerated before the budget check")
+
+        monkeypatch.setattr("hamcirc.quotients.reduced_words", no_enumeration)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: 9565937 classes exceeds 500000\n"
+
+    def test_no_verdict_builds_no_quotient(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "-n", "2", "abab", "--max-level", "14")
+        assert code == 1
+        assert out.startswith("NO")
 
 
 class TestInternalErrors:

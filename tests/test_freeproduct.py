@@ -15,6 +15,7 @@ from hamcirc.freeproduct import (
     gen_ab,
     verify_circle_truncations,
 )
+from hamcirc.quotients import generator_subgraph
 
 
 def fp(text, m=3, n=2):
@@ -161,6 +162,27 @@ class TestTruncationGraphs:
         with pytest.raises(ValueError):
             build_truncation(3, 2, [FPWord.identity(3, 2)], 1)
 
+    def test_generator_from_another_free_product_rejected(self):
+        # this used to build an 84-vertex graph on the generator b2a4
+        with pytest.raises(ValueError, match="Z_4 \\* Z_3"):
+            build_truncation(4, 3, [gen_ab(5, 3)], 2)
+
+    def test_circle_equals_one_generator_build(self):
+        """The (ab)-edges of the full truncation are the truncation built on
+        ab alone: the same labels, and the same edges in the same order with
+        the same tags."""
+        checked = 0
+        for m, n, depth in itertools.product((3, 4, 5), (2, 3, 4), (1, 2, 3)):
+            if count_truncation_classes(m, n, depth) > 1500:  # only (5, 4, 3)
+                continue
+            full = build_truncation(m, n, [gen_a(m, n), gen_ab(m, n)], depth).graph
+            alone = build_truncation(m, n, [gen_ab(m, n)], depth).graph
+            derived = generator_subgraph(full, gen_ab(m, n))
+            assert derived.labels == alone.labels, (m, n, depth)
+            assert derived.edges == alone.edges, (m, n, depth)
+            checked += 1
+        assert checked == 26
+
 
 class TestVerification:
     @pytest.mark.parametrize(
@@ -187,6 +209,21 @@ class TestVerification:
             verify_circle_truncations(2, 2, 1)
         with pytest.raises(ValueError):
             verify_circle_truncations(3, 2, 0)
+
+    def test_spanning_means_every_class_on_a_circle_edge(self, monkeypatch):
+        real = build_truncation
+
+        def strand_the_identity(m, n, gens, depth):
+            # drop the circle edges at class "1", keeping its a-edges
+            q = real(m, n, gens, depth)
+            drop = [i for i, e in enumerate(q.graph.edges) if e.u == 0 and e.tag == "a1b1"]
+            assert len(drop) == 2
+            return dataclasses.replace(q, graph=q.graph.without_edges(drop))
+
+        monkeypatch.setattr("hamcirc.freeproduct.build_truncation", strand_the_identity)
+        report = verify_circle_truncations(3, 2, 1)
+        assert report.circle_spans_full == (False,)
+        assert not report.passed
 
     def test_report_keeps_deepest_circle(self):
         report = verify_circle_truncations(3, 2, 2)

@@ -10,7 +10,7 @@ import pytest
 import hamcirc
 from hamcirc.multigraph import is_outerplanar
 from hamcirc.outerplanar import tree_generators, verify_outerplanar_quotient
-from hamcirc.quotients import build_quotient_local
+from hamcirc.quotients import EnumerationBudgetExceeded, build_quotient_local
 from hamcirc.words import ReducedWord, count_reduced_words
 
 
@@ -78,6 +78,14 @@ class TestReportShape:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             verify_outerplanar_quotient(2, w("aabb"), 0)
+
+    def test_budget_checked_before_certify(self, monkeypatch):
+        def no_certify(*args, **kwargs):
+            raise AssertionError("certify ran before the budget check")
+
+        monkeypatch.setattr("hamcirc.outerplanar.certify", no_certify)
+        with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes"):
+            verify_outerplanar_quotient(2, w("aabb"), 12)
 
 
 def test_level_one_quotients_agree_with_minor_oracle():

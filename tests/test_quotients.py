@@ -3,14 +3,16 @@ import random
 import pytest
 
 from hamcirc.certifier import level_one_quotient
+from hamcirc.outerplanar import tree_generators
 from hamcirc.quotients import (
     EnumerationBudgetExceeded,
     build_quotient_enum,
     build_quotient_local,
+    generator_subgraph,
     quotients_equal,
     symmetric_closure,
 )
-from hamcirc.words import ReducedWord, count_reduced_words
+from hamcirc.words import RankError, ReducedWord, count_reduced_words
 
 
 def w(text, rank=2):
@@ -39,16 +41,34 @@ class TestClassOf:
 
 class TestGeneratingSets:
     def test_closure_adds_inverses(self):
-        sym = symmetric_closure([w("aabb")])
+        sym = symmetric_closure([w("aabb")], 2)
         assert {str(x) for x in sym} == {"aabb", "BBAA"}
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
-            symmetric_closure([w("")])
+            symmetric_closure([w("")], 2)
 
     def test_rank_mixing_rejected(self):
         with pytest.raises(ValueError):
-            symmetric_closure([w("a", 2), w("a", 3)])
+            symmetric_closure([w("a", 2), w("a", 3)], 2)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            symmetric_closure([], 2)
+
+    def test_local_builder_rejects_a_higher_rank_word(self):
+        # the level-2 synthesis used to look up the class of "ac" and fail
+        # with a bare KeyError
+        with pytest.raises(RankError, match="rank 3, expected 2"):
+            build_quotient_local(2, [ReducedWord.parse("abc", 3)], 2)
+
+    def test_local_builder_rejects_a_lower_rank_word(self):
+        with pytest.raises(RankError, match="rank 2, expected 3"):
+            build_quotient_local(3, [w("aabb")], 2)
+
+    def test_enum_builder_rejects_another_rank(self):
+        with pytest.raises(RankError):
+            build_quotient_enum(3, [w("aabb")], 2)
 
 
 class TestLevelOneAgainstDefinition:
@@ -173,6 +193,27 @@ class TestDualConstruction:
                 assert quotients_equal(qe, ql), (word, level)
 
 
+class TestGeneratorSubgraph:
+    """The s-edges of the full quotient are the quotient built on s alone:
+    the same labels, and the same edges in the same order with the same tags."""
+
+    @pytest.mark.parametrize("text,rank,levels", [
+        ("aabb", 2, (1, 2, 3, 4)),
+        ("abAB", 2, (1, 2, 3, 4)),
+        ("abab", 2, (1, 2, 3, 4)),  # a No word
+        ("a", 2, (1, 2, 3, 4)),  # s is a tree generator
+        ("aabbcc", 3, (1, 2, 3)),
+    ])
+    def test_equals_one_generator_build(self, text, rank, levels):
+        s = w(text, rank)
+        for level in levels:
+            full = build_quotient_local(rank, tree_generators(rank) + [s], level)
+            alone = build_quotient_local(rank, [s], level).graph
+            derived = generator_subgraph(full.graph, s)
+            assert derived.labels == alone.labels, (text, level)
+            assert derived.edges == alone.edges, (text, level)
+
+
 class TestDegreeLaw:
     @pytest.mark.parametrize("text,levels", [
         ("aabb", (1, 2, 3, 4)),
@@ -258,6 +299,28 @@ class TestBudget:
     def test_enum_budget_raises(self):
         with pytest.raises(EnumerationBudgetExceeded):
             build_quotient_enum(2, [w("aabb")], 3, budget=100)
+
+    def test_local_budget_counts_classes(self, monkeypatch):
+        monkeypatch.setattr("hamcirc.quotients.QUOTIENT_BUDGET", 53)
+        assert build_quotient_local(2, [w("aabb")], 3).graph.n_vertices == 53
+        with pytest.raises(EnumerationBudgetExceeded, match="^161 classes exceeds 53$"):
+            build_quotient_local(2, [w("aabb")], 4)
+
+    def test_local_budget_refuses_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("words enumerated before the budget check")
+
+        monkeypatch.setattr("hamcirc.quotients.reduced_words", no_enumeration)
+        with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes exceeds 500000$"):
+            build_quotient_local(2, [w("aabb")], 12)
+        with pytest.raises(EnumerationBudgetExceeded, match="^585937 classes exceeds 500000$"):
+            build_quotient_local(3, [w("aabbcc", 3)], 8)
+
+    def test_default_budget_admits_the_documented_levels(self):
+        from hamcirc.quotients import QUOTIENT_BUDGET
+
+        assert count_reduced_words(2, 11) <= QUOTIENT_BUDGET < count_reduced_words(2, 12)
+        assert count_reduced_words(3, 7) <= QUOTIENT_BUDGET < count_reduced_words(3, 8)
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
