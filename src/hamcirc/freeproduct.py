@@ -8,7 +8,9 @@ circle cannot be built whole, so it is verified on finite truncations:
 words are identified when they agree up to and including their r-th
 b-syllable, and the circle's truncation must be a single cycle for every
 checked depth.  The circle is the (ab)-edge subgraph of the one full
-truncation built at each depth.
+truncation built at each depth.  A truncation is built class by class,
+from the class representatives alone, and its class count is sized in
+closed form before any class is built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,15 @@ from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
 from .multigraph import Multigraph
-from .quotients import edge_tag, generator_subgraph, order_pair, project
+from .quotients import (
+    COUNT_CAP,
+    collector_paused,
+    edge_tag,
+    generator_subgraph,
+    order_pair,
+    over_budget,
+    project,
+)
 
 CLASS_BUDGET = 100_000
 
@@ -59,7 +69,7 @@ class FPWord:
 
     @classmethod
     def from_syllables(cls, syllables: Iterable[tuple[str, int]], m: int, n: int) -> "FPWord":
-        return cls(_normalize(tuple(syllables), m, n), m, n)
+        return cls(_multiply((), syllables, m, n), m, n)
 
     @classmethod
     def parse(cls, text: str, m: int, n: int) -> "FPWord":
@@ -89,7 +99,7 @@ class FPWord:
     def __mul__(self, other: "FPWord") -> "FPWord":
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("free-product parameter mismatch")
-        return FPWord.from_syllables(self.syllables + other.syllables, self.m, self.n)
+        return FPWord(_multiply(self.syllables, other.syllables, self.m, self.n), self.m, self.n)
 
     def inverse(self) -> "FPWord":
         out = []
@@ -124,9 +134,11 @@ def _truncate_after_b(sylls: Syllables, r: int) -> Syllables:
     return sylls
 
 
-def _normalize(sylls: Syllables, m: int, n: int) -> Syllables:
-    out: list[tuple[str, int]] = []
-    for letter, exp in sylls:
+def _multiply(u: Syllables, v: Iterable[tuple[str, int]], m: int, n: int) -> Syllables:
+    """The normal form of u*v for a normal u: only the junction is reduced,
+    so v may be any syllable sequence (exponents taken mod the order)."""
+    out = list(u)
+    for letter, exp in v:
         order = m if letter == "a" else n
         exp %= order
         if exp == 0:
@@ -143,10 +155,10 @@ def _normalize(sylls: Syllables, m: int, n: int) -> Syllables:
     return tuple(out)
 
 
-def _normal_forms(m: int, n: int, max_b: int) -> Iterator[Syllables]:
-    """Syllable tuples of all normal forms with at most max_b b-syllables."""
+def enumerate_fp_words(m: int, n: int, max_b: int) -> Iterator[FPWord]:
+    """All normal forms with at most max_b b-syllables, in a stable order."""
 
-    def extend(sylls: tuple, last: Optional[str], b_used: int) -> Iterator[tuple]:
+    def extend(sylls: Syllables, last: Optional[str], b_used: int) -> Iterator[Syllables]:
         yield sylls
         if last != "a":
             for e in range(1, m):
@@ -155,13 +167,29 @@ def _normal_forms(m: int, n: int, max_b: int) -> Iterator[Syllables]:
             for e in range(1, n):
                 yield from extend(sylls + (("b", e),), "b", b_used + 1)
 
-    return extend((), None, 0)
-
-
-def enumerate_fp_words(m: int, n: int, max_b: int) -> Iterator[FPWord]:
-    """All normal forms with at most max_b b-syllables, in a stable order."""
-    for sylls in _normal_forms(m, n, max_b):
+    for sylls in extend((), None, 0):
         yield FPWord(sylls, m, n)
+
+
+def _class_reps(m: int, n: int, depth: int) -> list[tuple[Syllables, bool]]:
+    """The classes of the depth-r truncation in syllable_key order, as
+    (representative, full) pairs: the normal forms with fewer than r
+    b-syllables, and (full) those ending in their r-th one.  Built one
+    length at a time, each short one extended in a < b, exponent order."""
+    a_sylls = [("a", e) for e in range(1, m)]
+    b_sylls = [("b", e) for e in range(1, n)]
+    follow = {None: a_sylls + b_sylls, "a": b_sylls, "b": a_sylls}
+    out: list = []
+    layer = [((), 0)]
+    while layer:
+        out += [(w, b_used == depth) for w, b_used in layer]
+        layer = [
+            (w + (s,), b_used + (s[0] == "b"))
+            for w, b_used in layer
+            if b_used < depth
+            for s in follow[w[-1][0] if w else None]
+        ]
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,14 +216,30 @@ def fp_symmetric_closure(gens: Iterable[FPWord]) -> tuple[FPWord, ...]:
     return tuple(sorted(seen.values()))
 
 
-def count_truncation_classes(m: int, n: int, depth: int) -> int:
+def count_truncation_classes(m: int, n: int, depth: int, cap: Optional[int] = None) -> int:
     """Classes of the depth-r truncation, in closed form: the normal forms
-    with fewer than r b-syllables, plus those ending in their r-th one."""
+    with fewer than r b-syllables, plus those ending in their r-th one.
+
+    With a cap, counting stops once the total passes it, and that partial
+    total (still above the cap) is returned."""
     a, b = m - 1, n - 1
-    below = sum((1 + a) ** 2 * b**k * a ** (k - 1) for k in range(1, depth))
-    return (1 + a) + below + (1 + a) * b**depth * a ** (depth - 1)
+    if a * b == 1:  # Z_2 * Z_2: every depth adds 4 classes
+        return 4 * depth
+    total = 1 + a
+    for k in range(1, depth):
+        total += (1 + a) ** 2 * b**k * a ** (k - 1)
+        if cap is not None and total > cap:
+            return total
+    return total + (1 + a) * b**depth * a ** (depth - 1)
 
 
+def _check_class_budget(m: int, n: int, depth: int, budget: int) -> None:
+    classes = count_truncation_classes(m, n, depth, cap=COUNT_CAP)
+    if classes > budget:
+        raise TruncationBudgetExceeded(over_budget(classes, budget))
+
+
+@collector_paused
 def build_truncation(
     m: int,
     n: int,
@@ -203,12 +247,14 @@ def build_truncation(
     depth: int,
     budget: int = CLASS_BUDGET,
 ) -> FPQuotient:
-    """The depth-r truncation of Cay(Z_m * Z_n; gens^{+-1}).
+    """The depth-r truncation of Cay(Z_m * Z_n; gens^{+-1}), class by class.
 
-    Every generator changes the number of b-syllables by at most one, so
-    enumerating words with at most depth+1 b-syllables produces every edge
-    between distinct classes; loops are dropped.  The class count is
-    checked against ``budget`` in closed form, before any enumeration.
+    A class with fewer than r b-syllables is one element, and its edges are
+    {w, w t} for every generator t.  A full class is rep * (any word that
+    starts with an a-syllable).  A generator has at most one b-syllable, so
+    a group edge leaves a full class only from rep or rep * a^i (i < m).
+    Loops are dropped.  The class count is checked against ``budget`` in
+    closed form, before any class is built.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -217,25 +263,23 @@ def build_truncation(
         raise ValueError(f"generators must lie in Z_{m} * Z_{n}")
     if any(g.b_count() > 1 for g in sym):
         raise ValueError("generators may use at most one b-syllable")
+    _check_class_budget(m, n, depth, budget)
 
-    classes = count_truncation_classes(m, n, depth)
-    if classes > budget:
-        raise TruncationBudgetExceeded(f"{classes} classes exceeds {budget}")
-    words = list(_normal_forms(m, n, depth + 1))
-    reps = sorted({_truncate_after_b(w, depth) for w in words}, key=syllable_key)
-    index = {rep: i for i, rep in enumerate(reps)}
-
+    classes = _class_reps(m, n, depth)
+    index = {rep: i for i, (rep, _) in enumerate(classes)}
     tagged = [(g.syllables, edge_tag(g)) for g in sym]
+    powers = [(("a", i),) for i in range(1, m)]
     pairs: dict = {}
-    for w in words:
-        cw = _truncate_after_b(w, depth)
-        for t, tag in tagged:
-            v = _normalize(w + t, m, n)
-            if _truncate_after_b(v, depth) != cw:  # otherwise a loop
-                pairs.setdefault(order_pair(w, v, syllable_key), tag)
+    for rep, full in classes:
+        for w in [rep] + [rep + p for p in powers] if full else [rep]:
+            for t, tag in tagged:
+                v = _multiply(w, t, m, n)
+                # v stays in a full class exactly when rep is its prefix
+                if not (full and v[: len(rep)] == rep):
+                    pairs.setdefault(order_pair(w, v, syllable_key), tag)
 
     graph, edge_pairs = project(
-        [syllables_str(rep) or "1" for rep in reps],
+        [syllables_str(rep) or "1" for rep, _ in classes],
         lambda w: index[_truncate_after_b(w, depth)],
         pairs,
         syllable_key,
@@ -296,11 +340,13 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
     """Check that the circle's truncation is a single cycle for r <= r_max,
     and that it spans the connected full-generating-set truncation.  The
     circle is the (ab)-edge subgraph of the one truncation on {a, ab} built
-    per depth, and it spans when every class lies on a circle edge."""
+    per depth, and it spans when every class lies on a circle edge.  The
+    deepest depth is sized against CLASS_BUDGET before depth 1 is built."""
     if m < 3 or n < 2:
         raise ValueError("family needs m >= 3 and n >= 2")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    _check_class_budget(m, n, r_max, CLASS_BUDGET)
     depths = tuple(range(1, r_max + 1))
     rows = []
     for r in depths:

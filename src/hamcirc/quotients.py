@@ -11,11 +11,18 @@ enumerates all words up to level + max generator length and projects every
 group edge; it is the definitional oracle.  ``build_quotient_local``
 synthesizes the edges class by class (short classes keep their two tree
 neighbours per generator; a full-length class with last letter a gets one
-edge per occurrence of a^-1 in each generator) and is the fast path.
+edge per occurrence of a^-1 in each generator) and is the fast path.  Both
+take the level's classes from ``shortlex_words``, which generates them in
+vertex order with their labels, so nothing is sorted per word.  A level is
+sized against QUOTIENT_BUDGET before any word is generated, by a count that
+stops at COUNT_CAP.  Builders run with the cyclic garbage collector held
+off (``collector_paused``).
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -26,13 +33,14 @@ from .words import (
     concat_letters,
     count_reduced_words,
     invert_letters,
-    letters_str,
     reduced_words,
+    shortlex_words,
     word_key,
 )
 
 ENUM_BUDGET = 5_000_000
 QUOTIENT_BUDGET = 500_000  # classes of one prefix quotient
+COUNT_CAP = 10**12  # a budget check counts no further than this
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -79,16 +87,50 @@ def generator_subgraph(graph: Multigraph, g) -> Multigraph:
     return graph.without_edges(i for i, e in enumerate(graph.edges) if e.tag != tag)
 
 
+def over_budget(classes: int, budget: int) -> str:
+    """The budget error text for a class count taken with cap COUNT_CAP."""
+    shown = f"more than {COUNT_CAP}" if classes > COUNT_CAP else classes
+    return f"{shown} classes exceeds {budget}"
+
+
 def check_quotient_budget(n: int, level: int) -> None:
     """Refuse a level of more than QUOTIENT_BUDGET classes before any work."""
-    classes = count_reduced_words(n, level)
+    classes = count_reduced_words(n, level, cap=COUNT_CAP)
     if classes > QUOTIENT_BUDGET:
-        raise EnumerationBudgetExceeded(f"{classes} classes exceeds {QUOTIENT_BUDGET}")
+        raise EnumerationBudgetExceeded(over_budget(classes, QUOTIENT_BUDGET))
 
 
 def order_pair(u: tuple, v: tuple, key: Callable) -> tuple[tuple, tuple]:
-    """The endpoints of a group edge, smaller key first."""
+    """The endpoints of a group edge, smaller key first.  Both keys in use
+    (word_key, syllable_key) order by length first, so only endpoints of
+    one length need theirs."""
+    if len(u) != len(v):
+        return (u, v) if len(u) < len(v) else (v, u)
     return (u, v) if key(u) <= key(v) else (v, u)
+
+
+def collector_paused(build: Callable) -> Callable:
+    """Run ``build`` with the cyclic garbage collector held off.
+
+    A build allocates hundreds of thousands of tuples, lists and dicts and
+    makes no reference cycles, so reference counting frees all of it, and
+    the collector's passes over it (hundreds per build, 11-16% of its time)
+    find nothing.  Their cost is memory-bound and swings with the host's
+    caches more than the rest of the build does.  The collector's state is
+    restored on return.
+    """
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def project(
@@ -119,15 +161,16 @@ def project(
 
 
 def _prefix_quotient(
-    rank: int,
     level: int,
     gens: tuple[ReducedWord, ...],
     pairs: dict,
+    classes: list[tuple[tuple[int, ...], str]],
 ) -> QuotientGraph:
-    reps = sorted(reduced_words(rank, level), key=word_key)
-    index = {raw: i for i, raw in enumerate(reps)}
+    """Project ``pairs`` onto the level's classes, given as the
+    shortlex_words list of (representative, text) pairs."""
+    index = {raw: i for i, (raw, _) in enumerate(classes)}
     graph, edge_pairs = project(
-        [letters_str(raw) or "1" for raw in reps],
+        [text or "1" for _, text in classes],
         lambda raw: index[raw[:level]],
         pairs,
         word_key,
@@ -135,6 +178,7 @@ def _prefix_quotient(
     return QuotientGraph(graph, index, level, gens, edge_pairs)
 
 
+@collector_paused
 def build_quotient_enum(
     n: int,
     gens: Iterable[ReducedWord],
@@ -162,9 +206,10 @@ def build_quotient_enum(
             v = concat_letters(w, t)
             if v[:level] != w[:level]:  # otherwise a loop
                 pairs.setdefault(order_pair(w, v, word_key), tag)
-    return _prefix_quotient(n, level, sym, pairs)
+    return _prefix_quotient(level, sym, pairs, list(shortlex_words(n, level)))
 
 
+@collector_paused
 def build_quotient_local(
     n: int,
     gens: Iterable[ReducedWord],
@@ -183,20 +228,21 @@ def build_quotient_local(
     check_quotient_budget(n, level)
     sym = symmetric_closure(gens, n)
     tagged = [(g.letters, edge_tag(g)) for g in sym]
+    starts: dict = {}  # a -> ((t_1..t_{j-1})^-1, t, tag) for each t_j = a^-1
+    for t, tag in tagged:
+        for j, tj in enumerate(t):
+            starts.setdefault(-tj, []).append((invert_letters(t[:j]), t, tag))
+    classes = list(shortlex_words(n, level))
     pairs: dict = {}
-    for v in reduced_words(n, level):
+    for v, _ in classes:
         if len(v) < level:
             for t, tag in tagged:
                 pairs.setdefault(order_pair(v, concat_letters(v, t), word_key), tag)
         else:
-            a = v[-1]
-            for t, tag in tagged:
-                for j, tj in enumerate(t):
-                    if tj != -a:
-                        continue
-                    w = v + invert_letters(t[:j])
-                    pairs.setdefault(order_pair(w, concat_letters(w, t), word_key), tag)
-    return _prefix_quotient(n, level, sym, pairs)
+            for pre, t, tag in starts.get(v[-1], ()):
+                w = v + pre
+                pairs.setdefault(order_pair(w, concat_letters(w, t), word_key), tag)
+    return _prefix_quotient(level, sym, pairs, classes)
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:

@@ -10,7 +10,7 @@ letter, so ``"abA"`` is a1*a2*a1^-1.  The empty string is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 MAX_RANK = 26
 
@@ -58,8 +58,16 @@ def letter_key(x: int) -> tuple[int, int]:
     return (abs(x), 0 if x > 0 else 1)
 
 
-def word_key(letters: tuple[int, ...]) -> tuple:
-    return (len(letters), tuple(letter_key(x) for x in letters))
+# _DIGIT[x] = 2(|x|-1) + (x<0), indexed by the letter itself (negative
+# letters wrap around): a byte string of digits sorts like the letter keys
+_DIGIT = [0] * (2 * MAX_RANK + 1)
+for _i in range(1, MAX_RANK + 1):
+    _DIGIT[_i], _DIGIT[-_i] = 2 * _i - 2, 2 * _i - 1
+
+
+def word_key(letters: tuple[int, ...]) -> tuple[int, bytes]:
+    """Shortlex key: length first, then the letters in a < A < b < B order."""
+    return (len(letters), bytes(map(_DIGIT.__getitem__, letters)))
 
 
 @dataclass(frozen=True)
@@ -191,9 +199,34 @@ def reduced_words(rank: int, max_len: int) -> Iterator[tuple[int, ...]]:
     return extend(())
 
 
-def count_reduced_words(rank: int, max_len: int) -> int:
-    """Number of reduced words of length <= max_len: 1 + sum 2n(2n-1)^(k-1)."""
-    total = 1
-    for k in range(1, max_len + 1):
-        total += 2 * rank * (2 * rank - 1) ** (k - 1)
+def shortlex_words(rank: int, max_len: int) -> Iterator[tuple[tuple[int, ...], str]]:
+    """All reduced letter tuples of length <= max_len with their text form,
+    in word_key order: one length at a time, each word of a length extended
+    by the letters in a < A < b < B order."""
+    alphabet = [(x, letter_str(x)) for i in range(1, rank + 1) for x in (i, -i)]
+    layer = [((), "")]
+    for length in range(max_len + 1):
+        yield from layer
+        if length < max_len:
+            layer = [
+                (w + (x,), text + ch)
+                for w, text in layer
+                for x, ch in alphabet
+                if not w or w[-1] != -x
+            ]
+
+
+def count_reduced_words(rank: int, max_len: int, cap: Optional[int] = None) -> int:
+    """Number of reduced words of length <= max_len: 1 + sum 2n(2n-1)^(k-1).
+
+    With a cap, counting stops at the first length where the total passes
+    it, and that partial total (still above the cap) is returned."""
+    if rank == 1:
+        return 1 + 2 * max_len
+    total, term = 1, 2 * rank
+    for _ in range(max_len):
+        total += term
+        if cap is not None and total > cap:
+            break
+        term *= 2 * rank - 1
     return total

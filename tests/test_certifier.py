@@ -124,7 +124,7 @@ class TestCertify:
         def no_enumeration(*args):
             raise AssertionError("words enumerated before the budget check")
 
-        monkeypatch.setattr("hamcirc.quotients.reduced_words", no_enumeration)
+        monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
         with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes"):
             certify(2, w("aabb"), max_level=12)
         with pytest.raises(EnumerationBudgetExceeded):

@@ -2,10 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from hamcirc.cli import main
+from hamcirc.quotients import COUNT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +167,18 @@ class TestOtherCommands:
         assert len(calls) == 3  # the full truncation at depths 1..3
         assert out_path.read_text().count(" -- ") == 42  # the depth-3 circle
 
+    def test_cycletree_sizes_its_deepest_depth_first(self, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a truncation was built before the budget check")
+
+        monkeypatch.setattr("hamcirc.freeproduct.build_truncation", no_build)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "cycletree", "-m", "3", "-n", "2", "-r", "10000")
+        assert time.perf_counter() - start < 1.0  # about 1 ms
+        assert code == 3
+        assert out == ""
+        assert err == f"error: more than {COUNT_CAP} classes exceeds 100000\n"
+
     def test_cycletree_json(self, capsys):
         code, out, _ = run_cli(capsys, "cycletree", "-m", "4", "-n", "2", "-r", "2", "--json")
         doc = json.loads(out)
@@ -272,11 +286,28 @@ class TestQuotientBudget:
         def no_enumeration(*args):
             raise AssertionError("words enumerated before the budget check")
 
-        monkeypatch.setattr("hamcirc.quotients.reduced_words", no_enumeration)
+        monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
         assert err == "error: 9565937 classes exceeds 500000\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["quotient", "-n", "2", "-s", "aabb", "-l", "10000"],
+        ["outerplanar", "-n", "2", "-s", "aabb", "-l", "10000"],
+        ["certify", "-n", "2", "aabb", "--max-level", "10000"],
+    ])
+    def test_huge_level_is_refused_without_a_huge_count(self, capsys, monkeypatch, argv):
+        def no_enumeration(*args):
+            raise AssertionError("words enumerated before the budget check")
+
+        monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0  # about 2 ms
+        assert code == 3
+        assert out == ""
+        assert err == f"error: more than {COUNT_CAP} classes exceeds 500000\n"
 
     def test_no_verdict_builds_no_quotient(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "-n", "2", "abab", "--max-level", "14")

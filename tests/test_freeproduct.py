@@ -5,21 +5,66 @@ import random
 import pytest
 
 from hamcirc.freeproduct import (
+    CLASS_BUDGET,
+    FPQuotient,
     FPWord,
     TruncationBudgetExceeded,
+    _multiply,
+    _truncate_after_b,
     build_truncation,
     count_truncation_classes,
     disconnecting_pair_disconnects,
     enumerate_fp_words,
+    fp_symmetric_closure,
     gen_a,
     gen_ab,
+    syllable_key,
+    syllables_str,
     verify_circle_truncations,
 )
-from hamcirc.quotients import generator_subgraph
+from hamcirc.quotients import COUNT_CAP, edge_tag, generator_subgraph, order_pair, project
 
 
 def fp(text, m=3, n=2):
     return FPWord.parse(text, m, n)
+
+
+def build_truncation_enum(m, n, gens, depth):
+    """The truncation by definition, the oracle for build_truncation: every
+    normal form with at most depth+1 b-syllables times every generator,
+    each product normalized whole.  A generator changes the number of
+    b-syllables by at most one, so this meets every edge between classes."""
+    sym = fp_symmetric_closure(gens)
+    words = [w.syllables for w in enumerate_fp_words(m, n, depth + 1)]
+    reps = sorted({_truncate_after_b(w, depth) for w in words}, key=syllable_key)
+    index = {rep: i for i, rep in enumerate(reps)}
+    tagged = [(g.syllables, edge_tag(g)) for g in sym]
+    pairs = {}
+    for w in words:
+        cw = _truncate_after_b(w, depth)
+        for t, tag in tagged:
+            v = _multiply((), w + t, m, n)
+            if _truncate_after_b(v, depth) != cw:  # otherwise a loop
+                pairs.setdefault(order_pair(w, v, syllable_key), tag)
+    graph, edge_pairs = project(
+        [syllables_str(rep) or "1" for rep in reps],
+        lambda w: index[_truncate_after_b(w, depth)],
+        pairs,
+        syllable_key,
+    )
+    return FPQuotient(graph, depth, sym, edge_pairs)
+
+
+# the generating sets of the differential tests: the cycle tree, its circle,
+# the a-cycles alone, and generators with their b-syllable inside (a1b1a2,
+# the only one whose edges can join two non-representatives) or in front
+DIFFERENTIAL_SETS = {
+    "a,ab": lambda m, n: [gen_a(m, n), gen_ab(m, n)],
+    "ab": lambda m, n: [gen_ab(m, n)],
+    "a": lambda m, n: [gen_a(m, n)],
+    "a1b1a2": lambda m, n: [fp("a1b1a2", m, n)],
+    "b1a1": lambda m, n: [fp("b1a1", m, n)],
+}
 
 
 class TestNormalForm:
@@ -136,22 +181,49 @@ class TestTruncationGraphs:
 
     def test_budget_refuses_before_enumerating(self, monkeypatch):
         def no_enumeration(*args):
-            raise AssertionError("normal forms enumerated before the budget check")
+            raise AssertionError("classes enumerated before the budget check")
 
-        monkeypatch.setattr("hamcirc.freeproduct._normal_forms", no_enumeration)
+        monkeypatch.setattr("hamcirc.freeproduct._class_reps", no_enumeration)
         with pytest.raises(TruncationBudgetExceeded, match="^18660 classes exceeds 10$"):
             build_truncation(4, 3, [gen_ab(4, 3)], 5, budget=10)
 
     def test_class_count_closed_form(self):
         checked = 0
         for m, n, depth in itertools.product((2, 3, 4, 5), (2, 3, 4), (1, 2, 3, 4)):
-            count = count_truncation_classes(m, n, depth)
-            if count > 1500:  # 6 of the 48 points; (5, 4, 4) alone builds in ~30 s
-                continue
             q = build_truncation(m, n, [gen_ab(m, n)], depth)
-            assert count == q.graph.n_vertices, (m, n, depth)
+            assert count_truncation_classes(m, n, depth) == q.graph.n_vertices, (m, n, depth)
             checked += 1
-        assert checked == 42
+        assert checked == 48
+
+    def test_class_count_stops_past_its_cap(self, monkeypatch):
+        assert count_truncation_classes(2, 2, 10**15, cap=10) == 4 * 10**15
+        assert count_truncation_classes(4, 3, 5, cap=10**6) == 18660
+        capped = count_truncation_classes(3, 2, 10**4, cap=COUNT_CAP)
+        assert COUNT_CAP < capped < 10 * COUNT_CAP
+
+        def no_enumeration(*args):
+            raise AssertionError("classes enumerated before the budget check")
+
+        monkeypatch.setattr("hamcirc.freeproduct._class_reps", no_enumeration)
+        with pytest.raises(TruncationBudgetExceeded, match=f"^more than {COUNT_CAP} classes exceeds 10$"):
+            build_truncation(3, 2, [gen_ab(3, 2)], 10**9, budget=10)
+
+    @pytest.mark.parametrize("gens", sorted(DIFFERENTIAL_SETS))
+    def test_matches_enumeration_oracle(self, gens):
+        """Same labels, the same tagged edges in the same order, and the same
+        group pair behind each edge as the enumeration builder."""
+        checked = 0
+        for m, n, depth in itertools.product((3, 4, 5), (2, 3, 4), (1, 2, 3)):
+            if count_truncation_classes(m, n, depth) > 1500:  # only (5, 4, 3)
+                continue
+            gen_set = DIFFERENTIAL_SETS[gens](m, n)
+            fast = build_truncation(m, n, gen_set, depth)
+            oracle = build_truncation_enum(m, n, gen_set, depth)
+            assert fast.graph.labels == oracle.graph.labels, (m, n, depth)
+            assert fast.graph.edges == oracle.graph.edges, (m, n, depth)
+            assert fast.edge_pairs == oracle.edge_pairs, (m, n, depth)
+            checked += 1
+        assert checked == 26
 
     def test_generator_b_syllable_limit(self):
         bad = fp("a1b1a1b1")
@@ -209,6 +281,15 @@ class TestVerification:
             verify_circle_truncations(2, 2, 1)
         with pytest.raises(ValueError):
             verify_circle_truncations(3, 2, 0)
+
+    def test_deepest_depth_sized_before_depth_one(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a truncation was built before the budget check")
+
+        monkeypatch.setattr("hamcirc.freeproduct.build_truncation", no_build)
+        assert count_truncation_classes(4, 3, 5) <= CLASS_BUDGET < count_truncation_classes(4, 3, 6)
+        with pytest.raises(TruncationBudgetExceeded, match="^111972 classes exceeds 100000$"):
+            verify_circle_truncations(4, 3, 6)
 
     def test_spanning_means_every_class_on_a_circle_edge(self, monkeypatch):
         real = build_truncation

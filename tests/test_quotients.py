@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -310,7 +311,7 @@ class TestBudget:
         def no_enumeration(*args):
             raise AssertionError("words enumerated before the budget check")
 
-        monkeypatch.setattr("hamcirc.quotients.reduced_words", no_enumeration)
+        monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
         with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes exceeds 500000$"):
             build_quotient_local(2, [w("aabb")], 12)
         with pytest.raises(EnumerationBudgetExceeded, match="^585937 classes exceeds 500000$"):
@@ -327,3 +328,37 @@ class TestBudget:
             build_quotient_local(2, [w("aabb")], 0)
         with pytest.raises(ValueError):
             build_quotient_enum(2, [w("aabb")], 0)
+
+
+class TestCollectorPaused:
+    def test_builders_hold_the_collector_off(self, monkeypatch):
+        import hamcirc.freeproduct as fp
+        import hamcirc.quotients as qm
+
+        states = []
+
+        def spy(real):
+            def recorded(*args):
+                states.append(gc.isenabled())
+                return real(*args)
+
+            return recorded
+
+        monkeypatch.setattr(qm, "project", spy(qm.project))
+        monkeypatch.setattr(fp, "project", spy(fp.project))
+        build_quotient_local(2, [w("aabb")], 3)
+        build_quotient_enum(2, [w("aabb")], 3)
+        fp.build_truncation(3, 2, [fp.gen_ab(3, 2)], 2)
+        assert states == [False, False, False]
+        assert gc.isenabled()
+
+    def test_collector_state_restored(self):
+        with pytest.raises(EnumerationBudgetExceeded):
+            build_quotient_enum(2, [w("aabb")], 3, budget=100)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            build_quotient_local(2, [w("aabb")], 2)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,9 +8,17 @@ from hamcirc.words import (
     ReducedWord,
     WordSyntaxError,
     count_reduced_words,
+    letters_str,
     reduce_letters,
     reduced_words,
+    shortlex_words,
+    word_key,
 )
+
+
+def tuple_word_key(letters):
+    """The word order spelled out: length, then (generator, inverse) pairs."""
+    return (len(letters), tuple((abs(x), 0 if x > 0 else 1) for x in letters))
 
 
 def w(text, rank=2):
@@ -134,6 +144,34 @@ def test_reduced_word_enumeration_matches_formula():
             assert len(set(words)) == len(words)
             for raw in words:
                 assert reduce_letters(raw, rank) == raw
+
+
+@pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_shortlex_words_are_the_sorted_reduced_words(rank, max_len):
+    pairs = list(shortlex_words(rank, max_len))
+    expected = sorted(reduced_words(rank, max_len), key=tuple_word_key)
+    assert [raw for raw, _ in pairs] == expected
+    assert [text for _, text in pairs] == [letters_str(raw) for raw in expected]
+
+
+def test_word_key_orders_like_the_tuple_key():
+    rng = random.Random(26)
+    letters = [x for i in range(1, 27) for x in (i, -i)]
+    words = [
+        reduce_letters([rng.choice(letters) for _ in range(rng.randrange(8))], 26)
+        for _ in range(3000)
+    ]
+    words += [(26,), (-26,), (1, 26), (1, -26), (-1, 26)]
+    assert sorted(words, key=word_key) == sorted(words, key=tuple_word_key)
+    for u, v in zip(words, reversed(words)):
+        assert (word_key(u) < word_key(v)) == (tuple_word_key(u) < tuple_word_key(v))
+
+
+def test_count_reduced_words_stops_past_its_cap():
+    assert count_reduced_words(2, 14, cap=10**9) == 9565937
+    assert count_reduced_words(2, 14, cap=500_000) == count_reduced_words(2, 12)
+    assert 10**12 < count_reduced_words(2, 10**4, cap=10**12) < 3 * 10**12 + 1
+    assert count_reduced_words(1, 10**9, cap=10) == 2 * 10**9 + 1
 
 
 def test_cyclic_reduction():
