@@ -40,11 +40,24 @@ class Multigraph:
             if u > v:
                 u, v = v, u
             es.append(Edge(u, v, tag))
-        self.edges = tuple(es)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for idx, e in enumerate(self.edges):
-            adj[e.u].append((e.v, idx))
-            adj[e.v].append((e.u, idx))
+        self._set_edges(tuple(es))
+
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], edges: Iterable[tuple]) -> "Multigraph":
+        """A graph on labels and edges that are already checked: string
+        labels, and (u, v, tag) triples with 0 <= u < v < len(labels)."""
+        graph = cls.__new__(cls)
+        graph.labels = labels
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        graph._set_edges(tuple(map(tuple.__new__, itertools.repeat(Edge), edges)))
+        return graph
+
+    def _set_edges(self, edges: tuple[Edge, ...]) -> None:
+        self.edges = edges
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.labels]
+        for idx, (u, v, _) in enumerate(edges):
+            adj[u].append((v, idx))
+            adj[v].append((u, idx))
         self._adj = adj
 
     @property
@@ -120,7 +133,7 @@ class Multigraph:
 
     def without_edges(self, drop: Iterable[int]) -> "Multigraph":
         dropset = set(drop)
-        return Multigraph(
+        return Multigraph._trusted(
             self.labels,
             [e for i, e in enumerate(self.edges) if i not in dropset],
         )

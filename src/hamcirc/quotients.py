@@ -8,33 +8,46 @@ exists once per unordered pair of group elements joined by a generator.
 
 Two independent constructions are provided.  ``build_quotient_enum``
 enumerates all words up to level + max generator length and projects every
-group edge; it is the definitional oracle.  ``build_quotient_local``
-synthesizes the edges class by class (short classes keep their two tree
-neighbours per generator; a full-length class with last letter a gets one
-edge per occurrence of a^-1 in each generator) and is the fast path.  Both
-take the level's classes from ``shortlex_words``, which generates them in
-vertex order with their labels, so nothing is sorted per word.  A level is
-sized against QUOTIENT_BUDGET before any word is generated, by a count that
-stops at COUNT_CAP.  Builders run with the cyclic garbage collector held
-off (``collector_paused``).
+group edge; it is the definitional oracle.  ``build_quotient_local`` is the
+fast path, an integer kernel.  It numbers the classes by shortlex position,
+so that the parent and the children of a class are arithmetic on its index,
+and it finds the far class of each group edge by walking the generator's
+letters on those integers: short classes walk every generator, and a
+full-length class with last letter a walks from each occurrence of a^-1.
+Every group edge between two classes is met once from each of them, so
+each class keeps the edges to larger classes, and they come out in order
+without a sort; group words are formed only to order parallel edges.  Its
+``edge_pairs`` and ``class_index`` are derived on first access.  Both
+builders take the level's classes in vertex order from ``shortlex_labels``
+(the enumeration through ``shortlex_words``), so nothing is sorted per
+word.  A level is sized against QUOTIENT_BUDGET, and an enumeration's words
+against its budget, before any word is generated, by counts that stop at
+COUNT_CAP.  Builders run with the cyclic garbage collector held off
+(``collector_paused``).
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .multigraph import Multigraph
 from .words import (
+    _DIGIT,
     RankError,
     ReducedWord,
     concat_letters,
     count_reduced_words,
     invert_letters,
     reduced_words,
+    shortlex_labels,
     shortlex_words,
+    text_letters,
     word_key,
 )
 
@@ -49,11 +62,24 @@ class EnumerationBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class QuotientGraph:
+    """A prefix quotient.  ``class_index`` and ``edge_pairs`` are derived
+    on first access, the latter by ``derive_pairs``."""
+
     graph: Multigraph
-    class_index: dict  # defining prefix (letter tuple) -> vertex
     level: int
     gens: tuple[ReducedWord, ...]
-    edge_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    derive_pairs: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def class_index(self) -> dict:
+        """Defining prefix (letter tuple) -> vertex."""
+        words = shortlex_words(self.gens[0].rank, self.level)
+        return {raw: i for i, (raw, _) in enumerate(words)}
+
+    @functools.cached_property
+    def edge_pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The group pair (u, v), smaller word_key first, behind each edge."""
+        return self.derive_pairs()
 
     def vertex_of_word(self, w: ReducedWord) -> int:
         return self.class_index[w.letters[: self.level]]
@@ -87,10 +113,10 @@ def generator_subgraph(graph: Multigraph, g) -> Multigraph:
     return graph.without_edges(i for i, e in enumerate(graph.edges) if e.tag != tag)
 
 
-def over_budget(classes: int, budget: int) -> str:
-    """The budget error text for a class count taken with cap COUNT_CAP."""
-    shown = f"more than {COUNT_CAP}" if classes > COUNT_CAP else classes
-    return f"{shown} classes exceeds {budget}"
+def over_budget(count: int, budget: int, what: str = "classes") -> str:
+    """The budget error text for a count taken with cap COUNT_CAP."""
+    shown = f"more than {COUNT_CAP}" if count > COUNT_CAP else count
+    return f"{shown} {what} exceeds {budget}"
 
 
 def check_quotient_budget(n: int, level: int) -> None:
@@ -156,7 +182,9 @@ def project(
             cu, cv = cv, cu
         items.append((cu, cv, key(u), key(v), u, v, tag))
     items.sort()
-    graph = Multigraph(labels, [(cu, cv, tag) for cu, cv, _, _, _, _, tag in items])
+    graph = Multigraph._trusted(
+        tuple(labels), [(cu, cv, tag) for cu, cv, _, _, _, _, tag in items]
+    )
     return graph, tuple((u, v) for _, _, _, _, u, v, _ in items)
 
 
@@ -175,7 +203,7 @@ def _prefix_quotient(
         pairs,
         word_key,
     )
-    return QuotientGraph(graph, index, level, gens, edge_pairs)
+    return QuotientGraph(graph, level, gens, lambda: edge_pairs)
 
 
 @collector_paused
@@ -195,10 +223,9 @@ def build_quotient_enum(
         raise ValueError("level must be at least 1")
     sym = symmetric_closure(gens, n)
     horizon = level + max(len(g) for g in sym)
-    if count_reduced_words(n, horizon) > budget:
-        raise EnumerationBudgetExceeded(
-            f"{count_reduced_words(n, horizon)} words exceeds budget {budget}"
-        )
+    words = count_reduced_words(n, horizon, cap=COUNT_CAP)
+    if words > min(budget, COUNT_CAP):
+        raise EnumerationBudgetExceeded(over_budget(words, budget, "words"))
     tagged = [(g.letters, edge_tag(g)) for g in sym]
     pairs: dict = {}
     for w in reduced_words(n, horizon):
@@ -209,6 +236,26 @@ def build_quotient_enum(
     return _prefix_quotient(level, sym, pairs, list(shortlex_words(n, level)))
 
 
+def _far_rows(letters: list[int], room: int, d: int, step: list) -> list:
+    """Where a walk along ``letters`` (digits) ends, by cancellation count.
+
+    Row k is for a walk whose first k letters cancel.  From the ancestor
+    i it reaches, whose last digit is q, the walk appends the next
+    a = min(len - k, room + k) letters and ends at d**a * i + row[q].
+    Returns (d**a, row) for each k.
+    """
+    rows = []
+    for k in range(len(letters) + 1):
+        a = min(len(letters) - k, room + k)
+        tail = 0
+        for i in range(k + 1, k + a):
+            tail = tail * d + step[letters[i - 1]][letters[i]]
+        top = d ** (a - 1) if a else 0
+        first = letters[k] if a else 0
+        rows.append((d**a, [top * child[first] + tail for child in step]))
+    return rows
+
+
 @collector_paused
 def build_quotient_local(
     n: int,
@@ -217,32 +264,142 @@ def build_quotient_local(
 ) -> QuotientGraph:
     """Quotient via per-class edge synthesis; same graph as the enumeration.
 
-    For a class with representative shorter than the level, its edges are
-    exactly the generator edges at the representative.  For a full-length
-    representative v ending in the letter a, each occurrence of a^-1 at
-    position j of a generator t contributes the single group edge
-    {v (t_1..t_{j-1})^-1, v a^-1 t_{j+1}..t_r}.
+    Classes are numbered by shortlex position.  With d = 2n-1, the children
+    of the root are 1..2n, the children of a class i > 0 are d*i + 2 + c
+    (c counts the letters allowed after i that come before the appended
+    one), and the parent of a class i > 2n is (i-2)//d.  One byte per class
+    holds the digit of its last letter.
+
+    A far end is found by walking a generator's letters from an integer
+    node: first the letters that cancel (go to the parent), then the ones
+    that extend (go to a child), stopping at the level.  A short class v
+    walks all of each generator t from v.  A full class v ending in a walks
+    t_{j+1}..t_r from parent(v) for each t_j = a^-1: that is the group edge
+    {v (t_1..t_{j-1})^-1, v a^-1 t_{j+1}..t_r}, the only one to leave the
+    class from an element of v's cone at that letter.  When the first
+    letter of a walk extends its start, the end is pw * start + off, the
+    same formula for every class with the same last digits, so only the
+    walks that cancel are stepped through.
+
+    Each group edge between two classes is found once from each of them
+    (from the other end, t^-1 reads it backwards), and none is a loop, so
+    a class keeps only the edges to larger classes.  The edges come out in
+    class-pair order; only parallel edges need group words, to be ordered
+    as ``project`` orders them.  Each edge records the start it was found
+    from, and ``edge_pairs`` is derived from those on first access.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
     check_quotient_budget(n, level)
     sym = symmetric_closure(gens, n)
-    tagged = [(g.letters, edge_tag(g)) for g in sym]
-    starts: dict = {}  # a -> ((t_1..t_{j-1})^-1, t, tag) for each t_j = a^-1
-    for t, tag in tagged:
-        for j, tj in enumerate(t):
-            starts.setdefault(-tj, []).append((invert_letters(t[:j]), t, tag))
-    classes = list(shortlex_words(n, level))
-    pairs: dict = {}
-    for v, _ in classes:
-        if len(v) < level:
-            for t, tag in tagged:
-                pairs.setdefault(order_pair(v, concat_letters(v, t), word_key), tag)
+    texts = shortlex_labels(n, level)
+    d, root = 2 * n - 1, 2 * n
+    chars = "".join(texts[1 : root + 1]).encode()
+    last = bytes([root]) + "".join([t[-1] for t in texts[1:]]).encode().translate(
+        bytes.maketrans(chars, bytes(range(root)))
+    )
+    # d*i + step[q][y] is the child by digit y of a class i whose last
+    # digit is q; the root's row has q = root
+    step = [[2 + y - (y > q ^ 1) for y in range(root)] for q in range(root)]
+    step.append([1 + y for y in range(root)])
+
+    starts = []  # (pre, t, tag): the group edge {rep pre, rep pre t}
+    short_walks = []  # (digits of t, sid)
+    full_walks: list[list] = [[] for _ in range(root)]  # by a: (t_{j+1}.., sid, rows)
+    for g in sym:
+        t, tag = g.letters, edge_tag(g)
+        digits = [_DIGIT[x] for x in t]
+        short_walks.append((digits, len(starts)))
+        starts.append(((), t, tag))
+        for j, y in enumerate(digits):
+            if j + 1 < len(digits):  # else the far end is the parent, a smaller class
+                rest = digits[j + 1 :]
+                full_walks[y ^ 1].append((rest, len(starts), _far_rows(rest, 1, d, step)))
+            starts.append((invert_letters(t[:j]), t, tag))
+
+    def plan(walks: list, qs: int, qv: int, full: bool) -> tuple:
+        """The walks of a class with last digit qv from its start, the class
+        itself or (for a full class) its parent, whose last digit is qs.
+        Returns the (pw, off, sid) of the walks that extend the start and
+        keep their edge, the (cancelling digits, len, sid, rows) of those
+        that cancel, and whether the class's edges need sorting."""
+        direct, climbing = [], []
+        for digits, sid, rows in walks:
+            if digits[0] ^ 1 != qs:
+                pw, row = rows[0]
+                # a short class's far end is deeper; a full class's is a sibling
+                if not full or row[qs] > step[qs][qv]:
+                    direct.append((pw, row[qs], sid))
+            else:
+                climbing.append(([x ^ 1 for x in digits], len(digits), sid, rows))
+        direct.sort()
+        parallel = len({(pw, off) for pw, off, _ in direct}) < len(direct)
+        return direct, climbing, parallel or bool(climbing)
+
+    width = root + 1  # last digits, the root's included
+    segments = []  # (first class, end, plans by start and class digits, full)
+    lo = 0
+    for depth in range(level + 1):
+        hi = lo + (root * d ** (depth - 1) if depth else 1)
+        plans = [None] * width * width
+        if depth < level:
+            walks = [(t, sid, _far_rows(t, level - depth, d, step)) for t, sid in short_walks]
+            for q in range(width):
+                plans[q * width + q] = plan(walks, q, q, False)
         else:
-            for pre, t, tag in starts.get(v[-1], ()):
-                w = v + pre
-                pairs.setdefault(order_pair(w, concat_letters(w, t), word_key), tag)
-    return _prefix_quotient(level, sym, pairs, classes)
+            for qs in range(width):
+                for qv in range(root):
+                    if qv != qs ^ 1:
+                        plans[qs * width + qv] = plan(full_walks[qv], qs, qv, True)
+        segments.append((lo, hi, plans, depth == level))
+        lo = hi
+
+    labels = ("1", *texts[1:])
+    out: list[tuple[int, int, int]] = []  # (v, far end, sid) per kept edge, in order
+
+    def order_class(v: int, first: int) -> None:
+        """Order class v's edges by far end, parallel ones by group words."""
+        tail = []
+        for _, group in groupby(sorted(out[first:]), key=itemgetter(1)):
+            group = list(group)
+            if len(group) > 1:
+                group.sort(key=lambda e: [word_key(w) for w in pair(v, e[2])])
+            tail += group
+        out[first:] = tail
+
+    def pair(c: int, sid: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The group edge behind an edge found from class c at start sid."""
+        pre, t, _ = starts[sid]
+        u = (text_letters(labels[c]) if c else ()) + pre
+        return order_pair(u, concat_letters(u, t), word_key)
+
+    for lo, hi, plans, full in segments:
+        for v in range(lo, hi):
+            start = ((v - 2) // d if v > root else 0) if full else v
+            direct, climbing, unordered = plans[last[start] * width + last[v]]
+            first = len(out)
+            for pw, off, sid in direct:
+                out.append((v, pw * start + off, sid))
+            for inv, m, sid, rows in climbing:
+                node = (start - 2) // d if start > root else 0
+                q, k = last[node], 1
+                while k < m and q == inv[k]:
+                    node = (node - 2) // d if node > root else 0
+                    q = last[node]
+                    k += 1
+                pw, row = rows[k]
+                far = pw * node + row[q]
+                if far > v:
+                    out.append((v, far, sid))
+            if unordered and len(out) - first > 1:
+                order_class(v, first)
+
+    tags = [tag for _, _, tag in starts]
+    graph = Multigraph._trusted(labels, [(u, v, tags[sid]) for u, v, sid in out])
+    sids = array("I", [sid for _, _, sid in out])
+    return QuotientGraph(
+        graph, level, sym, lambda: tuple(map(pair, [e.u for e in graph.edges], sids))
+    )
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:

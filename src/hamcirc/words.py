@@ -53,6 +53,9 @@ def letters_str(letters: tuple[int, ...]) -> str:
     return "".join(letter_str(x) for x in letters)
 
 
+_LETTER = {letter_str(x): x for i in range(1, MAX_RANK + 1) for x in (i, -i)}
+
+
 def letter_key(x: int) -> tuple[int, int]:
     """Sort key realizing the order a < A < b < B < ..."""
     return (abs(x), 0 if x > 0 else 1)
@@ -199,21 +202,29 @@ def reduced_words(rank: int, max_len: int) -> Iterator[tuple[int, ...]]:
     return extend(())
 
 
+def shortlex_labels(rank: int, max_len: int) -> list[str]:
+    """The text forms of all reduced words of length <= max_len, in
+    word_key order: one length at a time, each word of a length extended
+    by the letters in a < A < b < B order, its inverse letter skipped."""
+    chars = [letter_str(x) for i in range(1, rank + 1) for x in (i, -i)]
+    follow = {c: [e for e in chars if e != c.swapcase()] for c in chars}
+    follow[""] = chars
+    out, layer = [""], [""]
+    for _ in range(max_len):
+        layer = [text + c for text in layer for c in follow[text[-1:]]]
+        out += layer
+    return out
+
+
+def text_letters(text: str) -> tuple[int, ...]:
+    """The letters of a text form already known to be a reduced word."""
+    return tuple(map(_LETTER.__getitem__, text))
+
+
 def shortlex_words(rank: int, max_len: int) -> Iterator[tuple[tuple[int, ...], str]]:
-    """All reduced letter tuples of length <= max_len with their text form,
-    in word_key order: one length at a time, each word of a length extended
-    by the letters in a < A < b < B order."""
-    alphabet = [(x, letter_str(x)) for i in range(1, rank + 1) for x in (i, -i)]
-    layer = [((), "")]
-    for length in range(max_len + 1):
-        yield from layer
-        if length < max_len:
-            layer = [
-                (w + (x,), text + ch)
-                for w, text in layer
-                for x, ch in alphabet
-                if not w or w[-1] != -x
-            ]
+    """The words of ``shortlex_labels``, each as its letters and its text."""
+    for text in shortlex_labels(rank, max_len):
+        yield text_letters(text), text
 
 
 def count_reduced_words(rank: int, max_len: int, cap: Optional[int] = None) -> int:

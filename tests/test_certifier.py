@@ -125,6 +125,7 @@ class TestCertify:
             raise AssertionError("words enumerated before the budget check")
 
         monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
+        monkeypatch.setattr("hamcirc.quotients.shortlex_labels", no_enumeration)
         with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes"):
             certify(2, w("aabb"), max_level=12)
         with pytest.raises(EnumerationBudgetExceeded):

@@ -114,6 +114,27 @@ class TestQuotientCommand:
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("dot", [False, True])
+    def test_builds_without_tuple_arithmetic(self, capsys, monkeypatch, tmp_path, dot):
+        # the integer kernel reaches group words only to order parallel
+        # edges, and the circle quotient of aabb has none
+        argv = ["quotient", "-n", "2", "-s", "aabb", "-l", "6", "--json"]
+
+        def run(name):
+            path = tmp_path / name
+            code, out, _ = run_cli(capsys, *argv, *(["--dot", str(path)] if dot else []))
+            return code, out, path.read_bytes() if dot else None
+
+        expected = run("unpatched.dot")
+
+        def forbidden(*args):
+            raise AssertionError("tuple arithmetic while building the quotient")
+
+        monkeypatch.setattr("hamcirc.quotients.concat_letters", forbidden)
+        monkeypatch.setattr("hamcirc.quotients.word_key", forbidden)
+        assert expected[0] == 0
+        assert run("patched.dot") == expected
+
     def test_with_tree_highlights_circle(self, capsys, tmp_path):
         out_path = tmp_path / "full.dot"
         code, _, _ = run_cli(
@@ -287,6 +308,7 @@ class TestQuotientBudget:
             raise AssertionError("words enumerated before the budget check")
 
         monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
+        monkeypatch.setattr("hamcirc.quotients.shortlex_labels", no_enumeration)
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -302,6 +324,7 @@ class TestQuotientBudget:
             raise AssertionError("words enumerated before the budget check")
 
         monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
+        monkeypatch.setattr("hamcirc.quotients.shortlex_labels", no_enumeration)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0  # about 2 ms

@@ -6,6 +6,8 @@ import pytest
 from hamcirc.certifier import level_one_quotient
 from hamcirc.outerplanar import tree_generators
 from hamcirc.quotients import (
+    COUNT_CAP,
+    ENUM_BUDGET,
     EnumerationBudgetExceeded,
     build_quotient_enum,
     build_quotient_local,
@@ -194,6 +196,66 @@ class TestDualConstruction:
                 assert quotients_equal(qe, ql), (word, level)
 
 
+def random_word(rng, n, length):
+    raw = []
+    while len(raw) < length:
+        x = rng.choice([x for x in range(-n, n + 1) if x and (not raw or x != -raw[-1])])
+        raw.append(x)
+    return ReducedWord(tuple(raw), n)
+
+
+class TestKernelAgainstOracle:
+    """The integer kernel against the enumeration on seeded generator sets.
+
+    Generators run up to the enumeration horizon, so most are longer than
+    the level and their walks cancel through several depths and the root.
+    Half of the sets hold the tree generators, whose edges run parallel to
+    the word's and must be ordered by group words."""
+
+    # rank -> (deepest level, longest level + generator length)
+    SIZES = {2: (5, 8), 3: (3, 6), 4: (2, 5)}
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_sets(self, rank, seed):
+        rng = random.Random(rank * 100 + seed)
+        deepest, horizon = self.SIZES[rank]
+        parallel = 0
+        for level in range(1, deepest + 1):
+            longest = horizon - level
+            gens = [random_word(rng, rank, longest)]
+            gens += [random_word(rng, rank, rng.randint(1, longest)) for _ in range(rng.randint(0, 2))]
+            if (seed + level) % 2:
+                gens += tree_generators(rank)
+            qe = build_quotient_enum(rank, gens, level)
+            ql = build_quotient_local(rank, gens, level)
+            assert "edge_pairs" not in vars(ql)  # derived on first access
+            assert quotients_equal(qe, ql), (gens, level)
+            assert ql.class_index == qe.class_index
+            for _ in range(20):
+                word = random_word(rng, rank, rng.randint(0, level + 2))
+                vertex = ql.vertex_of_word(word)
+                assert vertex == qe.vertex_of_word(word)
+                assert ql.graph.labels[vertex] == (str(word)[:level] or "1")
+            parallel += not ql.graph.is_simple()
+        if seed % 2 == 0:
+            assert parallel  # the ordering of parallel edges was exercised
+
+    def test_parallels_ordered_by_group_words(self):
+        # level 1, {aaa, AAb}: three group edges join the classes a and A.
+        # Their order is that of their group words, not that of the
+        # generators they were found from.
+        gens = [w("aaa"), w("AAb")]
+        q = build_quotient_local(2, gens, 1)
+        a_to_A = [(e.tag, pair) for e, pair in zip(q.graph.edges, q.edge_pairs) if (e.u, e.v) == (1, 2)]
+        assert a_to_A == [
+            ("aaa", ((1,), (-1, -1))),
+            ("AAb", ((1,), (-1, 2))),
+            ("aaa", ((-1,), (1, 1))),
+        ]
+        assert quotients_equal(q, build_quotient_enum(2, gens, 1))
+
+
 class TestGeneratorSubgraph:
     """The s-edges of the full quotient are the quotient built on s alone:
     the same labels, and the same edges in the same order with the same tags."""
@@ -298,8 +360,20 @@ class TestCircleCuts:
 
 class TestBudget:
     def test_enum_budget_raises(self):
-        with pytest.raises(EnumerationBudgetExceeded):
+        # level 3 plus |aabb| = 4: 4373 words up to length 7
+        with pytest.raises(EnumerationBudgetExceeded, match="^4373 words exceeds 100$"):
             build_quotient_enum(2, [w("aabb")], 3, budget=100)
+
+    def test_enum_budget_refuses_a_huge_level(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("words enumerated before the budget check")
+
+        monkeypatch.setattr("hamcirc.quotients.reduced_words", no_enumeration)
+        text = f"^more than {COUNT_CAP} words exceeds {ENUM_BUDGET}$"
+        with pytest.raises(EnumerationBudgetExceeded, match=text):
+            build_quotient_enum(2, [w("aabb")], 10000)
+        with pytest.raises(EnumerationBudgetExceeded, match=f"^more than {COUNT_CAP} words"):
+            build_quotient_enum(2, [w("aabb")], 10000, budget=10**15)
 
     def test_local_budget_counts_classes(self, monkeypatch):
         monkeypatch.setattr("hamcirc.quotients.QUOTIENT_BUDGET", 53)
@@ -312,6 +386,7 @@ class TestBudget:
             raise AssertionError("words enumerated before the budget check")
 
         monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
+        monkeypatch.setattr("hamcirc.quotients.shortlex_labels", no_enumeration)
         with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes exceeds 500000$"):
             build_quotient_local(2, [w("aabb")], 12)
         with pytest.raises(EnumerationBudgetExceeded, match="^585937 classes exceeds 500000$"):
@@ -333,19 +408,17 @@ class TestBudget:
 class TestCollectorPaused:
     def test_builders_hold_the_collector_off(self, monkeypatch):
         import hamcirc.freeproduct as fp
-        import hamcirc.quotients as qm
+        from hamcirc.multigraph import Multigraph
 
         states = []
+        real = Multigraph._trusted.__func__
 
-        def spy(real):
-            def recorded(*args):
-                states.append(gc.isenabled())
-                return real(*args)
+        def recorded(cls, *args):
+            # each builder makes its graph once, at the end of the build
+            states.append(gc.isenabled())
+            return real(cls, *args)
 
-            return recorded
-
-        monkeypatch.setattr(qm, "project", spy(qm.project))
-        monkeypatch.setattr(fp, "project", spy(fp.project))
+        monkeypatch.setattr(Multigraph, "_trusted", classmethod(recorded))
         build_quotient_local(2, [w("aabb")], 3)
         build_quotient_enum(2, [w("aabb")], 3)
         fp.build_truncation(3, 2, [fp.gen_ab(3, 2)], 2)
