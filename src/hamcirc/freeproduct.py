@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
-from .multigraph import Multigraph
+from .multigraph import Multigraph, tagged_cycle_positions
 from .quotients import (
     COUNT_CAP,
     collector_paused,
@@ -353,7 +353,8 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
         full = build_truncation(m, n, [gen_a(m, n), gen_ab(m, n)], r).graph
         circle = generator_subgraph(full, gen_ab(m, n))
         spans = all(d > 0 for d in circle.degrees())
-        rows.append((full.n_vertices, circle.is_cycle(), full.is_connected(), spans))
+        cycle = tagged_cycle_positions(full, edge_tag(gen_ab(m, n))) is not None
+        rows.append((full.n_vertices, cycle, full.is_connected(), spans))
     counts, cyc, conn, span = zip(*rows)
     return TruncationReport(m, n, depths, counts, cyc, conn, span, circle)
 

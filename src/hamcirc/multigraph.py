@@ -325,11 +325,21 @@ def find_cut_separating_pair(
     return EdgeCut.from_side(g, best[1])
 
 
-def is_outerplanar(g: Multigraph) -> bool:
+def is_outerplanar(g: Multigraph, circle: Optional[Sequence[int]] = None) -> bool:
     """No K4 and no K2,3 minor.  Mitchell's reduction (IPL 9, 1979) on each block
     peels degree-2 vertices down to a triangle, joining their two neighbours, then
     puts each back between them on the rebuilt cycle.  A Yes is a certificate: that
-    cycle is hamiltonian on block edges and no two block edges cross it."""
+    cycle is hamiltonian on block edges and no two block edges cross it.
+
+    ``circle``, when given, is each vertex's position on a hamiltonian cycle of g,
+    as ``tagged_cycle_positions`` finds it, and no reduction runs.  A 2-connected
+    outerplanar graph has exactly one hamiltonian cycle, its outer face (Sysło,
+    Discrete Math. 26, 1979), so g is outerplanar iff no two of its edges cross
+    as chords of that cycle."""
+    if circle is not None:
+        ends = ((circle[u], circle[v]) for u, v, _ in g.edges)
+        # an edge between neighbours on the circle crosses nothing
+        return spans_nest((a, b) if a < b else (b, a) for a, b in ends if not -1 <= a - b <= 1)
     adj = [set(g.neighbors(v)) for v in range(g.n_vertices)]
     for block in _blocks(adj):
         work = {v: adj[v] & block for v in block}
@@ -355,17 +365,51 @@ def is_outerplanar(g: Multigraph) -> bool:
         pos, v = {}, a
         while v not in pos and nxt[v] in adj[v]:
             pos[v], v = len(pos), nxt[v]
-        if len(pos) < len(block):
+        if len(pos) < len(block) or not spans_nest(
+            (pos[x], pos[y]) for x in block for y in adj[x] & block if pos[x] < pos[y]
+        ):
             return False
-        ends: list[int] = []  # right ends of the open spans, innermost last
-        for lo, neg_hi in sorted((pos[x], -pos[y]) for x in block for y in adj[x] & block
-                                 if pos[x] < pos[y]):  # by left end, outer spans first
-            while ends and ends[-1] <= lo:
-                ends.pop()
-            if ends and ends[-1] < -neg_hi:  # two block edges cross
-                return False
-            ends.append(-neg_hi)
     return True
+
+
+def spans_nest(spans: Iterable[tuple[int, int]]) -> bool:
+    """No two spans (lo, hi), lo < hi, cross: none has lo < lo' < hi < hi'.
+    Spans that share an end, or are equal, nest.  With a cycle's vertices
+    numbered along it, the spans of its chords nest iff no two chords cross."""
+    ends: list[int] = []  # right ends of the open spans, innermost last
+    for lo, neg_hi in sorted((lo, -hi) for lo, hi in spans):  # by left end, outer spans first
+        while ends and ends[-1] <= lo:
+            ends.pop()
+        if ends and ends[-1] < -neg_hi:
+            return False
+        ends.append(-neg_hi)
+    return True
+
+
+def tagged_cycle_positions(g: Multigraph, tag: Optional[str]) -> Optional[list[int]]:
+    """Each vertex's position along the edges tagged ``tag`` when they form a
+    hamiltonian cycle, else None.  The same test as ``is_cycle`` on their
+    spanning subgraph, without building it: at least 3 vertices, every vertex
+    on exactly two tagged edges, and one walk from vertex 0 covers all of
+    them.  A parallel pair of tagged edges sends the walk straight back, so
+    it closes too early."""
+    n = len(g.labels)
+    ends: list[list[int]] = [[] for _ in range(n)]
+    for u, v, t in g.edges:
+        if t == tag:
+            ends[u].append(v)
+            ends[v].append(u)
+    if n < 3 or any(len(x) != 2 for x in ends):
+        return None
+    pos = [0] * n
+    prev, v = 0, ends[0][0]
+    for i in range(1, n):  # the tagged edges are disjoint cycles; walk round 0's
+        if v == 0:
+            return None
+        pos[v] = i
+        a, b = ends[v]
+        prev, v = v, b if a == prev else a
+    return pos
 
 
 def _blocks(adj: list[set[int]]) -> list[set[int]]:

@@ -6,6 +6,15 @@ and must contain the circle's truncation as a hamiltonian cycle.  The
 circle is the s-edge subgraph of that one full truncation, so each level
 is built once.  Only the checked levels are attested; nothing is claimed
 about the infinite graph beyond them.
+
+The two checks share one walk.  A 2-connected outerplanar graph has exactly
+one hamiltonian cycle, its outer face (Sysło, "Characterizations of
+outerplanar graphs", Discrete Math. 26, 1979).  So once the s-edges form a
+hamiltonian cycle, the truncation is outerplanar iff no two of its edges
+cross as chords of that cycle, which one pass over the edges in circle order
+decides: ``is_outerplanar`` runs that pass when it is given the circle.
+Only a level whose circle is not a hamiltonian cycle (a negative control
+such as abab) runs Mitchell's reduction there.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certifier import VERDICT_YES, certify
-from .multigraph import is_outerplanar
-from .quotients import build_quotient_local, check_quotient_budget, generator_subgraph
+from .multigraph import is_outerplanar, tagged_cycle_positions
+from .quotients import build_quotient_local, check_quotient_budget, edge_tag
 from .words import ReducedWord
 
 
@@ -70,15 +79,21 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
     The certifier verdict for s is recorded; when it is not Yes the checks
     still run (callers report the violated precondition rather than skip),
     which is how negative controls are exercised.  The circle spans the
-    vertices of the full quotient, so a cycle on it is hamiltonian.
+    vertices of the full quotient, so a cycle on it is hamiltonian.  Each
+    level walks the s-edges once; if they form a hamiltonian cycle, the
+    level is outerplanar iff its edges nest as chords of that cycle (Sysło
+    1979), and otherwise Mitchell's reduction decides.  ``is_outerplanar``
+    runs either, as it is given the circle or None.
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
     check_quotient_budget(n, max_level)
     cert = certify(n, s, max_level=1)
+    tag = edge_tag(s)
     levels = []
     for level in range(1, max_level + 1):
         full = build_quotient_local(n, tree_generators(n) + [s], level).graph
-        cycle = generator_subgraph(full, s).is_cycle()
-        levels.append(LevelReport(level, full.n_vertices, is_outerplanar(full), cycle))
+        circle = tagged_cycle_positions(full, tag)
+        outer = is_outerplanar(full, circle)
+        levels.append(LevelReport(level, full.n_vertices, outer, circle is not None))
     return OuterplanarReport(str(s), n, cert.verdict, tuple(levels))

@@ -17,6 +17,7 @@ from hamcirc.multigraph import (
     is_outerplanar,
     outerplanar_by_minor_search,
     parse_adjacency,
+    tagged_cycle_positions,
 )
 
 
@@ -52,6 +53,10 @@ class TestCycleRecognition:
             list("abcdef"), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         )
         assert not g.is_cycle()
+
+    def test_parallel_pairs_are_not_a_cycle(self):
+        g = Multigraph(list("abcd"), [(0, 1), (0, 1), (2, 3), (2, 3)])
+        assert set(g.degrees()) == {2} and not g.is_cycle()
 
     def test_path_is_not_cycle(self):
         g = Multigraph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
@@ -256,6 +261,129 @@ def _near_outerplanar(rng: random.Random, n: int) -> Multigraph:
     edges += rng.sample(edges, rng.randrange(3))
     perm = rng.sample(range(total), total)
     return Multigraph([str(i) for i in range(total)], [(perm[u], perm[v]) for u, v in edges])
+
+
+S = "s"  # the tag of the circle edges
+
+
+def _circle_verdicts(g: Multigraph):
+    """(circle is a hamiltonian cycle, outerplanar) by the circle check, with
+    the positions it found checked against the tagged edges."""
+    pos = tagged_cycle_positions(g, S)
+    if pos is None:
+        return False, None
+    k = g.n_vertices
+    at = sorted(range(k), key=pos.__getitem__)
+    assert sorted(pos) == list(range(k))
+    for i in range(k):
+        assert any(g.edges[e].tag == S for e in g.edges_between(at[i], at[(i + 1) % k]))
+    return True, is_outerplanar(g, pos)
+
+
+def _reference_verdicts(g: Multigraph):
+    """(the tagged edges form a hamiltonian cycle, Mitchell's verdict), the
+    cycle test spelled out from degrees and connectivity."""
+    circle = g.without_edges(i for i, e in enumerate(g.edges) if e.tag != S)
+    cycle = circle.n_vertices >= 3 and set(circle.degrees()) == {2} and circle.is_connected()
+    assert circle.is_cycle() == cycle
+    return cycle, is_outerplanar(g)
+
+
+def _tagged_circle(rng: random.Random, k: int, broken: str) -> Multigraph:
+    """A k-cycle tagged S under a random relabelling, with untagged chords:
+    non-crossing ones, random ones that may cross, duplicates and parallels
+    of circle edges.  ``broken`` names a defect to give the tagged edges."""
+    order = rng.sample(range(k), k)
+    circle = [(order[i], order[(i + 1) % k]) for i in range(k)]
+    if broken == "cut":  # two vertices of circle-degree 1
+        circle.pop(rng.randrange(k))
+    elif broken == "chord":  # two vertices of circle-degree 3
+        i = rng.randrange(k)
+        circle.append((order[i], order[(i + rng.randrange(1, k)) % k]))
+    elif broken == "split":  # two disjoint tagged cycles
+        i = rng.randrange(3, k - 2)
+        circle = [(order[j], order[(j + 1) % i]) for j in range(i)]
+        circle += [(order[i + j], order[i + (j + 1) % (k - i)]) for j in range(k - i)]
+    chords = []
+    spans = [(0, k - 1)]
+    while spans:  # chords split a span of circle positions, so none cross
+        lo, hi = spans.pop()
+        if hi - lo >= 2:
+            mid = rng.randrange(lo + 1, hi)
+            for a, b in ((lo, mid), (mid, hi)):
+                if b - a >= 2 and rng.random() < 0.5:
+                    chords.append((order[a], order[b]))
+                spans.append((a, b))
+    chords += [tuple(rng.sample(range(k), 2)) for _ in range(rng.choice([0, 0, 1, 2]))]
+    chords += rng.sample(circle, min(len(circle), rng.randrange(3)))
+    chords += rng.sample(chords, min(len(chords), rng.randrange(3)))
+    edges = [(u, v, S) for u, v in circle] + [(u, v, None) for u, v in chords]
+    rng.shuffle(edges)
+    return Multigraph([str(i) for i in range(k)], edges)
+
+
+class TestCircleOuterplanarity:
+    """``tagged_cycle_positions`` and ``is_outerplanar`` given the circle
+    against the degree and connectivity test on the tagged edges, Mitchell's
+    reduction and, on small graphs, the minor search."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_on_random_circles(self, seed):
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(150):
+            k = rng.choice([rng.randrange(3, 9), rng.randrange(9, 41)])
+            broken = rng.choice(["", "", "", "cut", "chord", "split" if k >= 6 else ""])
+            g = _tagged_circle(rng, k, broken)
+            circle, outerplanar = _circle_verdicts(g)
+            want_circle, want_outerplanar = _reference_verdicts(g)
+            assert circle == want_circle == (broken == ""), (broken, g.edges)
+            if circle:
+                assert outerplanar == want_outerplanar, g.edges
+                if k <= 8:
+                    assert outerplanar == outerplanar_by_minor_search(g), g.edges
+            seen.add((circle, outerplanar))
+        assert seen == {(True, True), (True, False), (False, None)}
+
+    @pytest.mark.parametrize(
+        "k, chords, outerplanar",
+        [
+            (4, [(0, 2), (1, 3)], False),  # K4 on a tagged 4-cycle
+            (6, [(0, 3), (1, 4)], False),  # two crossing chords
+            (6, [(0, 3), (1, 3), (3, 5), (0, 3)], True),  # a fan, one chord doubled
+            (5, [(0, 1), (4, 0), (1, 3), (2, 4)], False),  # parallels and a crossing pair
+            (3, [(0, 1), (1, 2)], True),
+        ],
+    )
+    def test_hamiltonian_circles(self, k, chords, outerplanar):
+        edges = [(i, (i + 1) % k, S) for i in range(k)] + [(u, v, "a") for u, v in chords]
+        g = Multigraph([str(i) for i in range(k)], edges)
+        assert _circle_verdicts(g) == (True, outerplanar)
+        assert is_outerplanar(g) == outerplanar_by_minor_search(g) == outerplanar
+
+    @pytest.mark.parametrize(
+        "labels, circle",
+        [
+            ("abcd", [(0, 1), (1, 2), (2, 3)]),  # circle-degree 1 at a and d
+            ("abcd", [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),  # circle-degree 3
+            ("abcdef", [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),  # two cycles
+            ("abcd", [(0, 1), (0, 1), (2, 3), (2, 3)]),  # parallel pairs through 0
+            ("abcde", [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]),  # a parallel pair off 0
+            ("ab", [(0, 1), (0, 1)]),  # fewer than 3 vertices
+            ("a", []),
+            ("", []),
+        ],
+    )
+    def test_broken_circles(self, labels, circle):
+        k = len(labels)
+        chords = [(u, (u + 2) % k, None) for u in range(k)] if k >= 4 else []
+        g = Multigraph(list(labels), [(u, v, S) for u, v in circle] + chords)
+        assert _circle_verdicts(g) == (False, None)
+        assert not _reference_verdicts(g)[0]
+
+    def test_untagged_cycle_is_no_circle(self):
+        assert tagged_cycle_positions(cycle_graph(5), S) is None
+        assert tagged_cycle_positions(cycle_graph(5), None) is not None
 
 
 class TestDotExport:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import hamcirc
+from hamcirc import multigraph, outerplanar, quotients
+from hamcirc.certifier import level_one_quotient
+from hamcirc.cli import main
 from hamcirc.multigraph import is_outerplanar
 from hamcirc.outerplanar import tree_generators, verify_outerplanar_quotient
-from hamcirc.quotients import EnumerationBudgetExceeded, build_quotient_local
+from hamcirc.quotients import EnumerationBudgetExceeded, build_quotient_local, generator_subgraph
 from hamcirc.words import ReducedWord, count_reduced_words
 
 
@@ -130,3 +134,101 @@ def test_outerplanar_command_runs_without_networkx():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "PASS"
+
+
+def _random_cyclic_words(rng, n, count, circle):
+    """Seeded cyclically reduced words of length 2-8; with ``circle``, only
+    those whose level-1 circle quotient is a cycle."""
+    letters = [x for k in range(1, n + 1) for x in (k, -k)]
+    words = []
+    while len(words) < count:
+        length = rng.randrange(2, 9)
+        word = ReducedWord.from_letters(rng.choices(letters, k=length), n).cyclic_reduction()
+        if len(word) and (not circle or level_one_quotient(word).is_cycle()):
+            words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("n, top", [(2, 5), (3, 3)])
+def test_levels_match_cycle_and_mitchell_checks(n, top):
+    # each level against the checks the circle walk replaced: the cycle test
+    # on the s-edge subgraph and Mitchell's reduction on the whole quotient
+    rng = random.Random(n)
+    words = _random_cyclic_words(rng, n, 12, True) + _random_cyclic_words(rng, n, 12, False)
+    seen = set()
+    for s in words:
+        report = verify_outerplanar_quotient(n, s, top)
+        for lv in report.levels:
+            full = build_quotient_local(n, tree_generators(n) + [s], lv.level).graph
+            circle = generator_subgraph(full, s)
+            cycle = set(circle.degrees()) == {2} and circle.is_connected()
+            assert lv == outerplanar.LevelReport(
+                lv.level, full.n_vertices, is_outerplanar(full), cycle
+            ), (str(s), lv.level)
+            seen.add((lv.circle_is_ham_cycle, lv.outerplanar))
+    # no quotient seen has a hamiltonian circle and a crossing; test_multigraph makes them
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _spy(monkeypatch, fn):
+    """Record the first argument of every call to fn, wherever hamcirc bound it."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] != "hamcirc":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+def _level_json(sizes, outer, circle):
+    return [
+        {"l": i, "vertices": v, "outerplanar": op, "circle_is_ham_cycle": c}
+        for i, (v, op, c) in enumerate(zip(sizes, outer, circle), 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "word, level, code, out, err, levels",
+    [
+        (
+            "aabb", "4", 0,
+            "level 1: 5 vertices, outerplanar: yes, circle is hamiltonian cycle: yes\n"
+            "level 2: 17 vertices, outerplanar: yes, circle is hamiltonian cycle: yes\n"
+            "level 3: 53 vertices, outerplanar: yes, circle is hamiltonian cycle: yes\n"
+            "level 4: 161 vertices, outerplanar: yes, circle is hamiltonian cycle: yes\n"
+            "PASS\n",
+            "",
+            _level_json([5, 17, 53, 161], [True] * 4, [True] * 4),
+        ),
+        (
+            "abab", "3", 1,
+            "level 1: 5 vertices, outerplanar: yes, circle is hamiltonian cycle: no\n"
+            "level 2: 17 vertices, outerplanar: no, circle is hamiltonian cycle: no\n"
+            "level 3: 53 vertices, outerplanar: no, circle is hamiltonian cycle: no\n"
+            "FAIL\n",
+            "warning: certifier verdict is No, not Yes; checks run anyway\n",
+            _level_json([5, 17, 53], [True, False, False], [False] * 3),
+        ),
+    ],
+)
+def test_mitchell_runs_only_where_the_circle_fails(capsys, monkeypatch, word, level, code, out, err, levels):
+    checks = _spy(monkeypatch, multigraph.is_outerplanar)
+    mitchell = _spy(monkeypatch, multigraph._blocks)  # the reduction's first step
+    subgraph = _spy(monkeypatch, quotients.generator_subgraph)
+    argv = ["outerplanar", "-n", "2", "-s", word, "-l", level]
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+    assert main(argv + ["--json"]) == code
+    text, warning = capsys.readouterr()
+    assert json.loads(text) == {"word": word, "levels": levels} and warning == err
+    failed = [lv["vertices"] for lv in levels if not lv["circle_is_ham_cycle"]]
+    assert [g.n_vertices for g in checks] == [lv["vertices"] for lv in levels] * 2
+    assert [len(adj) for adj in mitchell] == failed * 2
+    assert subgraph == []
