@@ -6,9 +6,10 @@ input errors exit 3; internal failures exit 4.  Identical inputs always
 produce byte-identical output.
 
 The orbit budget can be preset via HAMCIRC_ORBIT_CAP; the --orbit-cap flag
-takes precedence.  The quotient command uses the per-class synthesis; the
-enumeration builder is the library-level oracle it is tested against.  A
-level over 500,000 quotient classes (quotients.QUOTIENT_BUDGET) exits 3.
+takes precedence, and a budget below 1 exits 3.  The quotient command uses
+the per-class synthesis; the enumeration builder is the library-level
+oracle it is tested against.  A level over 500,000 quotient classes
+(quotients.QUOTIENT_BUDGET) exits 3.
 """
 
 from __future__ import annotations
@@ -108,10 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _orbit_cap(args) -> int:
+    if args.orbit_cap is not None:
+        cap, source = args.orbit_cap, "--orbit-cap"
+    else:
+        cap, source = _env_int("HAMCIRC_ORBIT_CAP", DEFAULT_ORBIT_CAP), "HAMCIRC_ORBIT_CAP"
+    if cap < 1:
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
+
+
 def _cmd_certify(args) -> int:
-    cap = args.orbit_cap if args.orbit_cap is not None else _env_int(
-        "HAMCIRC_ORBIT_CAP", DEFAULT_ORBIT_CAP
-    )
+    cap = _orbit_cap(args)
     word = ReducedWord.parse(args.word, args.rank)
     cert = certify(args.rank, word, max_level=args.max_level, orbit_cap=cap)
     if args.json:
@@ -183,9 +192,7 @@ def _cmd_cycletree(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cap = args.orbit_cap if args.orbit_cap is not None else _env_int(
-        "HAMCIRC_ORBIT_CAP", DEFAULT_ORBIT_CAP
-    )
+    cap = _orbit_cap(args)
     word = ReducedWord.parse(args.word, args.rank)
     form = classify(args.rank, word, orbit_cap=cap)
     if args.json:

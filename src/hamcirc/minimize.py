@@ -9,11 +9,35 @@ strictly shortens its cyclic reduction, so the descent cannot stall early.
 ``minimal_orbit`` then explores the minimal-length words reachable by
 length-preserving moves, breadth-first, recording parent pointers so a
 witness chain to any discovered word can be reconstructed.
+
+Both apply moves with a string kernel on the text form of a word: one
+``str.translate`` that writes every letter's image, then one
+``str.replace`` that deletes the single pair of letters that can cancel
+where two images meet.  One deletion pass leaves the image freely reduced:
+
+* a permutation or sign move sends letters to letters, so a reduced word
+  stays reduced and nothing cancels;
+* a multiplier move with letter x fixes x and x^-1 and sends every
+  other letter y to y, y x, x^-1 y or x^-1 y x, and the image of y ends
+  in x exactly when the image of y^-1 starts with x^-1.  A reduced word
+  has no x^-1 x and no y y^-1, so the only pair that can cancel where two
+  images meet is a trailing x against a leading x^-1; no image contains
+  it, and two such pairs never overlap.  Deleting one joins the letters
+  either side of it.  If both are core letters of their images, they
+  were adjacent in the word.  Otherwise one side of the pair was a whole
+  image x (or x^-1), and the core letter z on the other side is joined
+  to the end of the image beyond it: that end is x (x^-1), or a core
+  letter y whose image lacks the trailing x (leading x^-1) that the
+  image of z^-1 would have, so y is not z^-1.  Nothing cancels again.
+
+``_move_tables`` derives the cancelling pair from the images and asserts
+that there is at most one per move.  The image is then cyclically reduced
+at its ends, and the stripped letters become conjugation steps of the
+witness chain.  Parents, probes and results stay keyed by letter tuples.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -23,7 +47,14 @@ from .automorphisms import (
     conjugation_by_letter,
     elementary_automorphisms,
 )
-from .words import ReducedWord, cyclic_reduce_letters, word_key
+from .words import (
+    ReducedWord,
+    cyclic_reduce_letters,
+    letter_str,
+    letters_str,
+    text_letters,
+    word_key,
+)
 
 DEFAULT_ORBIT_CAP = 100_000
 
@@ -35,20 +66,28 @@ class OrbitCapExceeded(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _move_tables(rank: int) -> tuple[tuple[FGAutomorphism, tuple[tuple[int, ...], ...]], ...]:
-    """Non-identity elementary automorphisms with flat letter-image tables.
+def _move_tables(rank: int) -> tuple[tuple[FGAutomorphism, dict[int, str], str], ...]:
+    """Non-identity elementary automorphisms with their string kernels.
 
-    The table is indexed by ``letter + rank`` (letter in -rank..rank).
+    Each entry is ``(phi, table, pair)``: ``table`` maps every letter's
+    character to the text of its image, for ``str.translate``, and ``pair``
+    is the one two-character string that can cancel where two images meet
+    (``""`` when none can).  See the module docstring for why deleting
+    ``pair`` once reduces every image.
     """
     out = []
     for phi in elementary_automorphisms(rank):
         if phi.is_identity():
             continue
-        table = phi.letter_table()
-        flat = tuple(
-            table.get(x, ()) for x in range(-rank, rank + 1)
-        )
-        out.append((phi, flat))
+        images = {letter_str(x): letters_str(img) for x, img in phi.letter_table().items()}
+        pairs = {
+            left[-1] + right[0]
+            for c, left in images.items()
+            for d, right in images.items()
+            if d != c.swapcase() and left[-1] == right[0].swapcase()
+        }
+        assert len(pairs) <= 1, f"{phi} cancels at image boundaries in {sorted(pairs)}"
+        out.append((phi, str.maketrans(images), "".join(pairs)))
     return tuple(out)
 
 
@@ -57,15 +96,17 @@ def _conj_auto(letter: int, rank: int) -> FGAutomorphism:
     return conjugation_by_letter(letter, rank)
 
 
-def _apply_flat(flat: tuple[tuple[int, ...], ...], raw: tuple[int, ...], rank: int) -> tuple[int, ...]:
-    out: list[int] = []
-    for x in raw:
-        for y in flat[x + rank]:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
+def _images(text: str, moves) -> list[str]:
+    """The reduced image of ``text`` under each move, in move order."""
+    return [text.translate(t).replace(p, "") for _phi, t, p in moves]
+
+
+def _cyclic_core(img: str) -> tuple[str, str]:
+    """Text form of ``cyclic_reduce_letters``: the core and the stripped front."""
+    k, size = 0, len(img)
+    while size - 2 * k >= 2 and img[k] == img[size - 1 - k].swapcase():
+        k += 1
+    return img[k:size - k], img[:k]
 
 
 def _step_chain(rank: int, phi: Optional[FGAutomorphism], strip: tuple[int, ...]) -> list[FGAutomorphism]:
@@ -86,19 +127,20 @@ def whitehead_minimize(w: ReducedWord) -> tuple[ReducedWord, tuple[FGAutomorphis
 
     raw, strip = cyclic_reduce_letters(w.letters)
     chain.extend(_step_chain(rank, None, strip))
+    cur = letters_str(raw)
 
     while True:
         best = None
-        for idx, (_phi, flat) in enumerate(moves):
-            cand_raw, cand_strip = cyclic_reduce_letters(_apply_flat(flat, raw, rank))
-            if len(cand_raw) < len(raw):
-                key = (len(cand_raw), word_key(cand_raw), idx)
+        for idx, img in enumerate(_images(cur, moves)):
+            core, strip_text = _cyclic_core(img)
+            if len(core) < len(cur):
+                key = (len(core), word_key(text_letters(core)), idx)
                 if best is None or key < best[0]:
-                    best = (key, idx, cand_raw, cand_strip)
+                    best = (key, idx, core, strip_text)
         if best is None:
-            return ReducedWord(raw, rank), tuple(chain)
-        _key, idx, raw, strip = best
-        chain.extend(_step_chain(rank, moves[idx][0], strip))
+            return ReducedWord(text_letters(cur), rank), tuple(chain)
+        _key, idx, cur, strip_text = best
+        chain.extend(_step_chain(rank, moves[idx][0], text_letters(strip_text)))
 
 
 @dataclass
@@ -150,40 +192,48 @@ def minimal_orbit(
 
     ``stop(raw)`` may return a truthy tag to halt exploration at that word;
     the result then carries ``hit=(raw, tag)`` and ``complete=False``.
-    Raises :class:`OrbitCapExceeded` if the closure grows past ``cap``.
+    Raises :class:`OrbitCapExceeded` if the closure grows past ``cap``, and
+    ``ValueError`` for a cap below 1.
     """
+    if cap < 1:
+        raise ValueError(f"orbit cap must be at least 1, got {cap}")
     rank = w.rank
     base, base_chain = whitehead_minimize(w)
     moves = _move_tables(rank)
     target_len = len(base)
 
     parents: dict = {base.letters: None}
-    queue = deque([base.letters])
-
     if stop is not None:
         tag = stop(base.letters)
         if tag:
             return OrbitResult(rank, base, base_chain, parents, (base.letters, tag), False)
 
-    while queue:
-        cur = queue.popleft()
-        for idx, (_phi, flat) in enumerate(moves):
-            img, strip = cyclic_reduce_letters(_apply_flat(flat, cur, rank))
-            if len(img) != target_len or img in parents:
+    # the words found, text -> letters, and their texts in the order found;
+    # the loop walks ``order`` while appending to it, so it is the queue
+    found = {letters_str(base.letters): base.letters}
+    order = list(found)
+    for cur in order:
+        cur_letters = found[cur]
+        for idx, img in enumerate(_images(cur, moves)):
+            strip = ""
+            if img and img[0] == img[-1].swapcase():
+                img, strip = _cyclic_core(img)
+            if len(img) != target_len or img in found:
                 if len(img) < target_len:
                     raise AssertionError(
                         "length-preserving closure found a shorter word; "
                         "minimization was not minimal"
                     )
                 continue
-            parents[img] = (cur, idx, strip)
+            letters = found[img] = text_letters(img)
+            parents[letters] = (cur_letters, idx, text_letters(strip))
             if len(parents) > cap:
                 raise OrbitCapExceeded(cap)
             if stop is not None:
-                tag = stop(img)
+                tag = stop(letters)
                 if tag:
-                    return OrbitResult(rank, base, base_chain, parents, (img, tag), False)
-            queue.append(img)
+                    return OrbitResult(rank, base, base_chain, parents, (letters, tag), False)
+            order.append(img)
     return OrbitResult(rank, base, base_chain, parents, None, True)
 
 

@@ -103,7 +103,21 @@ class Multigraph:
         return comps
 
     def is_connected(self) -> bool:
-        return self.n_vertices <= 1 or len(self.connected_components()) == 1
+        """One traversal from vertex 0 that counts the vertices it reaches."""
+        n = self.n_vertices
+        if n <= 1:
+            return True
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            for w, _ in self._adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    reached += 1
+                    stack.append(w)
+        return reached == n
 
     def is_cycle(self) -> bool:
         """Connected, at least 3 vertices, every degree exactly 2."""

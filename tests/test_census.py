@@ -1,0 +1,73 @@
+"""A seeded sample of the census golden, replayed through the command line.
+
+The whole file is replayed by ``python3 tests/census_golden.py`` (a CI
+step of its own); this sample covers every (verdict, reason) pair and every
+classify kind in it, and runs within a few seconds.
+"""
+
+import json
+import random
+
+import pytest
+
+from census_golden import census_words, load
+from hamcirc.cli import main
+
+SAMPLE = 300
+EXIT = {"Yes": 0, "No": 1, "Unknown": 2}
+
+
+def outcome(line):
+    return line["certify"]["verdict"], line["certify"]["reason"], line["classify"]["kind"]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return load()
+
+
+@pytest.fixture(scope="module")
+def sample(golden):
+    """SAMPLE seeded lines, plus the first line of each outcome they miss."""
+    picked = set(random.Random(9).sample(range(len(golden)), SAMPLE))
+    seen = {outcome(golden[i]) for i in picked}
+    for i, line in enumerate(golden):
+        if outcome(line) not in seen:
+            seen.add(outcome(line))
+            picked.add(i)
+    return [golden[i] for i in sorted(picked)]
+
+
+def test_golden_lists_every_census_word(golden):
+    assert len(golden) == 9856 + 19548
+    assert [(line["n"], line["word"]) for line in golden] == list(census_words())
+
+
+def test_sample_covers_every_outcome(golden, sample):
+    pairs = {(line["certify"]["verdict"], line["certify"]["reason"]) for line in golden}
+    kinds = {line["classify"]["kind"] for line in golden}
+    assert kinds == {None, "Squares", "Commutators"}
+    assert pairs == {
+        ("Yes", "X1Cycle"),
+        ("No", "MissingGenerator"),
+        ("No", "X1NotCycleDegreeTwo"),
+        ("Unknown", "Undecided"),
+    }
+    assert {(line["certify"]["verdict"], line["certify"]["reason"]) for line in sample} == pairs
+    assert {line["classify"]["kind"] for line in sample} == kinds
+
+
+def test_sample_replays_through_the_cli(sample, capsys, monkeypatch):
+    monkeypatch.delenv("HAMCIRC_ORBIT_CAP", raising=False)  # the golden uses the default cap
+    mismatches = []
+    for line in sample:
+        n, word = str(line["n"]), line["word"]
+        for command, expected_code in (
+            ("certify", EXIT[line["certify"]["verdict"]]),
+            ("classify", 0),
+        ):
+            code = main([command, "-n", n, word, "--json"])
+            got = json.loads(capsys.readouterr().out)
+            if (code, got) != (expected_code, line[command]):
+                mismatches.append((command, n, word, code, got, line[command]))
+    assert not mismatches

@@ -296,6 +296,26 @@ class TestEnvironmentOverrides:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ("certify", "-n", "2", "aabbab", "--json"),
+        ("classify", "-n", "2", "aabb"),
+        ("certify", "-n", "2", "aabb"),  # decided before any orbit search
+    ])
+    def test_orbit_cap_below_one_is_usage_error(self, capsys, monkeypatch, argv, cap):
+        code, out, err = run_cli(capsys, *argv, "--orbit-cap", cap)
+        assert (code, out) == (3, "")
+        assert err == f"error: --orbit-cap must be at least 1, got {cap}\n"
+        monkeypatch.setenv("HAMCIRC_ORBIT_CAP", cap)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: HAMCIRC_ORBIT_CAP must be at least 1, got {cap}\n"
+
+    def test_flag_of_one_overrides_a_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "0")
+        code, out, _ = run_cli(capsys, "classify", "-n", "2", "aabb", "--orbit-cap", "1")
+        assert (code, out) == (0, "Squares\nwitness: \n")
+
 
 class TestQuotientBudget:
     @pytest.mark.parametrize("argv", [

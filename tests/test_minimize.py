@@ -1,13 +1,26 @@
+import random
+from collections import deque
+
 import pytest
 
-from hamcirc.automorphisms import apply_chain, elementary_automorphisms
+import hamcirc.certifier as certifier
+from hamcirc.automorphisms import Mul, apply_chain, elementary_automorphisms
 from hamcirc.minimize import (
     OrbitCapExceeded,
+    _cyclic_core,
+    _images,
+    _move_tables,
     minimal_orbit,
     orbit_minimal_set,
     whitehead_minimize,
 )
-from hamcirc.words import ReducedWord, cyclic_reduce_letters, reduced_words
+from hamcirc.words import (
+    ReducedWord,
+    cyclic_reduce_letters,
+    letters_str,
+    reduced_words,
+    word_key,
+)
 
 
 def w(text, rank=2):
@@ -145,3 +158,169 @@ class TestOrbitMinimalSet:
         # conjugation moves put every rotation of a cyclic word in the closure
         words = {str(x) for x in orbit_minimal_set(w("aabb"))}
         assert {"aabb", "abba", "bbaa", "baab"} <= words
+
+    def test_cap_below_one_refused(self):
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="at least 1"):
+                minimal_orbit(w("aabb"), cap=cap)
+        assert minimal_orbit(w("aabb"), cap=1, stop=lambda raw: "hit").hit is not None
+
+
+def moves_of(rank):
+    """The kernel's moves, which must be the non-identity elementary set in order."""
+    moves = _move_tables(rank)
+    autos = [phi for phi in elementary_automorphisms(rank) if not phi.is_identity()]
+    assert [m[0] for m in moves] == autos
+    return moves
+
+
+def check_kernel(rank, raws):
+    """The kernel's image and strip of every word under every move against
+    FGAutomorphism.apply followed by cyclic_reduce_letters."""
+    moves = moves_of(rank)
+    checked = 0
+    for raw in raws:
+        word = ReducedWord(raw, rank)
+        for (phi, _t, _p), img in zip(moves, _images(letters_str(raw), moves), strict=True):
+            core, strip = _cyclic_core(img)
+            full = phi.apply(word).letters
+            assert img == letters_str(full), (phi, raw)
+            assert (core, strip) == tuple(map(letters_str, cyclic_reduce_letters(full)))
+            checked += 1
+    return checked
+
+
+class TestStringKernel:
+    def test_exhaustive_rank_two(self):
+        assert check_kernel(2, reduced_words(2, 7)) == 4373 * len(_move_tables(2))
+
+    def test_exhaustive_rank_three(self):
+        assert check_kernel(3, reduced_words(3, 4)) == 937 * len(_move_tables(3))
+
+    def test_seeded_rank_four(self):
+        rng = random.Random(4)
+        raws = [()]
+        for _ in range(60):
+            raws.append(tuple(ReducedWord.from_letters(
+                [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 9))], 4
+            ).letters))
+        assert check_kernel(4, raws) == 61 * len(_move_tables(4))
+
+    def test_cancelling_pairs(self):
+        # permutations and sign changes cancel nothing; a multiplier move by
+        # x^+-1 can cancel only x against x^-1, and x^+-1 map to themselves
+        for rank in (2, 3, 4):
+            for phi, table, pair in _move_tables(rank):
+                gens = {abs(m.letter) for m in phi.moves if isinstance(m, Mul)}
+                if not gens:
+                    assert pair == ""
+                    continue
+                (x,) = (letters_str((g,)) for g in gens)
+                assert pair in ("", x + x.upper(), x.upper() + x)
+                assert x.translate(table) == x and x.upper().translate(table) == x.upper()
+
+
+def reference_minimize(word):
+    """Greedy descent with the same tie-break, from FGAutomorphism.apply."""
+    rank = word.rank
+    autos = [phi for phi in elementary_automorphisms(rank) if not phi.is_identity()]
+    raw = cyclic_reduce_letters(word.letters)[0]
+    while True:
+        best = None
+        for idx, phi in enumerate(autos):
+            img = cyclic_reduce_letters(phi.apply(ReducedWord(raw, rank)).letters)[0]
+            if len(img) < len(raw):
+                # idx is unique, so img never decides the order
+                key = (len(img), word_key(img), idx, img)
+                best = key if best is None else min(best, key)
+        if best is None:
+            return raw
+        raw = best[3]
+
+
+def reference_orbit(word, cap, stop=None):
+    """Breadth-first closure from FGAutomorphism.apply: (parents, hit, complete)."""
+    rank = word.rank
+    autos = [phi for phi in elementary_automorphisms(rank) if not phi.is_identity()]
+    base = reference_minimize(word)
+    parents = {base: None}
+    tag = stop and stop(base)
+    if tag:
+        return parents, (base, tag), False
+    queue = deque([base])
+    while queue:
+        cur = queue.popleft()
+        for idx, phi in enumerate(autos):
+            img, strip = cyclic_reduce_letters(phi.apply(ReducedWord(cur, rank)).letters)
+            assert len(img) >= len(base)
+            if len(img) == len(base) and img not in parents:
+                parents[img] = (cur, idx, strip)
+                if len(parents) > cap:
+                    raise OrbitCapExceeded(cap)
+                tag = stop and stop(img)
+                if tag:
+                    return parents, (img, tag), False
+                queue.append(img)
+    return parents, None, True
+
+
+def captured_probe(monkeypatch, decide, n, word):
+    """The stop probe that certify or classify hands to minimal_orbit."""
+    probes = []
+
+    def spy(w, cap, stop):
+        probes.append(stop)
+        return minimal_orbit(w, cap=cap, stop=stop)
+
+    monkeypatch.setattr(certifier, "minimal_orbit", spy)
+    decide(n, word)
+    monkeypatch.undo()
+    return probes[0] if probes else None
+
+
+def orbit_words():
+    rng = random.Random(9)
+    out = [w("abAB"), w("aabb"), w("aabab"), w("abaBB"), ReducedWord.parse("abcABC", 3)]
+    for rank, max_len, count in ((2, 8, 14), (3, 5, 6)):
+        pool = [raw for raw in reduced_words(rank, max_len)
+                if raw and cyclic_reduce_letters(raw)[0] == raw]
+        out += [ReducedWord(raw, rank) for raw in rng.sample(pool, count)]
+    return out
+
+
+class TestOrbitAgainstReference:
+    @pytest.mark.parametrize("word", orbit_words(), ids=str)
+    def test_same_closure(self, word, monkeypatch):
+        parents, hit, complete = reference_orbit(word, cap=10**6)
+        orbit = minimal_orbit(word)
+        assert list(orbit.parents.items()) == list(parents.items())
+        assert (orbit.hit, orbit.complete) == (hit, complete) == (None, True)
+        assert orbit.base.letters == next(iter(parents))
+        for decide in (certifier.certify, certifier.classify):
+            probe = captured_probe(monkeypatch, decide, word.rank, word)
+            if probe is None:
+                continue
+            parents, hit, complete = reference_orbit(word, cap=10**6, stop=probe)
+            orbit = minimal_orbit(word, stop=probe)
+            assert list(orbit.parents.items()) == list(parents.items())
+            assert (orbit.hit, orbit.complete) == (hit, complete)
+
+    def test_probes_reached(self, monkeypatch):
+        # each probe runs at least once on the seeded words, and hits at least once
+        hits = {certifier.certify: 0, certifier.classify: 0}
+        for word in orbit_words():
+            for decide in hits:
+                probe = captured_probe(monkeypatch, decide, word.rank, word)
+                if probe is not None:
+                    hits[decide] += minimal_orbit(word, stop=probe).hit is not None
+        assert all(hits.values()), hits
+
+    def test_cap_fires_at_the_same_count(self):
+        word = w("aabab")
+        size = len(reference_orbit(word, cap=10**6)[0])
+        assert size > 2
+        assert len(minimal_orbit(word, cap=size).parents) == size
+        for run in (lambda: minimal_orbit(word, cap=size - 1),
+                    lambda: reference_orbit(word, cap=size - 1)):
+            with pytest.raises(OrbitCapExceeded):
+                run()

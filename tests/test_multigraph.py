@@ -83,6 +83,25 @@ class TestComponents:
     def test_k4_connected(self):
         assert complete_graph(4).connected_components() == [[0, 1, 2, 3]]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_is_connected_matches_components(self, seed):
+        # the one-traversal test against the component list: 0 and 1 vertex,
+        # isolated vertices, parallel edges, sparse and dense graphs
+        rng = random.Random(seed)
+        answers = set()
+        for k in list(range(4)) * 10 + [rng.randint(4, 40) for _ in range(200)]:
+            edges = []
+            if k >= 2:
+                for _ in range(rng.randint(0, 2 * k)):
+                    edges.append(tuple(rng.sample(range(k), 2)))
+                    if rng.random() < 0.1:
+                        edges.append(edges[-1])
+            g = Multigraph([str(i) for i in range(k)], edges)
+            expected = len(g.connected_components()) <= 1
+            assert g.is_connected() == expected, (k, edges)
+            answers.add((k <= 1, expected))
+        assert answers == {(True, True), (False, True), (False, False)}
+
 
 class TestHamiltonianEnumeration:
     def test_c5_has_one(self):
