@@ -24,6 +24,7 @@ from .automorphisms import FGAutomorphism, chain_moves
 from .minimize import (
     DEFAULT_ORBIT_CAP,
     OrbitCapExceeded,
+    check_orbit_cap,
     minimal_orbit,
     whitehead_minimize,
 )
@@ -157,6 +158,7 @@ def certify(
         max_level = default_max_level(n)
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
+    check_orbit_cap(orbit_cap)
 
     if len(s) == 0:
         return Certificate(VERDICT_NO, False, REASON_TRIVIAL, None, ())
@@ -252,6 +254,7 @@ def classify(
         raise ValueError("rank must be at least 2")
     if s.rank != n:
         raise ValueError(f"word has rank {s.rank}, expected {n}")
+    check_orbit_cap(orbit_cap)
 
     base, _chain = whitehead_minimize(s)
     if len(base) != 2 * n:

@@ -8,17 +8,30 @@ circle cannot be built whole, so it is verified on finite truncations:
 words are identified when they agree up to and including their r-th
 b-syllable, and the circle's truncation must be a single cycle for every
 checked depth.  The circle is the (ab)-edge subgraph of the one full
-truncation built at each depth.  A truncation is built class by class,
-from the class representatives alone, and its class count is sized in
-closed form before any class is built.
+truncation built at each depth.
+
+A truncation is built by an integer kernel.  Its classes are numbered in
+syllable_key order of their representatives, one syllable length at a
+time, with per-class arrays of the parent, the code of the last syllable,
+the first child and whether the class is full (ends in its r-th
+b-syllable).  The far end of a group edge is found by walking the
+generator's syllables on those integers: a merge with the last syllable
+goes to the parent and then to its child by the merged syllable, a new
+syllable goes to a child, and a full class keeps every element below its
+representative.  Each edge between two classes is met once from each of
+them, so each class keeps the edges to larger ones and they come out in
+order.  The class count is sized in closed form before any class is built.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from array import array
 from dataclasses import dataclass, field
 from functools import total_ordering
-from typing import Iterable, Iterator, Optional
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Optional
 
 from .multigraph import Multigraph, tagged_cycle_positions
 from .quotients import (
@@ -28,7 +41,6 @@ from .quotients import (
     generator_subgraph,
     order_pair,
     over_budget,
-    project,
 )
 
 CLASS_BUDGET = 100_000
@@ -171,33 +183,20 @@ def enumerate_fp_words(m: int, n: int, max_b: int) -> Iterator[FPWord]:
         yield FPWord(sylls, m, n)
 
 
-def _class_reps(m: int, n: int, depth: int) -> list[tuple[Syllables, bool]]:
-    """The classes of the depth-r truncation in syllable_key order, as
-    (representative, full) pairs: the normal forms with fewer than r
-    b-syllables, and (full) those ending in their r-th one.  Built one
-    length at a time, each short one extended in a < b, exponent order."""
-    a_sylls = [("a", e) for e in range(1, m)]
-    b_sylls = [("b", e) for e in range(1, n)]
-    follow = {None: a_sylls + b_sylls, "a": b_sylls, "b": a_sylls}
-    out: list = []
-    layer = [((), 0)]
-    while layer:
-        out += [(w, b_used == depth) for w, b_used in layer]
-        layer = [
-            (w + (s,), b_used + (s[0] == "b"))
-            for w, b_used in layer
-            if b_used < depth
-            for s in follow[w[-1][0] if w else None]
-        ]
-    return out
-
-
 @dataclass(frozen=True)
 class FPQuotient:
+    """A truncation; ``edge_pairs`` is derived on first access, by
+    ``derive_pairs``."""
+
     graph: Multigraph
     depth: int
     gens: tuple[FPWord, ...]
-    edge_pairs: tuple[tuple[Syllables, Syllables], ...]
+    derive_pairs: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def edge_pairs(self) -> tuple[tuple[Syllables, Syllables], ...]:
+        """The group pair (u, v), smaller syllable_key first, behind each edge."""
+        return self.derive_pairs()
 
     def edge_index_of_pair(self, u: FPWord, v: FPWord) -> int:
         try:
@@ -239,6 +238,53 @@ def _check_class_budget(m: int, n: int, depth: int, budget: int) -> None:
         raise TruncationBudgetExceeded(over_budget(classes, budget))
 
 
+def _syllables(m: int, n: int) -> list[tuple[str, int]]:
+    """Every syllable, at the index that is its code: a^e is e-1 and b^f is
+    m-2+f, so codes run in syllable_key order (a before b, then exponent)."""
+    return [("a", e) for e in range(1, m)] + [("b", f) for f in range(1, n)]
+
+
+def _class_tree(m: int, n: int, depth: int) -> tuple[list, list, list, bytearray, list]:
+    """The classes of the depth-r truncation, numbered in syllable_key order
+    of their representatives, as per-class arrays (parent, last, base,
+    full, texts): the parent; the code of the last syllable (the root's is
+    m+n-2, one past the last code); ``base``, such that the child by code
+    c is ``base[x] + c`` (0 for a full class, which has no children); 1
+    when the class is full, that is, ends in its r-th b-syllable; and the
+    representative in text form ("" for the root).
+
+    Numbered one syllable length at a time: each layer is the children of
+    the previous layer's short classes, taken in class order, and each
+    class's children get consecutive numbers in code order."""
+    k = m + n - 2
+    words = [syllables_str((s,)) for s in _syllables(m, n)]
+    # the children after a class, by the letter of its last syllable: runs
+    # of codes, each with the b-syllables it adds and the codes' texts
+    a = (list(range(m - 1)), 0, words[: m - 1])
+    b = (list(range(m - 1, k)), 1, words[m - 1 :])
+    runs = {"a": [b], "b": [a], None: [a, b]}
+    parent, last, base, full, texts = [0], [k], [0], bytearray(1), [""]
+    layer = [(0, 0)]  # (class, b-syllables) of the short classes to extend
+    while layer:
+        deeper = []
+        for x, used in layer:
+            c = last[x]
+            letter = None if c == k else "a" if c < m - 1 else "b"
+            base[x] = len(last) - (m - 1 if letter == "a" else 0)
+            text = texts[x]
+            for codes, added, tails in runs[letter]:
+                first, size, used_after = len(last), len(codes), used + added
+                parent += [x] * size
+                last += codes
+                base += [0] * size
+                texts += [text + tail for tail in tails]
+                full += bytes([used_after == depth]) * size
+                if used_after < depth:
+                    deeper += zip(range(first, first + size), [used_after] * size)
+        layer = deeper
+    return parent, last, base, full, texts
+
+
 @collector_paused
 def build_truncation(
     m: int,
@@ -252,9 +298,26 @@ def build_truncation(
     A class with fewer than r b-syllables is one element, and its edges are
     {w, w t} for every generator t.  A full class is rep * (any word that
     starts with an a-syllable).  A generator has at most one b-syllable, so
-    a group edge leaves a full class only from rep or rep * a^i (i < m).
+    a group edge leaves a full class only from rep, or from rep * a^i by a
+    generator t that starts with a^{m-i} (any other t keeps rep * a^i t in
+    the class).  The latter edge is {rep * a^i, rep * t'} with t = a^{m-i} t'.
     Loops are dropped.  The class count is checked against ``budget`` in
     closed form, before any class is built.
+
+    Classes are numbered by ``_class_tree``.  The far end of an edge is
+    found by walking the syllables of t (or t') on those integers from the
+    class: a syllable with the letter of the current class's last syllable
+    merges with it, which goes to the parent and then to the parent's child
+    by the merged syllable (or stays at the parent when they cancel); any
+    other syllable goes to the child by that syllable, or ends the walk in
+    a full class, whose elements all stay in it.
+
+    Each group edge between two classes is found once from each of them:
+    both of its ends are elements walked from, and from the other end t^-1
+    reads it backwards.  So a class keeps only the edges to larger classes,
+    sorted by far end, and they come out in class-pair order.  Group words
+    are formed only to order parallel edges, as ``project`` orders them,
+    and for ``edge_pairs``, which is derived on first access.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -265,26 +328,84 @@ def build_truncation(
         raise ValueError("generators may use at most one b-syllable")
     _check_class_budget(m, n, depth, budget)
 
-    classes = _class_reps(m, n, depth)
-    index = {rep: i for i, (rep, _) in enumerate(classes)}
-    tagged = [(g.syllables, edge_tag(g)) for g in sym]
-    powers = [(("a", i),) for i in range(1, m)]
-    pairs: dict = {}
-    for rep, full in classes:
-        for w in [rep] + [rep + p for p in powers] if full else [rep]:
-            for t, tag in tagged:
-                v = _multiply(w, t, m, n)
-                # v stays in a full class exactly when rep is its prefix
-                if not (full and v[: len(rep)] == rep):
-                    pairs.setdefault(order_pair(w, v, syllable_key), tag)
+    parent, last, base, full, texts = _class_tree(m, n, depth)
+    syllables = _syllables(m, n)
+    code = {s: c for c, s in enumerate(syllables)}
 
-    graph, edge_pairs = project(
-        [syllables_str(rep) or "1" for rep, _ in classes],
-        lambda w: index[_truncate_after_b(w, depth)],
-        pairs,
-        syllable_key,
+    # row[c] for a step by syllable s from a class whose last code is c
+    # (the root's is m+n-2): -2 when s starts a new syllable, -1 when it
+    # cancels c, else the code of the merged syllable
+    rows = []
+    for letter, exp in syllables:
+        order = m if letter == "a" else n
+        row = [-2] * (len(syllables) + 1)
+        for e in range(1, order):
+            merged = (e + exp) % order
+            row[code[letter, e]] = code[letter, merged] if merged else -1
+        rows.append(row)
+
+    starts = []  # (i, t, tag): the group edge {rep a^i, rep a^i t}
+    short_walks = []  # (steps, start id) from every short class
+    full_walks = []  # (steps, start id) from every full class
+    for g in sym:
+        t, tag = g.syllables, edge_tag(g)
+        steps = [(rows[code[s]], code[s]) for s in t]
+        short_walks.append((steps, len(starts)))
+        if t[0][0] == "b":
+            full_walks.append((steps, len(starts)))
+        starts.append((0, t, tag))
+        if t[0][0] == "a" and len(t) > 1:  # from rep a^{m-e}, where t = a^e t'
+            full_walks.append((steps[1:], len(starts)))
+            starts.append((m - t[0][1], t, tag))
+
+    out: list[tuple[int, int, int]] = []  # (class, far end, start id), in order
+    for x in range(len(last)):
+        found = []
+        for steps, sid in full_walks if full[x] else short_walks:
+            y = x
+            for row, s in steps:
+                c = row[last[y]]
+                if c == -2:
+                    if full[y]:
+                        break
+                    y = base[y] + s
+                elif c == -1:
+                    y = parent[y]
+                else:
+                    y = base[parent[y]] + c
+            if y > x:
+                found.append((x, y, sid))
+        if len(found) > 1:
+            found.sort()
+        out += found
+
+    def rep(x: int) -> Syllables:
+        sylls = []
+        while x:
+            sylls.append(syllables[last[x]])
+            x = parent[x]
+        return tuple(reversed(sylls))
+
+    def pair(x: int, sid: int) -> tuple[Syllables, Syllables]:
+        """The group edge behind an edge found from class x at start sid."""
+        i, t, _ = starts[sid]
+        u = rep(x) + ((("a", i),) if i else ())
+        return order_pair(u, _multiply(u, t, m, n), syllable_key)
+
+    # parallel edges are rare: order each run of them by its group words
+    parallel = [i for i, (e, f) in enumerate(zip(out, out[1:]), 1) if e[1] == f[1] and e[0] == f[0]]
+    for _, run in groupby(enumerate(parallel), lambda r: r[1] - r[0]):  # consecutive i
+        run = [i for _, i in run]  # out[i] parallels out[i - 1]
+        lo, hi = run[0] - 1, run[-1] + 1
+        out[lo:hi] = sorted(out[lo:hi], key=lambda e: [syllable_key(w) for w in pair(e[0], e[2])])
+
+    tags = [tag for _, _, tag in starts]
+    labels = ("1", *texts[1:])
+    graph = Multigraph._trusted(labels, [(x, y, tags[sid]) for x, y, sid in out])
+    sids = array("I", [sid for _, _, sid in out])
+    return FPQuotient(
+        graph, depth, sym, lambda: tuple(map(pair, [e.u for e in graph.edges], sids))
     )
-    return FPQuotient(graph, depth, sym, edge_pairs)
 
 
 def gen_a(m: int, n: int) -> FPWord:
@@ -340,22 +461,29 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
     """Check that the circle's truncation is a single cycle for r <= r_max,
     and that it spans the connected full-generating-set truncation.  The
     circle is the (ab)-edge subgraph of the one truncation on {a, ab} built
-    per depth, and it spans when every class lies on a circle edge.  The
-    deepest depth is sized against CLASS_BUDGET before depth 1 is built."""
+    per depth, and it spans when every class lies on a circle edge, which
+    one pass over the tagged edges shows; the subgraph itself is built only
+    at the deepest depth.  The deepest depth is sized against CLASS_BUDGET
+    before depth 1 is built."""
     if m < 3 or n < 2:
         raise ValueError("family needs m >= 3 and n >= 2")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     _check_class_budget(m, n, r_max, CLASS_BUDGET)
+    ab = gen_ab(m, n)
+    tag = edge_tag(ab)
     depths = tuple(range(1, r_max + 1))
     rows = []
     for r in depths:
-        full = build_truncation(m, n, [gen_a(m, n), gen_ab(m, n)], r).graph
-        circle = generator_subgraph(full, gen_ab(m, n))
-        spans = all(d > 0 for d in circle.degrees())
-        cycle = tagged_cycle_positions(full, edge_tag(gen_ab(m, n))) is not None
-        rows.append((full.n_vertices, cycle, full.is_connected(), spans))
+        full = build_truncation(m, n, [gen_a(m, n), ab], r).graph
+        on_circle = bytearray(full.n_vertices)
+        for u, v, t in full.edges:
+            if t == tag:
+                on_circle[u] = on_circle[v] = 1
+        cycle = tagged_cycle_positions(full, tag) is not None
+        rows.append((full.n_vertices, cycle, full.is_connected(), all(on_circle)))
     counts, cyc, conn, span = zip(*rows)
+    circle = generator_subgraph(full, ab)
     return TruncationReport(m, n, depths, counts, cyc, conn, span, circle)
 
 

@@ -183,6 +183,13 @@ class OrbitResult:
         return tuple(chain)
 
 
+def check_orbit_cap(cap: int) -> None:
+    """Refuse an orbit cap below 1; every function that takes a cap calls
+    this before any work."""
+    if cap < 1:
+        raise ValueError(f"orbit cap must be at least 1, got {cap}")
+
+
 def minimal_orbit(
     w: ReducedWord,
     cap: int = DEFAULT_ORBIT_CAP,
@@ -195,8 +202,7 @@ def minimal_orbit(
     Raises :class:`OrbitCapExceeded` if the closure grows past ``cap``, and
     ``ValueError`` for a cap below 1.
     """
-    if cap < 1:
-        raise ValueError(f"orbit cap must be at least 1, got {cap}")
+    check_orbit_cap(cap)
     rank = w.rank
     base, base_chain = whitehead_minimize(w)
     moves = _move_tables(rank)

@@ -163,22 +163,24 @@ class Multigraph:
         return Multigraph([self.labels[v] for v in kept], edges)
 
     def to_dot(self, highlight: Iterable[int] = (), name: str = "") -> str:
+        """DOT text: each label and tag is escaped once (a label without a
+        quote is used as it is), and an edge line takes its attribute text
+        from a table by tag."""
         hi = set(highlight)
-        esc = lambda s: s.replace('"', '\\"')
-        head = f"graph {esc(name)} {{" if name else "graph {"
-        lines = [head]
-        for label in self.labels:
-            lines.append(f'  "{esc(label)}";')
-        for idx, e in enumerate(self.edges):
-            attrs = []
-            if e.tag:
-                attrs.append(f'label="{esc(e.tag)}"')
-            if idx in hi:
-                attrs.append("penwidth=2.5")
-            suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(
-                f'  "{esc(self.labels[e.u])}" -- "{esc(self.labels[e.v])}"{suffix};'
-            )
+        esc = lambda s: s.replace('"', '\\"') if '"' in s else s
+        names = [esc(label) for label in self.labels]
+        tags = {tag for _, _, tag in self.edges}
+        plain = {tag: f' [label="{esc(tag)}"]' if tag else "" for tag in tags}
+        bold = {
+            tag: f' [label="{esc(tag)}", penwidth=2.5]' if tag else " [penwidth=2.5]"
+            for tag in tags
+        }
+        lines = [f"graph {esc(name)} {{" if name else "graph {"]
+        lines += [f'  "{label}";' for label in names]
+        lines += [
+            f'  "{names[u]}" -- "{names[v]}"{(bold if i in hi else plain)[tag]};'
+            for i, (u, v, tag) in enumerate(self.edges)
+        ]
         lines.append("}")
         return "\n".join(lines) + "\n"
 

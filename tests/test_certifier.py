@@ -114,6 +114,20 @@ class TestCertify:
         assert cert.verdict == VERDICT_UNKNOWN
         assert cert.note
 
+    @pytest.mark.parametrize("text", ["aabb", "abab", "aabbab", ""])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_orbit_cap_below_one_refused_at_entry(self, monkeypatch, text, cap):
+        """Every word is refused alike, whichever branch would decide it,
+        before the level-1 quotient or an orbit is built."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the orbit cap check")
+
+        monkeypatch.setattr("hamcirc.certifier.level_one_quotient", no_work)
+        monkeypatch.setattr("hamcirc.certifier.minimal_orbit", no_work)
+        with pytest.raises(ValueError, match=f"^orbit cap must be at least 1, got {cap}$"):
+            certify(2, w(text), orbit_cap=cap)
+
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             certify(1, w("a", 1))
@@ -175,6 +189,20 @@ class TestClassify:
 
     def test_abab_is_none(self):
         assert classify(2, w("abab")).kind is None
+
+    @pytest.mark.parametrize("text", ["abab", "aabb", "aaabbb"])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_orbit_cap_below_one_refused_at_entry(self, monkeypatch, text, cap):
+        """Refused before minimization, also for words whose minimal length
+        would answer None without an orbit."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the orbit cap check")
+
+        monkeypatch.setattr("hamcirc.certifier.whitehead_minimize", no_work)
+        monkeypatch.setattr("hamcirc.certifier.minimal_orbit", no_work)
+        with pytest.raises(ValueError, match=f"^orbit cap must be at least 1, got {cap}$"):
+            classify(2, w(text), orbit_cap=cap)
 
     def test_witness_reproduces_canonical(self):
         word = w("aaabab")

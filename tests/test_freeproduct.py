@@ -52,19 +52,44 @@ def build_truncation_enum(m, n, gens, depth):
         pairs,
         syllable_key,
     )
-    return FPQuotient(graph, depth, sym, edge_pairs)
+    return FPQuotient(graph, depth, sym, lambda: edge_pairs)
 
 
 # the generating sets of the differential tests: the cycle tree, its circle,
 # the a-cycles alone, and generators with their b-syllable inside (a1b1a2,
-# the only one whose edges can join two non-representatives) or in front
+# the only one whose edges can join two non-representatives; a1b1a1 when a
+# is an involution) or in front
 DIFFERENTIAL_SETS = {
     "a,ab": lambda m, n: [gen_a(m, n), gen_ab(m, n)],
     "ab": lambda m, n: [gen_ab(m, n)],
     "a": lambda m, n: [gen_a(m, n)],
-    "a1b1a2": lambda m, n: [fp("a1b1a2", m, n)],
+    "a1b1a2": lambda m, n: [fp(f"a1b1a{min(2, m - 1)}", m, n)],
     "b1a1": lambda m, n: [fp("b1a1", m, n)],
 }
+
+
+def assert_same_truncation(fast, oracle, case):
+    """Same labels, the same tagged edges in the same order, and the same
+    group pair behind each edge."""
+    assert fast.graph.labels == oracle.graph.labels, case
+    assert fast.graph.edges == oracle.graph.edges, case
+    assert fast.edge_pairs == oracle.edge_pairs, case
+
+
+def random_generator(rng, m, n):
+    """One of a^i, b^j, a^i b^j, b^j a^k, a^i b^j a^k, exponents at random."""
+    a = lambda: f"a{rng.randrange(1, m)}"
+    b = lambda: f"b{rng.randrange(1, n)}"
+    form = rng.choice([(a,), (b,), (a, b), (b, a), (a, b, a)])
+    return fp("".join(part() for part in form), m, n)
+
+
+def cancels_past_last_syllable(pair):
+    """Whether the longer end of a group edge loses its last syllable and
+    changes the one before: the walk from it reaches a grandparent."""
+    u, v = pair
+    common = next((i for i, (x, y) in enumerate(zip(u, v)) if x != y), min(len(u), len(v)))
+    return common <= max(len(u), len(v)) - 2
 
 
 class TestNormalForm:
@@ -183,7 +208,7 @@ class TestTruncationGraphs:
         def no_enumeration(*args):
             raise AssertionError("classes enumerated before the budget check")
 
-        monkeypatch.setattr("hamcirc.freeproduct._class_reps", no_enumeration)
+        monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_enumeration)
         with pytest.raises(TruncationBudgetExceeded, match="^18660 classes exceeds 10$"):
             build_truncation(4, 3, [gen_ab(4, 3)], 5, budget=10)
 
@@ -204,26 +229,52 @@ class TestTruncationGraphs:
         def no_enumeration(*args):
             raise AssertionError("classes enumerated before the budget check")
 
-        monkeypatch.setattr("hamcirc.freeproduct._class_reps", no_enumeration)
+        monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_enumeration)
         with pytest.raises(TruncationBudgetExceeded, match=f"^more than {COUNT_CAP} classes exceeds 10$"):
             build_truncation(3, 2, [gen_ab(3, 2)], 10**9, budget=10)
 
     @pytest.mark.parametrize("gens", sorted(DIFFERENTIAL_SETS))
     def test_matches_enumeration_oracle(self, gens):
-        """Same labels, the same tagged edges in the same order, and the same
-        group pair behind each edge as the enumeration builder."""
+        """The enumeration builder's truncation, for a of every order from 2
+        (an involution) and every depth up to 4 that stays under 3,000
+        classes."""
         checked = 0
-        for m, n, depth in itertools.product((3, 4, 5), (2, 3, 4), (1, 2, 3)):
-            if count_truncation_classes(m, n, depth) > 1500:  # only (5, 4, 3)
+        for m, n, depth in itertools.product((2, 3, 4, 5), (2, 3, 4), (1, 2, 3, 4)):
+            if count_truncation_classes(m, n, depth) > 3000:
                 continue
             gen_set = DIFFERENTIAL_SETS[gens](m, n)
             fast = build_truncation(m, n, gen_set, depth)
             oracle = build_truncation_enum(m, n, gen_set, depth)
-            assert fast.graph.labels == oracle.graph.labels, (m, n, depth)
-            assert fast.graph.edges == oracle.graph.edges, (m, n, depth)
-            assert fast.edge_pairs == oracle.edge_pairs, (m, n, depth)
+            assert_same_truncation(fast, oracle, (m, n, depth))
             checked += 1
-        assert checked == 26
+        assert checked == 42
+
+    def test_matches_enumeration_oracle_on_random_generators(self):
+        """Seeded random generating sets of every allowed form, in groups
+        small enough for the oracle; some of their edges cancel a class's
+        last syllable and reach the one before."""
+        rng = random.Random(10)
+        checked = cancelling = 0
+        while checked < 40:
+            m, n, depth = rng.randrange(2, 6), rng.randrange(2, 5), rng.randrange(1, 4)
+            if count_truncation_classes(m, n, depth) > 800:
+                continue
+            gen_set = [random_generator(rng, m, n) for _ in range(rng.randrange(1, 4))]
+            case = (m, n, depth, [g.display() for g in gen_set])
+            fast = build_truncation(m, n, gen_set, depth)
+            oracle = build_truncation_enum(m, n, gen_set, depth)
+            assert_same_truncation(fast, oracle, case)
+            cancelling += sum(map(cancels_past_last_syllable, oracle.edge_pairs))
+            checked += 1
+        assert cancelling > 100
+
+    def test_edge_pairs_derived_on_first_access(self):
+        q = build_truncation(4, 3, [gen_a(4, 3), gen_ab(4, 3)], 2)
+        assert "edge_pairs" not in vars(q)
+        pairs = q.edge_pairs
+        assert "edge_pairs" in vars(q)
+        assert len(pairs) == q.graph.n_edges
+        assert q.edge_pairs is pairs
 
     def test_generator_b_syllable_limit(self):
         bad = fp("a1b1a1b1")

@@ -426,6 +426,50 @@ class TestDotExport:
         g = Multigraph(["u", "v"], [(0, 1, "s")])
         assert 'label="s"' in g.to_dot()
 
+    @staticmethod
+    def reference_dot(g, highlight=(), name=""):
+        """The DOT export as it was written before each label was escaped
+        once: one esc call per edge end and an attribute list per edge."""
+        hi = set(highlight)
+        esc = lambda s: s.replace('"', '\\"')
+        head = f"graph {esc(name)} {{" if name else "graph {"
+        lines = [head]
+        for label in g.labels:
+            lines.append(f'  "{esc(label)}";')
+        for idx, e in enumerate(g.edges):
+            attrs = []
+            if e.tag:
+                attrs.append(f'label="{esc(e.tag)}"')
+            if idx in hi:
+                attrs.append("penwidth=2.5")
+            suffix = f" [{', '.join(attrs)}]" if attrs else ""
+            lines.append(
+                f'  "{esc(g.labels[e.u])}" -- "{esc(g.labels[e.v])}"{suffix};'
+            )
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("highlight", [(), [0, 3], range(50), [99]])
+    @pytest.mark.parametrize("name", ["", "G", 'say "hi"'])
+    def test_matches_reference_with_quotes(self, highlight, name):
+        labels = ["1", 'a"', '"b"', "c", 'x"y"z', ""]
+        tags = [None, "s", 'q"', "", '"t"', "s"]
+        rng = random.Random(5)
+        edges = []
+        for i in range(12):
+            u, v = rng.sample(range(len(labels)), 2)
+            edges.append((u, v, tags[i % len(tags)]))
+        g = Multigraph(labels, edges)
+        assert g.to_dot(highlight=highlight, name=name) == self.reference_dot(g, highlight, name)
+
+    def test_matches_reference_on_quotient(self):
+        from hamcirc.quotients import build_quotient_local
+        from hamcirc.words import ReducedWord
+
+        g = build_quotient_local(2, [ReducedWord.parse("aabb", 2)], 4).graph
+        for highlight in ((), range(0, g.n_edges, 3)):
+            assert g.to_dot(highlight=highlight, name="q") == self.reference_dot(g, highlight, "q")
+
 
 class TestAdjacencyFormat:
     def test_round_trip(self):
