@@ -2,8 +2,9 @@
 
 Exit codes: the certify command maps its verdict to 0 (Yes), 1 (No), or
 2 (Unknown); verification commands exit 0 on pass and 1 on fail; usage and
-input errors exit 3; internal failures exit 4.  Identical inputs always
-produce byte-identical output.
+input errors, and sizes over a budget, exit 3; any other exception is an
+internal failure and exits 4.  Identical inputs always produce
+byte-identical output.
 
 The orbit budget can be preset via HAMCIRC_ORBIT_CAP; the --orbit-cap flag
 takes precedence, and a budget below 1 exits 3.  The quotient command uses
@@ -23,15 +24,14 @@ from .certifier import (
     VERDICT_NO,
     VERDICT_UNKNOWN,
     VERDICT_YES,
-    CertifierInternalError,
     certify,
     classify,
 )
 from .finite import build_finite_cayley, parse_spec, verify_unique_finite
-from .freeproduct import TruncationBudgetExceeded, verify_circle_truncations
+from .freeproduct import verify_circle_truncations
 from .minimize import DEFAULT_ORBIT_CAP, OrbitCapExceeded
 from .outerplanar import tree_generators, verify_outerplanar_quotient
-from .quotients import EnumerationBudgetExceeded, build_quotient_local, edge_tag
+from .quotients import BudgetExceeded, build_quotient_local, edge_tag
 from .words import ReducedWord
 from .automorphisms import chain_moves
 
@@ -260,19 +260,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CertifierInternalError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        OrbitCapExceeded,
-        TruncationBudgetExceeded,
-        EnumerationBudgetExceeded,
-    ) as exc:
+    except (ValueError, OSError, OrbitCapExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a failed check or any other fault of the code
+        import traceback  # only a fault needs it; kept off the startup path
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

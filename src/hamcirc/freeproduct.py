@@ -18,38 +18,34 @@ b-syllable).  The far end of a group edge is found by walking the
 generator's syllables on those integers: a merge with the last syllable
 goes to the parent and then to its child by the merged syllable, a new
 syllable goes to a child, and a full class keeps every element below its
-representative.  Each edge between two classes is met once from each of
-them, so each class keeps the edges to larger ones and they come out in
-order.  The class count is sized in closed form before any class is built.
+representative.  The tail is shared with the F_n kernel:
+``quotients.assemble`` orders the parallel edges and builds the
+``QuotientGraph``, whose ``level`` is the depth.  The class count is sized
+in closed form before any class is built.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-from array import array
 from dataclasses import dataclass, field
 from functools import total_ordering
-from itertools import groupby
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .multigraph import Multigraph, tagged_cycle_positions
 from .quotients import (
     COUNT_CAP,
+    QuotientGraph,
+    assemble,
+    check_budget,
     collector_paused,
     edge_tag,
     generator_subgraph,
     order_pair,
-    over_budget,
 )
 
 CLASS_BUDGET = 100_000
 
 Syllables = tuple[tuple[str, int], ...]
-
-
-class TruncationBudgetExceeded(RuntimeError):
-    pass
 
 
 @total_ordering
@@ -183,28 +179,6 @@ def enumerate_fp_words(m: int, n: int, max_b: int) -> Iterator[FPWord]:
         yield FPWord(sylls, m, n)
 
 
-@dataclass(frozen=True)
-class FPQuotient:
-    """A truncation; ``edge_pairs`` is derived on first access, by
-    ``derive_pairs``."""
-
-    graph: Multigraph
-    depth: int
-    gens: tuple[FPWord, ...]
-    derive_pairs: Callable[[], tuple] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def edge_pairs(self) -> tuple[tuple[Syllables, Syllables], ...]:
-        """The group pair (u, v), smaller syllable_key first, behind each edge."""
-        return self.derive_pairs()
-
-    def edge_index_of_pair(self, u: FPWord, v: FPWord) -> int:
-        try:
-            return self.edge_pairs.index(tuple(w.syllables for w in sorted((u, v))))
-        except ValueError:
-            raise KeyError(f"no edge for group pair {u.display()},{v.display()}") from None
-
-
 def fp_symmetric_closure(gens: Iterable[FPWord]) -> tuple[FPWord, ...]:
     seen = {}
     for g in gens:
@@ -212,6 +186,8 @@ def fp_symmetric_closure(gens: Iterable[FPWord]) -> tuple[FPWord, ...]:
             raise ValueError("generating set must not contain the identity")
         for h in (g, g.inverse()):
             seen.setdefault(h.syllables, h)
+    if not seen:
+        raise ValueError("generating set must not be empty")
     return tuple(sorted(seen.values()))
 
 
@@ -230,12 +206,6 @@ def count_truncation_classes(m: int, n: int, depth: int, cap: Optional[int] = No
         if cap is not None and total > cap:
             return total
     return total + (1 + a) * b**depth * a ** (depth - 1)
-
-
-def _check_class_budget(m: int, n: int, depth: int, budget: int) -> None:
-    classes = count_truncation_classes(m, n, depth, cap=COUNT_CAP)
-    if classes > budget:
-        raise TruncationBudgetExceeded(over_budget(classes, budget))
 
 
 def _syllables(m: int, n: int) -> list[tuple[str, int]]:
@@ -292,7 +262,7 @@ def build_truncation(
     gens: Iterable[FPWord],
     depth: int,
     budget: int = CLASS_BUDGET,
-) -> FPQuotient:
+) -> QuotientGraph:
     """The depth-r truncation of Cay(Z_m * Z_n; gens^{+-1}), class by class.
 
     A class with fewer than r b-syllables is one element, and its edges are
@@ -312,12 +282,9 @@ def build_truncation(
     other syllable goes to the child by that syllable, or ends the walk in
     a full class, whose elements all stay in it.
 
-    Each group edge between two classes is found once from each of them:
-    both of its ends are elements walked from, and from the other end t^-1
-    reads it backwards.  So a class keeps only the edges to larger classes,
-    sorted by far end, and they come out in class-pair order.  Group words
-    are formed only to order parallel edges, as ``project`` orders them,
-    and for ``edge_pairs``, which is derived on first access.
+    Both ends of every group edge that leaves a class are elements walked
+    from, so a class keeps only the edges to larger classes, sorted by far
+    end, and ``quotients.assemble`` finishes the record.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -326,7 +293,7 @@ def build_truncation(
         raise ValueError(f"generators must lie in Z_{m} * Z_{n}")
     if any(g.b_count() > 1 for g in sym):
         raise ValueError("generators may use at most one b-syllable")
-    _check_class_budget(m, n, depth, budget)
+    check_budget(count_truncation_classes(m, n, depth, cap=COUNT_CAP), budget)
 
     parent, last, base, full, texts = _class_tree(m, n, depth)
     syllables = _syllables(m, n)
@@ -358,7 +325,7 @@ def build_truncation(
             full_walks.append((steps[1:], len(starts)))
             starts.append((m - t[0][1], t, tag))
 
-    out: list[tuple[int, int, int]] = []  # (class, far end, start id), in order
+    out: list[tuple[int, int, int]] = []  # (class, far end, start id)
     for x in range(len(last)):
         found = []
         for steps, sid in full_walks if full[x] else short_walks:
@@ -392,20 +359,8 @@ def build_truncation(
         u = rep(x) + ((("a", i),) if i else ())
         return order_pair(u, _multiply(u, t, m, n), syllable_key)
 
-    # parallel edges are rare: order each run of them by its group words
-    parallel = [i for i, (e, f) in enumerate(zip(out, out[1:]), 1) if e[1] == f[1] and e[0] == f[0]]
-    for _, run in groupby(enumerate(parallel), lambda r: r[1] - r[0]):  # consecutive i
-        run = [i for _, i in run]  # out[i] parallels out[i - 1]
-        lo, hi = run[0] - 1, run[-1] + 1
-        out[lo:hi] = sorted(out[lo:hi], key=lambda e: [syllable_key(w) for w in pair(e[0], e[2])])
-
     tags = [tag for _, _, tag in starts]
-    labels = ("1", *texts[1:])
-    graph = Multigraph._trusted(labels, [(x, y, tags[sid]) for x, y, sid in out])
-    sids = array("I", [sid for _, _, sid in out])
-    return FPQuotient(
-        graph, depth, sym, lambda: tuple(map(pair, [e.u for e in graph.edges], sids))
-    )
+    return assemble(("1", *texts[1:]), depth, sym, out, tags, pair, syllable_key)
 
 
 def gen_a(m: int, n: int) -> FPWord:
@@ -469,7 +424,7 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
         raise ValueError("family needs m >= 3 and n >= 2")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    _check_class_budget(m, n, r_max, CLASS_BUDGET)
+    check_budget(count_truncation_classes(m, n, r_max, cap=COUNT_CAP), CLASS_BUDGET)
     ab = gen_ab(m, n)
     tag = edge_tag(ab)
     depths = tuple(range(1, r_max + 1))
@@ -496,8 +451,10 @@ def disconnecting_pair_disconnects(m: int, n: int, depth: int) -> bool:
     ab = gen_ab(m, n)
     a_inv = gen_a(m, n).inverse()
     b = FPWord((("b", 1),), m, n)
-    e1 = full.edge_index_of_pair(a_inv, a_inv * ab)
     assert a_inv * ab == b
-    u2 = b * a_inv
-    e2 = full.edge_index_of_pair(u2, u2 * ab)
+    # the edges of the group pairs {u, u ab}, for u = a^-1 and b a^-1
+    e1, e2 = (
+        full.edge_pairs.index(tuple(w.syllables for w in sorted((u, u * ab))))
+        for u in (a_inv, b * a_inv)
+    )
     return not full.graph.without_edges([e1, e2]).is_connected()

@@ -1,4 +1,5 @@
-"""Finite prefix quotients of Cayley graphs of F_n.
+"""Finite prefix quotients of Cayley graphs of F_n, and the record and
+tail shared with the Z_m * Z_n truncations.
 
 Two words are equivalent at level L when they share their initial segment
 of length L (words shorter than L are alone in their class).  The quotient
@@ -14,16 +15,18 @@ so that the parent and the children of a class are arithmetic on its index,
 and it finds the far class of each group edge by walking the generator's
 letters on those integers: short classes walk every generator, and a
 full-length class with last letter a walks from each occurrence of a^-1.
-Every group edge between two classes is met once from each of them, so
-each class keeps the edges to larger classes, and they come out in order
-without a sort; group words are formed only to order parallel edges.  Its
-``edge_pairs`` and ``class_index`` are derived on first access.  Both
-builders take the level's classes in vertex order from ``shortlex_labels``
-(the enumeration through ``shortlex_words``), so nothing is sorted per
-word.  A level is sized against QUOTIENT_BUDGET, and an enumeration's words
-against its budget, before any word is generated, by counts that stop at
-COUNT_CAP.  Builders run with the cyclic garbage collector held off
-(``collector_paused``).
+Both builders take the level's classes in vertex order from
+``shortlex_labels`` (the enumeration through ``shortlex_words``), so
+nothing is sorted per word.
+
+The integer kernels here and in ``freeproduct`` share their tail: each
+emits (class, far class, start id) triples in class-pair order,
+``order_parallel`` orders each run of parallel edges by its group words,
+and ``assemble`` builds the ``QuotientGraph``, whose ``edge_pairs`` are
+derived on first access.  Every size is checked by ``check_budget``
+against a count that stops at COUNT_CAP, before any word or class is
+generated, and refused with ``BudgetExceeded``.  Builders run with the
+cyclic garbage collector held off (``collector_paused``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import gc
 from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .multigraph import Multigraph
@@ -56,32 +58,35 @@ QUOTIENT_BUDGET = 500_000  # classes of one prefix quotient
 COUNT_CAP = 10**12  # a budget check counts no further than this
 
 
-class EnumerationBudgetExceeded(RuntimeError):
+class BudgetExceeded(RuntimeError):
     pass
 
 
 @dataclass(frozen=True)
 class QuotientGraph:
-    """A prefix quotient.  ``class_index`` and ``edge_pairs`` are derived
-    on first access, the latter by ``derive_pairs``."""
+    """A prefix quotient of F_n at ``level``, or a Z_m * Z_n truncation at
+    depth ``level``.  ``edge_pairs`` is derived on first access, by
+    ``derive_pairs``."""
 
     graph: Multigraph
     level: int
-    gens: tuple[ReducedWord, ...]
+    gens: tuple
     derive_pairs: Callable[[], tuple] = field(repr=False, compare=False)
 
     @functools.cached_property
     def class_index(self) -> dict:
-        """Defining prefix (letter tuple) -> vertex."""
+        """Defining prefix (letter tuple) -> vertex; F_n prefixes only."""
         words = shortlex_words(self.gens[0].rank, self.level)
         return {raw: i for i, (raw, _) in enumerate(words)}
 
     @functools.cached_property
-    def edge_pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """The group pair (u, v), smaller word_key first, behind each edge."""
+    def edge_pairs(self) -> tuple[tuple[tuple, tuple], ...]:
+        """The group pair (u, v), smaller key first (word_key, or
+        syllable_key for a truncation), behind each edge."""
         return self.derive_pairs()
 
     def vertex_of_word(self, w: ReducedWord) -> int:
+        """The class of an F_n word, by its prefix."""
         return self.class_index[w.letters[: self.level]]
 
 
@@ -113,17 +118,17 @@ def generator_subgraph(graph: Multigraph, g) -> Multigraph:
     return graph.without_edges(i for i, e in enumerate(graph.edges) if e.tag != tag)
 
 
-def over_budget(count: int, budget: int, what: str = "classes") -> str:
-    """The budget error text for a count taken with cap COUNT_CAP."""
-    shown = f"more than {COUNT_CAP}" if count > COUNT_CAP else count
-    return f"{shown} {what} exceeds {budget}"
+def check_budget(count: int, budget: int, what: str = "classes") -> None:
+    """Refuse a count, taken with cap COUNT_CAP, of more than ``budget``
+    (or past the cap, where the count stopped)."""
+    if count > min(budget, COUNT_CAP):
+        shown = f"more than {COUNT_CAP}" if count > COUNT_CAP else count
+        raise BudgetExceeded(f"{shown} {what} exceeds {budget}")
 
 
 def check_quotient_budget(n: int, level: int) -> None:
     """Refuse a level of more than QUOTIENT_BUDGET classes before any work."""
-    classes = count_reduced_words(n, level, cap=COUNT_CAP)
-    if classes > QUOTIENT_BUDGET:
-        raise EnumerationBudgetExceeded(over_budget(classes, QUOTIENT_BUDGET))
+    check_budget(count_reduced_words(n, level, cap=COUNT_CAP), QUOTIENT_BUDGET)
 
 
 def order_pair(u: tuple, v: tuple, key: Callable) -> tuple[tuple, tuple]:
@@ -165,8 +170,10 @@ def project(
     pairs: dict,
     key: Callable,
 ) -> tuple[Multigraph, tuple]:
-    """Collapse group edges onto their classes; the F_n prefix quotients
-    and the Z_m * Z_n truncations are both built this way.
+    """Collapse group edges onto their classes, by definition; the two
+    enumeration oracles, ``build_quotient_enum`` and the truncation oracle
+    in the tests, are built this way.  The kernels reach the same order
+    through ``order_parallel``.
 
     ``pairs`` maps each group edge (u, v) to its tag and ``vertex_of``
     maps a group element to its class.  Loops are dropped; parallel edges
@@ -188,22 +195,42 @@ def project(
     return graph, tuple((u, v) for _, _, _, _, u, v, _ in items)
 
 
-def _prefix_quotient(
-    level: int,
-    gens: tuple[ReducedWord, ...],
-    pairs: dict,
-    classes: list[tuple[tuple[int, ...], str]],
+def order_parallel(out: list, pair: Callable, key: Callable) -> None:
+    """Order each run of parallel edges in ``out`` by the keys of the group
+    pair behind each edge, as ``project`` orders them.
+
+    ``out`` holds a kernel's (class, far class, start id) triples in
+    class-pair order, and ``pair(class, start id)`` gives the group pair.
+    Parallel edges are a minority, so only they form group words.
+    """
+    parallel = [i for i, (e, f) in enumerate(zip(out, out[1:]), 1) if e[1] == f[1] and e[0] == f[0]]
+    for _, run in groupby(enumerate(parallel), lambda r: r[1] - r[0]):  # consecutive i
+        run = [i for _, i in run]  # out[i] parallels out[i - 1]
+        lo, hi = run[0] - 1, run[-1] + 1
+        out[lo:hi] = sorted(out[lo:hi], key=lambda e: [key(w) for w in pair(e[0], e[2])])
+
+
+def assemble(
+    labels: tuple, level: int, gens: tuple, out: list, tags: list, pair: Callable, key: Callable
 ) -> QuotientGraph:
-    """Project ``pairs`` onto the level's classes, given as the
-    shortlex_words list of (representative, text) pairs."""
-    index = {raw: i for i, (raw, _) in enumerate(classes)}
-    graph, edge_pairs = project(
-        [text or "1" for _, text in classes],
-        lambda raw: index[raw[:level]],
-        pairs,
-        word_key,
+    """The record of a kernel build, from its edges as (class, far class,
+    start id) triples in class-pair order; ``tags`` and ``pair(class,
+    start id)`` give each start's tag and group pair.
+
+    A kernel walks each generator from both ends of every group edge that
+    leaves a class, so each edge between two classes is met once from each
+    of them (from the other end, t^-1 reads it backwards), and none is a
+    loop.  Keeping only the edges to larger classes keeps each edge once,
+    and taking the classes in order emits them in class-pair order; only
+    the runs of parallel edges are left to order (``order_parallel``).
+    ``edge_pairs`` is derived from the start ids on first access.
+    """
+    order_parallel(out, pair, key)
+    graph = Multigraph._trusted(labels, [(u, v, tags[sid]) for u, v, sid in out])
+    sids = array("I", [sid for _, _, sid in out])
+    return QuotientGraph(
+        graph, level, gens, lambda: tuple(map(pair, [e.u for e in graph.edges], sids))
     )
-    return QuotientGraph(graph, level, gens, lambda: edge_pairs)
 
 
 @collector_paused
@@ -223,9 +250,7 @@ def build_quotient_enum(
         raise ValueError("level must be at least 1")
     sym = symmetric_closure(gens, n)
     horizon = level + max(len(g) for g in sym)
-    words = count_reduced_words(n, horizon, cap=COUNT_CAP)
-    if words > min(budget, COUNT_CAP):
-        raise EnumerationBudgetExceeded(over_budget(words, budget, "words"))
+    check_budget(count_reduced_words(n, horizon, cap=COUNT_CAP), budget, "words")
     tagged = [(g.letters, edge_tag(g)) for g in sym]
     pairs: dict = {}
     for w in reduced_words(n, horizon):
@@ -233,7 +258,15 @@ def build_quotient_enum(
             v = concat_letters(w, t)
             if v[:level] != w[:level]:  # otherwise a loop
                 pairs.setdefault(order_pair(w, v, word_key), tag)
-    return _prefix_quotient(level, sym, pairs, list(shortlex_words(n, level)))
+    classes = list(shortlex_words(n, level))
+    index = {raw: i for i, (raw, _) in enumerate(classes)}
+    graph, edge_pairs = project(
+        [text or "1" for _, text in classes],
+        lambda raw: index[raw[:level]],
+        pairs,
+        word_key,
+    )
+    return QuotientGraph(graph, level, sym, lambda: edge_pairs)
 
 
 def _far_rows(letters: list[int], room: int, d: int, step: list) -> list:
@@ -281,12 +314,9 @@ def build_quotient_local(
     same formula for every class with the same last digits, so only the
     walks that cancel are stepped through.
 
-    Each group edge between two classes is found once from each of them
-    (from the other end, t^-1 reads it backwards), and none is a loop, so
-    a class keeps only the edges to larger classes.  The edges come out in
-    class-pair order; only parallel edges need group words, to be ordered
-    as ``project`` orders them.  Each edge records the start it was found
-    from, and ``edge_pairs`` is derived from those on first access.
+    A class keeps only the edges to larger classes (see ``assemble``).
+    Those of a class whose plan may emit them out of order are sorted by
+    far end, and ``assemble`` orders the runs of parallel edges.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -355,17 +385,7 @@ def build_quotient_local(
         lo = hi
 
     labels = ("1", *texts[1:])
-    out: list[tuple[int, int, int]] = []  # (v, far end, sid) per kept edge, in order
-
-    def order_class(v: int, first: int) -> None:
-        """Order class v's edges by far end, parallel ones by group words."""
-        tail = []
-        for _, group in groupby(sorted(out[first:]), key=itemgetter(1)):
-            group = list(group)
-            if len(group) > 1:
-                group.sort(key=lambda e: [word_key(w) for w in pair(v, e[2])])
-            tail += group
-        out[first:] = tail
+    out: list[tuple[int, int, int]] = []  # (v, far end, sid) per kept edge
 
     def pair(c: int, sid: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The group edge behind an edge found from class c at start sid."""
@@ -392,14 +412,10 @@ def build_quotient_local(
                 if far > v:
                     out.append((v, far, sid))
             if unordered and len(out) - first > 1:
-                order_class(v, first)
+                out[first:] = sorted(out[first:])
 
     tags = [tag for _, _, tag in starts]
-    graph = Multigraph._trusted(labels, [(u, v, tags[sid]) for u, v, sid in out])
-    sids = array("I", [sid for _, _, sid in out])
-    return QuotientGraph(
-        graph, level, sym, lambda: tuple(map(pair, [e.u for e in graph.edges], sids))
-    )
+    return assemble(labels, level, sym, out, tags, pair, word_key)
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:

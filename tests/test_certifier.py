@@ -19,7 +19,7 @@ from hamcirc.certifier import (
     split_check,
     squares_word,
 )
-from hamcirc.quotients import EnumerationBudgetExceeded
+from hamcirc.quotients import BudgetExceeded
 from hamcirc.words import ReducedWord
 
 
@@ -140,9 +140,9 @@ class TestCertify:
 
         monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
         monkeypatch.setattr("hamcirc.quotients.shortlex_labels", no_enumeration)
-        with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes"):
+        with pytest.raises(BudgetExceeded, match="^1062881 classes"):
             certify(2, w("aabb"), max_level=12)
-        with pytest.raises(EnumerationBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             certify(2, w("aaabab"), max_level=12)  # a Yes through a witness chain
         assert certify(2, w("abab"), max_level=12).verdict == VERDICT_NO
 

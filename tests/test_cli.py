@@ -368,6 +368,18 @@ class TestInternalErrors:
         assert code == 4
         assert err.startswith("internal error:")
 
+    @pytest.mark.parametrize("fault", [KeyError, IndexError])
+    def test_unexpected_exception_exits_four(self, capsys, monkeypatch, fault):
+        def broken(*args, **kwargs):
+            raise fault("class lookup failed")
+
+        monkeypatch.setattr("hamcirc.cli.build_quotient_local", broken)
+        code, out, err = run_cli(capsys, "quotient", "-n", "2", "-s", "aabb", "-l", "2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"internal error: {fault.__name__}: ")
+        assert "Traceback" in err
+
 
 def test_module_entry_point():
     proc = subprocess.run(

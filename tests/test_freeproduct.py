@@ -6,9 +6,7 @@ import pytest
 
 from hamcirc.freeproduct import (
     CLASS_BUDGET,
-    FPQuotient,
     FPWord,
-    TruncationBudgetExceeded,
     _multiply,
     _truncate_after_b,
     build_truncation,
@@ -22,7 +20,15 @@ from hamcirc.freeproduct import (
     syllables_str,
     verify_circle_truncations,
 )
-from hamcirc.quotients import COUNT_CAP, edge_tag, generator_subgraph, order_pair, project
+from hamcirc.quotients import (
+    COUNT_CAP,
+    BudgetExceeded,
+    QuotientGraph,
+    edge_tag,
+    generator_subgraph,
+    order_pair,
+    project,
+)
 
 
 def fp(text, m=3, n=2):
@@ -52,7 +58,7 @@ def build_truncation_enum(m, n, gens, depth):
         pairs,
         syllable_key,
     )
-    return FPQuotient(graph, depth, sym, lambda: edge_pairs)
+    return QuotientGraph(graph, depth, sym, lambda: edge_pairs)
 
 
 # the generating sets of the differential tests: the cycle tree, its circle,
@@ -200,8 +206,16 @@ class TestTruncationGraphs:
         with pytest.raises(ValueError):
             build_truncation(3, 2, [gen_ab(3, 2)], 0)
 
+    def test_empty_generating_set_refused(self, monkeypatch):
+        def no_classes(*args):
+            raise AssertionError("classes built for an empty generating set")
+
+        monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_classes)
+        with pytest.raises(ValueError, match="^generating set must not be empty$"):
+            build_truncation(3, 2, [], 2)
+
     def test_budget(self):
-        with pytest.raises(TruncationBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             build_truncation(3, 2, [gen_ab(3, 2)], 3, budget=5)
 
     def test_budget_refuses_before_enumerating(self, monkeypatch):
@@ -209,7 +223,7 @@ class TestTruncationGraphs:
             raise AssertionError("classes enumerated before the budget check")
 
         monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_enumeration)
-        with pytest.raises(TruncationBudgetExceeded, match="^18660 classes exceeds 10$"):
+        with pytest.raises(BudgetExceeded, match="^18660 classes exceeds 10$"):
             build_truncation(4, 3, [gen_ab(4, 3)], 5, budget=10)
 
     def test_class_count_closed_form(self):
@@ -230,8 +244,19 @@ class TestTruncationGraphs:
             raise AssertionError("classes enumerated before the budget check")
 
         monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_enumeration)
-        with pytest.raises(TruncationBudgetExceeded, match=f"^more than {COUNT_CAP} classes exceeds 10$"):
+        with pytest.raises(BudgetExceeded, match=f"^more than {COUNT_CAP} classes exceeds 10$"):
             build_truncation(3, 2, [gen_ab(3, 2)], 10**9, budget=10)
+
+    def test_budget_past_the_count_cap_still_refuses(self, monkeypatch):
+        # the count stops just past COUNT_CAP, so it cannot show that the
+        # truncation fits a larger budget
+        def no_enumeration(*args):
+            raise AssertionError("classes enumerated before the budget check")
+
+        monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_enumeration)
+        budget = 10 * COUNT_CAP
+        with pytest.raises(BudgetExceeded, match=f"^more than {COUNT_CAP} classes exceeds {budget}$"):
+            build_truncation(3, 2, [gen_ab(3, 2)], 10**9, budget=budget)
 
     @pytest.mark.parametrize("gens", sorted(DIFFERENTIAL_SETS))
     def test_matches_enumeration_oracle(self, gens):
@@ -339,7 +364,7 @@ class TestVerification:
 
         monkeypatch.setattr("hamcirc.freeproduct.build_truncation", no_build)
         assert count_truncation_classes(4, 3, 5) <= CLASS_BUDGET < count_truncation_classes(4, 3, 6)
-        with pytest.raises(TruncationBudgetExceeded, match="^111972 classes exceeds 100000$"):
+        with pytest.raises(BudgetExceeded, match="^111972 classes exceeds 100000$"):
             verify_circle_truncations(4, 3, 6)
 
     def test_spanning_means_every_class_on_a_circle_edge(self, monkeypatch):

@@ -14,7 +14,7 @@ from hamcirc.certifier import level_one_quotient
 from hamcirc.cli import main
 from hamcirc.multigraph import is_outerplanar
 from hamcirc.outerplanar import tree_generators, verify_outerplanar_quotient
-from hamcirc.quotients import EnumerationBudgetExceeded, build_quotient_local, generator_subgraph
+from hamcirc.quotients import BudgetExceeded, build_quotient_local, generator_subgraph
 from hamcirc.words import ReducedWord, count_reduced_words
 
 
@@ -88,7 +88,7 @@ class TestReportShape:
             raise AssertionError("certify ran before the budget check")
 
         monkeypatch.setattr("hamcirc.outerplanar.certify", no_certify)
-        with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes"):
+        with pytest.raises(BudgetExceeded, match="^1062881 classes"):
             verify_outerplanar_quotient(2, w("aabb"), 12)
 
 

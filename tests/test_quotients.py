@@ -8,14 +8,14 @@ from hamcirc.outerplanar import tree_generators
 from hamcirc.quotients import (
     COUNT_CAP,
     ENUM_BUDGET,
-    EnumerationBudgetExceeded,
+    BudgetExceeded,
     build_quotient_enum,
     build_quotient_local,
     generator_subgraph,
     quotients_equal,
     symmetric_closure,
 )
-from hamcirc.words import RankError, ReducedWord, count_reduced_words
+from hamcirc.words import RankError, ReducedWord, count_reduced_words, reduced_words
 
 
 def w(text, rank=2):
@@ -95,6 +95,25 @@ class TestLevelOneAgainstDefinition:
             for e in q.graph.edges
         )
         assert direct == quotient
+
+    @pytest.mark.parametrize("rank, max_len", [(2, 6), (3, 4)])
+    def test_matches_kernel_on_every_short_word(self, rank, max_len):
+        """The certifier's hand-built level-1 graph against the kernel, on
+        every nonempty reduced word up to max_len: same labels and the same
+        multiset of endpoint pairs."""
+        checked = 0
+        for letters in reduced_words(rank, max_len):
+            if not letters:
+                continue
+            word = ReducedWord(letters, rank)
+            built = level_one_quotient(word)
+            kernel = build_quotient_local(rank, [word], 1).graph
+            assert built.labels == kernel.labels, str(word)
+            assert sorted(sorted(e[:2]) for e in built.edges) == sorted(
+                sorted(e[:2]) for e in kernel.edges
+            ), str(word)
+            checked += 1
+        assert checked == count_reduced_words(rank, max_len) - 1
 
 
 class TestStarAndSmallExamples:
@@ -361,7 +380,7 @@ class TestCircleCuts:
 class TestBudget:
     def test_enum_budget_raises(self):
         # level 3 plus |aabb| = 4: 4373 words up to length 7
-        with pytest.raises(EnumerationBudgetExceeded, match="^4373 words exceeds 100$"):
+        with pytest.raises(BudgetExceeded, match="^4373 words exceeds 100$"):
             build_quotient_enum(2, [w("aabb")], 3, budget=100)
 
     def test_enum_budget_refuses_a_huge_level(self, monkeypatch):
@@ -370,15 +389,15 @@ class TestBudget:
 
         monkeypatch.setattr("hamcirc.quotients.reduced_words", no_enumeration)
         text = f"^more than {COUNT_CAP} words exceeds {ENUM_BUDGET}$"
-        with pytest.raises(EnumerationBudgetExceeded, match=text):
+        with pytest.raises(BudgetExceeded, match=text):
             build_quotient_enum(2, [w("aabb")], 10000)
-        with pytest.raises(EnumerationBudgetExceeded, match=f"^more than {COUNT_CAP} words"):
+        with pytest.raises(BudgetExceeded, match=f"^more than {COUNT_CAP} words"):
             build_quotient_enum(2, [w("aabb")], 10000, budget=10**15)
 
     def test_local_budget_counts_classes(self, monkeypatch):
         monkeypatch.setattr("hamcirc.quotients.QUOTIENT_BUDGET", 53)
         assert build_quotient_local(2, [w("aabb")], 3).graph.n_vertices == 53
-        with pytest.raises(EnumerationBudgetExceeded, match="^161 classes exceeds 53$"):
+        with pytest.raises(BudgetExceeded, match="^161 classes exceeds 53$"):
             build_quotient_local(2, [w("aabb")], 4)
 
     def test_local_budget_refuses_before_enumerating(self, monkeypatch):
@@ -387,9 +406,9 @@ class TestBudget:
 
         monkeypatch.setattr("hamcirc.quotients.shortlex_words", no_enumeration)
         monkeypatch.setattr("hamcirc.quotients.shortlex_labels", no_enumeration)
-        with pytest.raises(EnumerationBudgetExceeded, match="^1062881 classes exceeds 500000$"):
+        with pytest.raises(BudgetExceeded, match="^1062881 classes exceeds 500000$"):
             build_quotient_local(2, [w("aabb")], 12)
-        with pytest.raises(EnumerationBudgetExceeded, match="^585937 classes exceeds 500000$"):
+        with pytest.raises(BudgetExceeded, match="^585937 classes exceeds 500000$"):
             build_quotient_local(3, [w("aabbcc", 3)], 8)
 
     def test_default_budget_admits_the_documented_levels(self):
@@ -426,7 +445,7 @@ class TestCollectorPaused:
         assert gc.isenabled()
 
     def test_collector_state_restored(self):
-        with pytest.raises(EnumerationBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             build_quotient_enum(2, [w("aabb")], 3, budget=100)
         assert gc.isenabled()
         gc.disable()
