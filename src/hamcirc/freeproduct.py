@@ -19,9 +19,10 @@ generator's syllables on those integers: a merge with the last syllable
 goes to the parent and then to its child by the merged syllable, a new
 syllable goes to a child, and a full class keeps every element below its
 representative.  The tail is shared with the F_n kernel:
-``quotients.assemble`` orders the parallel edges and builds the
-``QuotientGraph``, whose ``level`` is the depth.  The class count is sized
-in closed form before any class is built.
+``quotients.order_class`` puts each class's edges in order, forming the
+group pairs of its parallel edges alone to order them, and
+``quotients.assemble`` builds the ``QuotientGraph``, whose ``level`` is the
+depth.  The class count is sized in closed form before any class is built.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
-from .multigraph import Multigraph, tagged_cycle_positions
+from .multigraph import Multigraph, collector_paused, tagged_cycle_positions
 from .quotients import (
     COUNT_CAP,
     QuotientGraph,
     assemble,
     check_budget,
-    collector_paused,
     edge_tag,
     generator_subgraph,
+    order_class,
     order_pair,
 )
 
@@ -283,8 +284,9 @@ def build_truncation(
     a full class, whose elements all stay in it.
 
     Both ends of every group edge that leaves a class are elements walked
-    from, so a class keeps only the edges to larger classes, sorted by far
-    end, and ``quotients.assemble`` finishes the record.
+    from, so a class keeps only the edges to larger classes, put in order
+    by ``quotients.order_class`` (parallel edges by the syllable keys of
+    their group pairs), and ``quotients.assemble`` finishes the record.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -325,6 +327,23 @@ def build_truncation(
             full_walks.append((steps[1:], len(starts)))
             starts.append((m - t[0][1], t, tag))
 
+    def rep(x: int) -> Syllables:
+        sylls = []
+        while x:
+            sylls.append(syllables[last[x]])
+            x = parent[x]
+        return tuple(reversed(sylls))
+
+    def pair(x: int, sid: int) -> tuple[Syllables, Syllables]:
+        """The group edge behind an edge found from class x at start sid."""
+        i, t, _ = starts[sid]
+        u = rep(x) + ((("a", i),) if i else ())
+        return order_pair(u, _multiply(u, t, m, n), syllable_key)
+
+    def pair_key(x: int, sid: int) -> tuple:
+        """The order of parallel edges: the keys of the group pair."""
+        return tuple(map(syllable_key, pair(x, sid)))
+
     out: list[tuple[int, int, int]] = []  # (class, far end, start id)
     for x in range(len(last)):
         found = []
@@ -343,24 +362,11 @@ def build_truncation(
             if y > x:
                 found.append((x, y, sid))
         if len(found) > 1:
-            found.sort()
+            order_class(found, pair_key)
         out += found
 
-    def rep(x: int) -> Syllables:
-        sylls = []
-        while x:
-            sylls.append(syllables[last[x]])
-            x = parent[x]
-        return tuple(reversed(sylls))
-
-    def pair(x: int, sid: int) -> tuple[Syllables, Syllables]:
-        """The group edge behind an edge found from class x at start sid."""
-        i, t, _ = starts[sid]
-        u = rep(x) + ((("a", i),) if i else ())
-        return order_pair(u, _multiply(u, t, m, n), syllable_key)
-
     tags = [tag for _, _, tag in starts]
-    return assemble(("1", *texts[1:]), depth, sym, out, tags, pair, syllable_key)
+    return assemble(("1", *texts[1:]), depth, sym, out, tags, pair)
 
 
 def gen_a(m: int, n: int) -> FPWord:
@@ -444,17 +450,24 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
 
 def disconnecting_pair_disconnects(m: int, n: int, depth: int) -> bool:
     """Removing the two distinguished circle edges b <- a^-1 and
-    b a^-1 -> b^2 from the full truncation must disconnect it."""
+    b a^-1 -> b^2 from the full truncation must disconnect it.  Each is
+    looked for among the edges between the classes of its two ends, and
+    only those edges' group pairs are derived."""
     if depth < 2:
         raise ValueError("the distinguished edges need depth at least 2")
     full = build_truncation(m, n, [gen_a(m, n), gen_ab(m, n)], depth)
+    graph = full.graph
     ab = gen_ab(m, n)
     a_inv = gen_a(m, n).inverse()
     b = FPWord((("b", 1),), m, n)
     assert a_inv * ab == b
-    # the edges of the group pairs {u, u ab}, for u = a^-1 and b a^-1
-    e1, e2 = (
-        full.edge_pairs.index(tuple(w.syllables for w in sorted((u, u * ab))))
-        for u in (a_inv, b * a_inv)
-    )
-    return not full.graph.without_edges([e1, e2]).is_connected()
+
+    def edge_of(u: FPWord) -> int:
+        """The edge of the group pair {u, u ab}."""
+        ends = sorted((u, u * ab))
+        want = tuple(w.syllables for w in ends)
+        cu, cv = (graph.vertex(w.truncate_after_b(depth).display()) for w in ends)
+        return next(i for i in graph.edges_between(cu, cv) if full.pair_of(i) == want)
+
+    drop = [edge_of(u) for u in (a_inv, b * a_inv)]
+    return not graph.without_edges(drop).is_connected()

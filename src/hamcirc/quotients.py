@@ -20,25 +20,25 @@ Both builders take the level's classes in vertex order from
 nothing is sorted per word.
 
 The integer kernels here and in ``freeproduct`` share their tail: each
-emits (class, far class, start id) triples in class-pair order,
-``order_parallel`` orders each run of parallel edges by its group words,
-and ``assemble`` builds the ``QuotientGraph``, whose ``edge_pairs`` are
-derived on first access.  Every size is checked by ``check_budget``
-against a count that stops at COUNT_CAP, before any word or class is
-generated, and refused with ``BudgetExceeded``.  Builders run with the
-cyclic garbage collector held off (``collector_paused``).
+puts a class's (class, far class, start id) triples in order with
+``order_class``, which orders a run of parallel edges by a key of the group
+pairs behind it (here the shortlex positions of their ends, with no group
+word formed; a truncation forms the pairs of its parallel edges), and
+``assemble`` builds the ``QuotientGraph``, whose group pairs are derived
+only when asked for.  Every size is checked by ``check_budget`` against a
+count that stops at COUNT_CAP, before any word or class is generated, and
+refused with ``BudgetExceeded``.  Builders run with the cyclic garbage
+collector held off (``collector_paused``).
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 from array import array
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .multigraph import Multigraph
+from .multigraph import Multigraph, collector_paused
 from .words import (
     _DIGIT,
     RankError,
@@ -65,13 +65,13 @@ class BudgetExceeded(RuntimeError):
 @dataclass(frozen=True)
 class QuotientGraph:
     """A prefix quotient of F_n at ``level``, or a Z_m * Z_n truncation at
-    depth ``level``.  ``edge_pairs`` is derived on first access, by
-    ``derive_pairs``."""
+    depth ``level``.  ``pair_of(i)`` gives the group pair behind edge i,
+    and ``edge_pairs`` all of them, derived on first access."""
 
     graph: Multigraph
     level: int
     gens: tuple
-    derive_pairs: Callable[[], tuple] = field(repr=False, compare=False)
+    pair_of: Callable[[int], tuple] = field(repr=False, compare=False)
 
     @functools.cached_property
     def class_index(self) -> dict:
@@ -83,7 +83,7 @@ class QuotientGraph:
     def edge_pairs(self) -> tuple[tuple[tuple, tuple], ...]:
         """The group pair (u, v), smaller key first (word_key, or
         syllable_key for a truncation), behind each edge."""
-        return self.derive_pairs()
+        return tuple(map(self.pair_of, range(self.graph.n_edges)))
 
     def vertex_of_word(self, w: ReducedWord) -> int:
         """The class of an F_n word, by its prefix."""
@@ -140,30 +140,6 @@ def order_pair(u: tuple, v: tuple, key: Callable) -> tuple[tuple, tuple]:
     return (u, v) if key(u) <= key(v) else (v, u)
 
 
-def collector_paused(build: Callable) -> Callable:
-    """Run ``build`` with the cyclic garbage collector held off.
-
-    A build allocates hundreds of thousands of tuples, lists and dicts and
-    makes no reference cycles, so reference counting frees all of it, and
-    the collector's passes over it (hundreds per build, 11-16% of its time)
-    find nothing.  Their cost is memory-bound and swings with the host's
-    caches more than the rest of the build does.  The collector's state is
-    restored on return.
-    """
-
-    @functools.wraps(build)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return build(*args, **kwargs)
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            gc.enable()
-
-    return paused
-
-
 def project(
     labels: Sequence[str],
     vertex_of: Callable[[Hashable], int],
@@ -173,7 +149,7 @@ def project(
     """Collapse group edges onto their classes, by definition; the two
     enumeration oracles, ``build_quotient_enum`` and the truncation oracle
     in the tests, are built this way.  The kernels reach the same order
-    through ``order_parallel``.
+    through ``order_class``.
 
     ``pairs`` maps each group edge (u, v) to its tag and ``vertex_of``
     maps a group element to its class.  Loops are dropped; parallel edges
@@ -195,42 +171,39 @@ def project(
     return graph, tuple((u, v) for _, _, _, _, u, v, _ in items)
 
 
-def order_parallel(out: list, pair: Callable, key: Callable) -> None:
-    """Order each run of parallel edges in ``out`` by the keys of the group
-    pair behind each edge, as ``project`` orders them.
-
-    ``out`` holds a kernel's (class, far class, start id) triples in
-    class-pair order, and ``pair(class, start id)`` gives the group pair.
-    Parallel edges are a minority, so only they form group words.
-    """
-    parallel = [i for i, (e, f) in enumerate(zip(out, out[1:]), 1) if e[1] == f[1] and e[0] == f[0]]
-    for _, run in groupby(enumerate(parallel), lambda r: r[1] - r[0]):  # consecutive i
-        run = [i for _, i in run]  # out[i] parallels out[i - 1]
-        lo, hi = run[0] - 1, run[-1] + 1
-        out[lo:hi] = sorted(out[lo:hi], key=lambda e: [key(w) for w in pair(e[0], e[2])])
+def order_class(found: list, key: Callable) -> None:
+    """Sort one class's edges, (class, far class, start id) triples, by far
+    class, and each run of parallel edges by the keys of the group pairs
+    behind them, as ``project`` orders them.  ``key(class, start id)`` is
+    taken only for the parallel edges."""
+    fars = [e[1] for e in found]
+    if len(set(fars)) == len(fars):
+        found.sort()
+    else:
+        found.sort(key=lambda e: (e[1], key(e[0], e[2]) if fars.count(e[1]) > 1 else ()))
 
 
 def assemble(
-    labels: tuple, level: int, gens: tuple, out: list, tags: list, pair: Callable, key: Callable
+    labels: tuple, level: int, gens: tuple, out: list, tags: list, pair: Callable
 ) -> QuotientGraph:
     """The record of a kernel build, from its edges as (class, far class,
-    start id) triples in class-pair order; ``tags`` and ``pair(class,
-    start id)`` give each start's tag and group pair.
+    start id) triples in the order of ``project``; ``tags`` and
+    ``pair(class, start id)`` give each start's tag and the group pair
+    behind an edge.
 
     A kernel walks each generator from both ends of every group edge that
     leaves a class, so each edge between two classes is met once from each
     of them (from the other end, t^-1 reads it backwards), and none is a
     loop.  Keeping only the edges to larger classes keeps each edge once,
-    and taking the classes in order emits them in class-pair order; only
-    the runs of parallel edges are left to order (``order_parallel``).
-    ``edge_pairs`` is derived from the start ids on first access.
+    and taking the classes in order, each one's edges put in order by
+    ``order_class``, emits them in the order of ``project``.  ``pair`` is
+    called only when a group pair is asked for (``pair_of``, or
+    ``edge_pairs`` on first access), from the edge's class and start id.
     """
-    order_parallel(out, pair, key)
     graph = Multigraph._trusted(labels, [(u, v, tags[sid]) for u, v, sid in out])
     sids = array("I", [sid for _, _, sid in out])
-    return QuotientGraph(
-        graph, level, gens, lambda: tuple(map(pair, [e.u for e in graph.edges], sids))
-    )
+    edges = graph.edges
+    return QuotientGraph(graph, level, gens, lambda i: pair(edges[i][0], sids[i]))
 
 
 @collector_paused
@@ -266,7 +239,7 @@ def build_quotient_enum(
         pairs,
         word_key,
     )
-    return QuotientGraph(graph, level, sym, lambda: edge_pairs)
+    return QuotientGraph(graph, level, sym, edge_pairs.__getitem__)
 
 
 def _far_rows(letters: list[int], room: int, d: int, step: list) -> list:
@@ -315,8 +288,13 @@ def build_quotient_local(
     walks that cancel are stepped through.
 
     A class keeps only the edges to larger classes (see ``assemble``).
-    Those of a class whose plan may emit them out of order are sorted by
-    far end, and ``assemble`` orders the runs of parallel edges.
+    Those of a class whose plan may emit them out of order, the only
+    classes that can hold parallel edges, are put in order by
+    ``order_class``.  Parallel edges are ordered by the group pairs behind
+    them, in word_key order.  The numbering, carried on past the level by
+    the same child formula, is word_key order too (the children of
+    consecutive classes are consecutive blocks), so ``ids`` compares the
+    pairs by the positions of their ends without forming them.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -334,6 +312,7 @@ def build_quotient_local(
     step.append([1 + y for y in range(root)])
 
     starts = []  # (pre, t, tag): the group edge {rep pre, rep pre t}
+    spans = []  # (digits of pre, digits of t past pre) by sid
     short_walks = []  # (digits of t, sid)
     full_walks: list[list] = [[] for _ in range(root)]  # by a: (t_{j+1}.., sid, rows)
     for g in sym:
@@ -341,11 +320,13 @@ def build_quotient_local(
         digits = [_DIGIT[x] for x in t]
         short_walks.append((digits, len(starts)))
         starts.append(((), t, tag))
+        spans.append(((), digits))
         for j, y in enumerate(digits):
             if j + 1 < len(digits):  # else the far end is the parent, a smaller class
                 rest = digits[j + 1 :]
                 full_walks[y ^ 1].append((rest, len(starts), _far_rows(rest, 1, d, step)))
             starts.append((invert_letters(t[:j]), t, tag))
+            spans.append(([x ^ 1 for x in reversed(digits[:j])], digits[j:]))
 
     def plan(walks: list, qs: int, qv: int, full: bool) -> tuple:
         """The walks of a class with last digit qv from its start, the class
@@ -387,6 +368,24 @@ def build_quotient_local(
     labels = ("1", *texts[1:])
     out: list[tuple[int, int, int]] = []  # (v, far end, sid) per kept edge
 
+    def ids(c: int, sid: int) -> tuple[int, int]:
+        """The positions, smaller first, of the two ends of the group edge
+        found from class c at start sid, numbered past the level: rep(c)
+        pre, which extends c, and rep(c) t past pre, which cancels before
+        it extends."""
+        pre, rest = spans[sid]
+        u, q = c, last[c]
+        for y in pre:
+            u, q = d * u + step[q][y], y
+        w, q, k = c, last[c], 0
+        while k < len(rest) and q == rest[k] ^ 1:
+            w = (w - 2) // d if w > root else 0
+            q = last[w]
+            k += 1
+        for y in rest[k:]:
+            w, q = d * w + step[q][y], y
+        return (u, w) if u < w else (w, u)
+
     def pair(c: int, sid: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The group edge behind an edge found from class c at start sid."""
         pre, t, _ = starts[sid]
@@ -412,10 +411,12 @@ def build_quotient_local(
                 if far > v:
                     out.append((v, far, sid))
             if unordered and len(out) - first > 1:
-                out[first:] = sorted(out[first:])
+                found = out[first:]
+                order_class(found, ids)
+                out[first:] = found
 
     tags = [tag for _, _, tag in starts]
-    return assemble(labels, level, sym, out, tags, pair, word_key)
+    return assemble(labels, level, sym, out, tags, pair)
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:

@@ -106,6 +106,17 @@ class TestQuotientCommand:
                 ["cycletree", "-m", "4", "-n", "3", "-r", "2"],
                 "c842debc88a7cdc467de5f18b04ec350f57745222fd75c9b101066b3294f4ff9",
             ),
+            # the deepest full-generating-set levels of the outerplanar_full
+            # benchmark, far beyond the enumeration oracle's differential
+            # tests; about a third of their edges are parallel
+            (
+                ["quotient", "-n", "2", "-s", "abAB", "--with-tree", "-l", "7"],
+                "e4cd77ac1ad244eac5b66ae953eadf8263d80f684795e07738b48478fd315669",
+            ),
+            (
+                ["quotient", "-n", "3", "-s", "cbcaBA", "--with-tree", "-l", "5"],
+                "a0c3803d6c44d87edd13b74293b30bb7c3d0e0e6b1129da0b1938a4d80af0fe7",
+            ),
         ],
     )
     def test_golden_dot_digest(self, capsys, tmp_path, argv, digest):
@@ -116,24 +127,31 @@ class TestQuotientCommand:
 
     @pytest.mark.parametrize("dot", [False, True])
     def test_builds_without_tuple_arithmetic(self, capsys, monkeypatch, tmp_path, dot):
-        # the integer kernel reaches group words only to order parallel
-        # edges, and the circle quotient of aabb has none
-        argv = ["quotient", "-n", "2", "-s", "aabb", "-l", "6", "--json"]
+        # the integer kernel orders parallel edges by the shortlex positions
+        # of their ends, so no group word is formed, with or without the
+        # tree generators (with them, a third of the edges are parallel)
+        argvs = [
+            ["quotient", "-n", "2", "-s", "aabb", "-l", "6", "--json"],
+            ["quotient", "-n", "2", "-s", "abAB", "--with-tree", "-l", "5", "--json"],
+            ["outerplanar", "-n", "2", "-s", "abAB", "-l", "5", "--json"],
+        ]
 
-        def run(name):
+        def run(argv, name):
+            if not (dot and argv[0] == "quotient"):
+                return run_cli(capsys, *argv)[:2]
             path = tmp_path / name
-            code, out, _ = run_cli(capsys, *argv, *(["--dot", str(path)] if dot else []))
-            return code, out, path.read_bytes() if dot else None
+            code, out, _ = run_cli(capsys, *argv, "--dot", str(path))
+            return code, out, path.read_bytes() if path.exists() else None
 
-        expected = run("unpatched.dot")
+        expected = [run(argv, f"unpatched{i}.dot") for i, argv in enumerate(argvs)]
 
         def forbidden(*args):
             raise AssertionError("tuple arithmetic while building the quotient")
 
-        monkeypatch.setattr("hamcirc.quotients.concat_letters", forbidden)
-        monkeypatch.setattr("hamcirc.quotients.word_key", forbidden)
-        assert expected[0] == 0
-        assert run("patched.dot") == expected
+        for name in ("concat_letters", "word_key", "text_letters"):
+            monkeypatch.setattr(f"hamcirc.quotients.{name}", forbidden)
+        assert [result[0] for result in expected] == [0, 0, 0]
+        assert [run(argv, f"patched{i}.dot") for i, argv in enumerate(argvs)] == expected
 
     def test_with_tree_highlights_circle(self, capsys, tmp_path):
         out_path = tmp_path / "full.dot"

@@ -58,7 +58,7 @@ def build_truncation_enum(m, n, gens, depth):
         pairs,
         syllable_key,
     )
-    return QuotientGraph(graph, depth, sym, lambda: edge_pairs)
+    return QuotientGraph(graph, depth, sym, edge_pairs.__getitem__)
 
 
 # the generating sets of the differential tests: the cycle tree, its circle,
@@ -292,6 +292,29 @@ class TestTruncationGraphs:
             cancelling += sum(map(cancels_past_last_syllable, oracle.edge_pairs))
             checked += 1
         assert cancelling > 100
+
+    def test_parallel_edges_match_enumeration_oracle(self):
+        """Seeded sets of two or three generators, whose truncations have
+        parallel edges: the kernel orders each run of them by the group
+        pairs behind them, which it forms for those edges alone."""
+        rng = random.Random(11)
+        checked = parallel = 0
+        while checked < 30:
+            m, n, depth = rng.randrange(2, 6), rng.randrange(2, 5), rng.randrange(1, 4)
+            if count_truncation_classes(m, n, depth) > 800:
+                continue
+            gen_set = [random_generator(rng, m, n) for _ in range(rng.randrange(2, 4))]
+            case = (m, n, depth, [g.display() for g in gen_set])
+            fast = build_truncation(m, n, gen_set, depth)
+            assert_same_truncation(fast, build_truncation_enum(m, n, gen_set, depth), case)
+            parallel += not fast.graph.is_simple()
+            checked += 1
+        assert parallel >= 10
+
+    def test_pair_of_matches_edge_pairs(self):
+        q = build_truncation(4, 3, [gen_a(4, 3), gen_ab(4, 3), fp("a1b2a3", 4, 3)], 2)
+        assert not q.graph.is_simple()
+        assert tuple(map(q.pair_of, range(q.graph.n_edges))) == q.edge_pairs
 
     def test_edge_pairs_derived_on_first_access(self):
         q = build_truncation(4, 3, [gen_a(4, 3), gen_ab(4, 3)], 2)

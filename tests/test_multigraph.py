@@ -1,7 +1,9 @@
+import gc
 import random
 
 import pytest
 
+from hamcirc import multigraph
 from hamcirc.multigraph import (
     EdgeCut,
     Multigraph,
@@ -500,3 +502,81 @@ class TestSubgraphs:
         g = Multigraph(["x", "y"], [(0, 1, "p"), (0, 1, "q")])
         s = g.simple_support()
         assert s.n_edges == 1 and s.edges[0].tag == "p"
+
+
+def _reference_incidence(g):
+    """Each vertex's (neighbour, edge index) pairs in edge order, from the
+    edge list alone."""
+    inc = [[] for _ in g.labels]
+    for i, (u, v, _) in enumerate(g.edges):
+        inc[u].append((v, i))
+        inc[v].append((u, i))
+    return inc
+
+
+def _reference_connected(g):
+    seen, stack = {0}, [0]
+    while stack:
+        for w, _ in _reference_incidence(g)[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return g.n_vertices <= 1 or len(seen) == g.n_vertices
+
+
+class TestLazyAdjacency:
+    """The adjacency is built on first use; every reading of it must agree
+    with the edge list, however the graph was made."""
+
+    @staticmethod
+    def graphs(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            k = rng.randint(1, 9)
+            edges = []
+            if k >= 2:
+                for _ in range(rng.randint(0, 2 * k)):
+                    u, v = rng.sample(range(k), 2)
+                    edges += [(u, v, rng.choice("pq"))] * rng.choice([1, 1, 1, 2])
+            labels = [str(i) for i in range(k)]
+            g = Multigraph(labels, edges)
+            drop = [i for i in range(len(edges)) if rng.random() < 0.3]
+            copied_fresh = g.without_edges(drop)  # before g's adjacency is built
+            yield g
+            yield Multigraph._trusted(tuple(labels), [(min(e[:2]), max(e[:2]), e[2]) for e in edges])
+            yield copied_fresh
+            yield g.without_edges(drop)  # after
+        yield cycle_graph(5)
+        yield cycle_graph(5).without_edges([2])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_readers_match_edge_list(self, seed):
+        cycles = 0
+        for g in self.graphs(seed):
+            assert g._adj is None
+            inc = _reference_incidence(g)
+            k = g.n_vertices
+            assert g.is_connected() == _reference_connected(g)
+            assert g.degrees() == [len(x) for x in inc]
+            assert [g.degree(v) for v in range(k)] == [len(x) for x in inc]
+            assert [g.neighbors(v) for v in range(k)] == [[w for w, _ in x] for x in inc]
+            for u in range(k):
+                for v in range(k):
+                    assert g.edges_between(u, v) == [i for w, i in inc[u] if w == v]
+            is_cycle = k >= 3 and all(len(x) == 2 for x in inc) and _reference_connected(g)
+            assert g.is_cycle() == is_cycle
+            cycles += is_cycle
+        assert cycles >= 1
+
+    def test_built_once_with_the_collector_off(self, monkeypatch):
+        g = cycle_graph(5)
+        states = []
+
+        def recorded(n):
+            states.append(gc.isenabled())
+            return range(n)
+
+        monkeypatch.setattr(multigraph, "range", recorded, raising=False)
+        assert g.is_cycle() and g.degrees() == [2] * 5 and g.neighbors(0) == [1, 4]
+        assert states == [False]
+        assert gc.isenabled()

@@ -92,6 +92,24 @@ class TestReportShape:
             verify_outerplanar_quotient(2, w("aabb"), 12)
 
 
+@pytest.mark.parametrize("n, text, level", [(2, "abAB", 5), (3, "aabbcc", 3)])
+def test_yes_word_never_builds_adjacency(monkeypatch, n, text, level):
+    # on a Yes word every level takes the circle-order check, which reads
+    # only the edge list, so no level's graph builds its adjacency
+    built = []
+
+    def recording(*args):
+        q = build_quotient_local(*args)
+        built.append(q.graph)
+        return q
+
+    monkeypatch.setattr("hamcirc.outerplanar.build_quotient_local", recording)
+    report = verify_outerplanar_quotient(n, w(text, n), level)
+    assert report.precondition_ok and report.passed
+    assert len(built) == level
+    assert all(g._adj is None for g in built)
+
+
 def test_level_one_quotients_agree_with_minor_oracle():
     from hamcirc.multigraph import is_outerplanar, outerplanar_by_minor_search
     from hamcirc.outerplanar import tree_generators
