@@ -13,12 +13,40 @@ Only the 2-factor spanned by s itself is ever considered: a unique
 hamiltonian circle in a Cayley graph is invariant under left translation,
 which forces it to be the Cayley graph of a single symmetric pair from the
 generating set.
+
+The orbit search is gated by Whitehead's cut-vertex lemma (Whitehead 1936;
+Stallings, "Whitehead graphs on handlebodies", 1999; Heusener-Weidmann, "A
+remark on Whitehead's cut-vertex lemma", 2019): a cyclically reduced word
+that is conjugate into a proper free factor of F_n has a Whitehead graph
+that is disconnected or has a cut vertex.  The Whitehead graph of w has
+the 2n letters as vertices and one edge x^-1 -- y for each cyclically
+consecutive pair x y of w; it is the level-1 quotient of w with the
+identity vertex contracted.  ``certify`` minimizes s once.  When the
+minimized word, the base of the closure, is longer than 2n and its
+Whitehead graph is connected with no cut vertex (``closure_cannot_decide``),
+no stop test of the closure can fire on any word of it:
+
+* being conjugate into a proper free factor is invariant under
+  automorphisms, and every word of the closure is an automorphic image of
+  the base, so none of them lies in a proper free factor.  A word that
+  misses a generator lies in the factor of the others, so the ``missing``
+  test cannot fire;
+* every word of the closure has the base's length, more than 2n, and the
+  ``cycle`` test fires only on words of length 2n;
+* the canonical words have length 2n, so ``_assert_not_canonical`` has
+  nothing to find, and the degree-two branch for a minimal length of 2n is
+  not taken.
+
+The closure could then only end complete with no hit, or at the orbit cap:
+both answer Unknown/Undecided with no witness and no checked level.  So
+``certify`` returns that answer without exploring the closure; only the
+note says that the closure was skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .automorphisms import FGAutomorphism, chain_moves
 from .minimize import (
@@ -28,7 +56,7 @@ from .minimize import (
     minimal_orbit,
     whitehead_minimize,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _blocks
 from .quotients import build_quotient_local, check_quotient_budget
 from .words import ReducedWord, letter_str
 
@@ -137,6 +165,42 @@ def _uniqueness_flag(s: ReducedWord) -> bool:
     return s.max_letter_count() <= 2
 
 
+def closure_cannot_decide(base: ReducedWord) -> bool:
+    """The gate of ``certify`` (see the module docstring): whether the
+    minimized word ``base`` is longer than 2n and its Whitehead graph is
+    connected with no cut vertex.
+
+    That holds exactly when the whole graph is one block.  Letter x is
+    vertex 2(|x| - 1), and x^-1 the one after it.
+    """
+    n, t = base.rank, base.letters
+    if len(t) <= 2 * n:
+        return False
+    adj: list[set[int]] = [set() for _ in range(2 * n)]
+    for x, y in zip(t[-1:] + t[:-1], t):  # the cyclic pairs x y
+        u, v = 2 * abs(x) - 2 + (x > 0), 2 * abs(y) - 2 + (y < 0)  # x^-1, y
+        adj[u].add(v)
+        adj[v].add(u)
+    return any(len(block) == 2 * n for block in _blocks(adj))
+
+
+def _orbit_probe(n: int) -> Callable[[tuple[int, ...]], Optional[str]]:
+    """The stop test of ``certify``'s closure: "missing" on a word that
+    misses a generator, "cycle" on a word of length 2n whose level-1
+    quotient is a cycle."""
+
+    def probe(raw: tuple[int, ...]) -> Optional[str]:
+        if len(frozenset(abs(x) for x in raw)) < n:
+            return "missing"
+        if len(raw) == 2 * n:
+            w = ReducedWord(raw, n)
+            if w.max_letter_count() <= 2 and level_one_quotient(w).is_cycle():
+                return "cycle"
+        return None
+
+    return probe
+
+
 def certify(
     n: int,
     s: ReducedWord,
@@ -148,7 +212,8 @@ def certify(
     Yes when the level-1 quotient of s (or of some orbit element, with the
     witness chain recorded) is a cycle; No when the word is trivial, when
     some orbit element misses a generator, or when a degree-two word fails
-    the cycle test; Unknown otherwise.
+    the cycle test; Unknown otherwise.  The orbit is not explored when
+    ``closure_cannot_decide`` shows that it would answer Unknown.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -185,17 +250,18 @@ def certify(
             VERDICT_NO, False, REASON_NOT_CYCLE_DEGREE_TWO, None, (), note=note
         )
 
-    def probe(raw: tuple[int, ...]) -> Optional[str]:
-        if len(frozenset(abs(x) for x in raw)) < n:
-            return "missing"
-        if len(raw) == 2 * n:
-            w = ReducedWord(raw, n)
-            if w.max_letter_count() <= 2 and level_one_quotient(w).is_cycle():
-                return "cycle"
-        return None
+    minimized = whitehead_minimize(s)
+    base = minimized[0]
+    if closure_cannot_decide(base):
+        return Certificate(
+            VERDICT_UNKNOWN, False, REASON_UNDECIDED, None, (),
+            note=f"orbit closure skipped: {base.display()} is longer than "
+            f"{2 * n} letters and its Whitehead graph is connected with no "
+            "cut vertex, so no word of its orbit can decide",
+        )
 
     try:
-        orbit = minimal_orbit(s, cap=orbit_cap, stop=probe)
+        orbit = minimal_orbit(s, cap=orbit_cap, stop=_orbit_probe(n), minimized=minimized)
     except OrbitCapExceeded as exc:
         return Certificate(
             VERDICT_UNKNOWN, False, REASON_UNDECIDED, None, (), note=str(exc)
@@ -256,8 +322,8 @@ def classify(
         raise ValueError(f"word has rank {s.rank}, expected {n}")
     check_orbit_cap(orbit_cap)
 
-    base, _chain = whitehead_minimize(s)
-    if len(base) != 2 * n:
+    minimized = whitehead_minimize(s)
+    if len(minimized[0]) != 2 * n:
         return CanonicalForm(None, None)
 
     targets = {squares_word(n).letters: "Squares"}
@@ -267,7 +333,7 @@ def classify(
     def probe(raw: tuple[int, ...]) -> Optional[str]:
         return targets.get(raw)
 
-    orbit = minimal_orbit(s, cap=orbit_cap, stop=probe)
+    orbit = minimal_orbit(s, cap=orbit_cap, stop=probe, minimized=minimized)
     if orbit.hit is None:
         return CanonicalForm(None, None)
     raw, kind = orbit.hit

@@ -194,17 +194,21 @@ def minimal_orbit(
     w: ReducedWord,
     cap: int = DEFAULT_ORBIT_CAP,
     stop: Optional[Callable[[tuple[int, ...]], object]] = None,
+    *,
+    minimized: Optional[tuple[ReducedWord, tuple[FGAutomorphism, ...]]] = None,
 ) -> OrbitResult:
     """Breadth-first closure from ``whitehead_minimize(w)``.
 
     ``stop(raw)`` may return a truthy tag to halt exploration at that word;
     the result then carries ``hit=(raw, tag)`` and ``complete=False``.
+    A caller that has already minimized ``w`` passes the result of
+    ``whitehead_minimize(w)`` as ``minimized``, so it is not computed again.
     Raises :class:`OrbitCapExceeded` if the closure grows past ``cap``, and
     ``ValueError`` for a cap below 1.
     """
     check_orbit_cap(cap)
     rank = w.rank
-    base, base_chain = whitehead_minimize(w)
+    base, base_chain = whitehead_minimize(w) if minimized is None else minimized
     moves = _move_tables(rank)
     target_len = len(base)
 

@@ -175,12 +175,17 @@ def order_class(found: list, key: Callable) -> None:
     """Sort one class's edges, (class, far class, start id) triples, by far
     class, and each run of parallel edges by the keys of the group pairs
     behind them, as ``project`` orders them.  ``key(class, start id)`` is
-    taken only for the parallel edges."""
-    fars = [e[1] for e in found]
-    if len(set(fars)) == len(fars):
-        found.sort()
-    else:
-        found.sort(key=lambda e: (e[1], key(e[0], e[2]) if fars.count(e[1]) > 1 else ()))
+    taken only for the parallel edges: each run of them, found by one scan
+    of the sorted triples, is sorted again by it."""
+    found.sort()
+    i, size = 0, len(found)
+    while i < size - 1:
+        j = i + 1
+        while j < size and found[j][1] == found[i][1]:
+            j += 1
+        if j - i > 1:
+            found[i:j] = sorted(found[i:j], key=lambda e: key(e[0], e[2]))
+        i = j
 
 
 def assemble(

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,15 +13,19 @@ from hamcirc.certifier import (
     VERDICT_NO,
     VERDICT_UNKNOWN,
     VERDICT_YES,
+    _orbit_probe,
     certify,
     classify,
+    closure_cannot_decide,
     commutators_word,
     level_one_quotient,
     split_check,
     squares_word,
 )
+from hamcirc.minimize import OrbitCapExceeded, minimal_orbit, whitehead_minimize
+from hamcirc.multigraph import Multigraph
 from hamcirc.quotients import BudgetExceeded
-from hamcirc.words import ReducedWord
+from hamcirc.words import ReducedWord, cyclic_reduce_letters, letter_str, reduced_words
 
 
 def w(text, rank=2):
@@ -169,6 +174,137 @@ class TestCertify:
         doc = certify(2, w("aabb")).to_json_dict()
         assert set(doc) == {"verdict", "unique", "reason", "witness", "checked_levels"}
         assert json.loads(json.dumps(doc)) == doc
+
+
+def whitehead_oracle(word):
+    """Whether the Whitehead graph of ``word`` is connected with no cut
+    vertex, from the level-1 quotient with the identity vertex contracted
+    and a brute-force search for a cut vertex."""
+    g = level_one_quotient(word)
+    t = word.letters
+    edges = [(e.u, e.v) for e in g.edges if 0 not in (e.u, e.v)]
+    edges.append((g.vertex(letter_str(-t[-1])), g.vertex(letter_str(t[0]))))
+    contracted = Multigraph(g.labels[1:], [(u - 1, v - 1) for u, v in edges])
+    every = range(contracted.n_vertices)
+    return contracted.is_connected() and all(
+        contracted.induced_subgraph([u for u in every if u != v]).is_connected()
+        for v in every
+    )
+
+
+def cyclic_words(rank, max_len):
+    for raw in reduced_words(rank, max_len):
+        if raw and cyclic_reduce_letters(raw)[0] == raw:
+            yield ReducedWord(raw, rank)
+
+
+def random_cyclic_words(rng, rank, length):
+    while True:
+        letters = []
+        while len(letters) < length:
+            x = rng.choice([*range(1, rank + 1), *range(-rank, 0)])
+            if not letters or x != -letters[-1]:
+                letters.append(x)
+        if letters[0] != -letters[-1]:
+            yield ReducedWord(tuple(letters), rank)
+
+
+def is_gated(cert):
+    return cert.note.startswith("orbit closure skipped")
+
+
+class TestGate:
+    """certify answers Unknown without the orbit closure when the minimized
+    word is longer than 2n and its Whitehead graph is 2-connected."""
+
+    @pytest.mark.parametrize(
+        "text,rank,two_connected,fires",
+        [
+            ("aaabbb", 2, True, True),  # the 4-cycle a - A - b - B
+            ("aaabbbb", 3, False, False),  # misses c: c and C are isolated
+            ("aaaaab", 2, False, False),  # the path b - A - a - B, cut at A and a
+            ("abAB", 2, True, False),  # length 2n
+            ("aabb", 2, True, False),
+            ("aabbcc", 3, True, False),
+        ],
+    )
+    def test_hand_picked_words(self, text, rank, two_connected, fires):
+        word = w(text, rank)
+        assert whitehead_oracle(word) == two_connected
+        assert closure_cannot_decide(word) == fires
+
+    def test_predicate_matches_the_contracted_level_one_quotient(self):
+        rng = random.Random(5)
+        words = [*cyclic_words(2, 7)]
+        for length in (7, 8, 9):
+            words += [next(random_cyclic_words(rng, 3, length)) for _ in range(100)]
+        fired = 0
+        for word in words:
+            expect = len(word) > 2 * word.rank and whitehead_oracle(word)
+            assert closure_cannot_decide(word) == expect, word
+            fired += expect
+        assert fired > 1000 and sum(closure_cannot_decide(v) for v in words[-300:]) > 30
+
+    def test_gated_words_cannot_be_decided_by_the_closure(self):
+        rng = random.Random(13)
+        rank_four = []
+        for word in random_cyclic_words(rng, 4, 12):
+            if is_gated(certify(4, word)):
+                rank_four.append(word)
+            if len(rank_four) == 20:
+                break
+        cases = [(word, 10**5) for word in (*cyclic_words(2, 7), *cyclic_words(3, 5))]
+        cases += [(word, 200) for word in rank_four]
+        gated = {2: 0, 3: 0, 4: 0}
+        for word, cap in cases:
+            cert = certify(word.rank, word)
+            if not is_gated(cert):
+                continue
+            gated[word.rank] += 1
+            assert (cert.verdict, cert.reason) == (VERDICT_UNKNOWN, REASON_UNDECIDED)
+            assert cert.witness is None and cert.checked_levels == ()
+            try:
+                orbit = minimal_orbit(word, cap=cap, stop=_orbit_probe(word.rank))
+            except OrbitCapExceeded:
+                continue
+            assert orbit.hit is None and orbit.complete, word
+        # no rank-3 word of length <= 5 is longer than 2n, so none is gated
+        assert gated[2] > 1000 and gated[3] == 0 and gated[4] == 20
+
+    def test_rank_four_orbit_cap_word_skips_the_closure(self, monkeypatch):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("minimal_orbit called on a gated word")
+
+        monkeypatch.setattr("hamcirc.certifier.minimal_orbit", no_closure)
+        cert = certify(4, w("DDCBBAcDCDcA", 4))
+        assert (cert.verdict, cert.reason) == (VERDICT_UNKNOWN, REASON_UNDECIDED)
+        assert cert.witness is None and cert.checked_levels == ()
+        assert is_gated(cert)
+
+    def test_cap_branch_with_the_gate_off(self, monkeypatch):
+        monkeypatch.setattr("hamcirc.certifier.closure_cannot_decide", lambda base: False)
+        cert = certify(2, w("aaabbb"), orbit_cap=2)
+        assert (cert.verdict, cert.reason) == (VERDICT_UNKNOWN, REASON_UNDECIDED)
+        assert cert.note == "orbit closure exceeded cap of 2 words"
+
+    def test_minimizes_once(self, monkeypatch):
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return whitehead_minimize(word)
+
+        monkeypatch.setattr("hamcirc.minimize.whitehead_minimize", counted)
+        monkeypatch.setattr("hamcirc.certifier.whitehead_minimize", counted)
+        # gated, No through the closure, Yes through the closure
+        for text, verdict in (("aaabbb", VERDICT_UNKNOWN), ("aaab", VERDICT_NO),
+                              ("aaabab", VERDICT_YES)):
+            calls.clear()
+            assert certify(2, w(text)).verdict == verdict
+            assert len(calls) == 1, text
+        calls.clear()
+        assert classify(2, w("aBAb")).kind == "Commutators"
+        assert len(calls) == 1
 
 
 class TestClassify:

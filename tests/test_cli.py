@@ -32,6 +32,22 @@ class TestCertifyCommand:
         assert code == 2
         assert out.startswith("UNKNOWN")
 
+    def test_gate_notes_the_skipped_closure_on_stderr_only(self, capsys, monkeypatch):
+        def runs():
+            return [run_cli(capsys, "certify", "-n", "2", "aaabbb", *json) for json in ((), ("--json",))]
+
+        (code, out, err), doc = runs()
+        monkeypatch.setattr("hamcirc.certifier.closure_cannot_decide", lambda base: False)
+        searched, searched_doc = runs()  # the completed closure
+        assert (code, out) == (2, "UNKNOWN (Undecided)\n")
+        assert err == (
+            "note: orbit closure skipped: aaabbb is longer than 4 letters and its "
+            "Whitehead graph is connected with no cut vertex, so no word of its "
+            "orbit can decide\n"
+        )
+        assert searched == (code, out, "")
+        assert doc == searched_doc and doc[2] == ""
+
     def test_parse_error_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "certify", "-n", "2", "ab@b")
         assert code == 3
@@ -290,14 +306,26 @@ class TestEnvironmentOverrides:
     def test_orbit_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
         code, out, _ = run_cli(capsys, "certify", "-n", "2", "aaabbb")
-        assert code == 2  # capped search cannot decide
+        assert code == 2  # gated: no closure can decide, whatever the cap
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
         code, _, _ = run_cli(
             capsys, "certify", "-n", "2", "aaabbb", "--orbit-cap", "100000"
         )
-        assert code == 2  # still unknown, but via a completed search
+        assert code == 2  # still unknown, and gated before any closure runs
+
+    def test_flag_beats_env_on_the_closure(self, capsys, monkeypatch):
+        # with the gate off, aaabbb runs the closure, and the cap decides
+        # whether it completes
+        monkeypatch.setattr("hamcirc.certifier.closure_cannot_decide", lambda base: False)
+        monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
+        code, _, err = run_cli(capsys, "certify", "-n", "2", "aaabbb")
+        assert (code, err) == (2, "note: orbit closure exceeded cap of 2 words\n")
+        code, _, err = run_cli(
+            capsys, "certify", "-n", "2", "aaabbb", "--orbit-cap", "100000"
+        )
+        assert (code, err) == (2, "")
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "lots")

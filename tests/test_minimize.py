@@ -268,9 +268,9 @@ def captured_probe(monkeypatch, decide, n, word):
     """The stop probe that certify or classify hands to minimal_orbit."""
     probes = []
 
-    def spy(w, cap, stop):
+    def spy(w, cap, stop, **kwargs):
         probes.append(stop)
-        return minimal_orbit(w, cap=cap, stop=stop)
+        return minimal_orbit(w, cap=cap, stop=stop, **kwargs)
 
     monkeypatch.setattr(certifier, "minimal_orbit", spy)
     decide(n, word)
