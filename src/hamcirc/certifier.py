@@ -14,39 +14,60 @@ hamiltonian circle in a Cayley graph is invariant under left translation,
 which forces it to be the Cayley graph of a single symmetric pair from the
 generating set.
 
-The orbit search is gated by Whitehead's cut-vertex lemma (Whitehead 1936;
-Stallings, "Whitehead graphs on handlebodies", 1999; Heusener-Weidmann, "A
-remark on Whitehead's cut-vertex lemma", 2019): a cyclically reduced word
-that is conjugate into a proper free factor of F_n has a Whitehead graph
-that is disconnected or has a cut vertex.  The Whitehead graph of w has
-the 2n letters as vertices and one edge x^-1 -- y for each cyclically
-consecutive pair x y of w; it is the level-1 quotient of w with the
-identity vertex contracted.  ``certify`` minimizes s once.  When the
-minimized word, the base of the closure, is longer than 2n and its
-Whitehead graph is connected with no cut vertex (``closure_cannot_decide``),
-no stop test of the closure can fire on any word of it:
+``certify`` decides from one word, ``base`` = ``whitehead_minimize(s)``,
+which no elementary automorphism shortens.  The Whitehead graph of a
+cyclically reduced word w has the 2n letters as vertices and one edge
+x^-1 -- y for each cyclically consecutive pair x y of w; it is the level-1
+quotient of w with the identity vertex contracted.  It has no loops, and
+letters x and x^-1 both have degree count_|x|(w).
 
-* being conjugate into a proper free factor is invariant under
-  automorphisms, and every word of the closure is an automorphic image of
-  the base, so none of them lies in a proper free factor.  A word that
-  misses a generator lies in the factor of the others, so the ``missing``
-  test cannot fire;
-* every word of the closure has the base's length, more than 2n, and the
-  ``cycle`` test fires only on words of length 2n;
-* the canonical words have length 2n, so ``_assert_not_canonical`` has
-  nothing to find, and the degree-two branch for a minimal length of 2n is
-  not taken.
+Lemma (Whitehead's cut-vertex lemma: Whitehead 1936; Stallings, "Whitehead
+graphs on handlebodies", 1999; Heusener-Weidmann, "A remark on Whitehead's
+cut-vertex lemma", 2019).  If a cyclically reduced w uses every generator
+and its Whitehead graph G is disconnected or has a cut vertex, a Whitehead
+automorphism shortens w.
 
-The closure could then only end complete with no hit, or at the orbit cap:
-both answer Unknown/Undecided with no witness and no checked level.  So
-``certify`` returns that answer without exploring the closure; only the
-note says that the closure was skipped.
+Proof.  For a set A of letters holding v but not v^-1, the Whitehead
+automorphism (A, v) changes the cyclic length of w by cap(A) - deg(v),
+where cap(A) counts the edges of G between A and the other letters
+(Lyndon-Schupp, *Combinatorial Group Theory*, Prop. I.4.16).  If G is
+connected, let v be a cut vertex: G - v has two or more components, each
+joined to v, and v^-1 lies in at most one of them.  Otherwise some
+component C of G misses the inverse of one of its letters v: if every
+component held the inverses of its letters, then x^-1 and y, and so x and
+y, would share a component for each pair x y of w; going round w, all its
+letters would share one, which would be G as w uses every generator.  Then
+v has degree at least 1, and every component of G - v inside C is joined
+to v and misses v^-1.  Either way, let K be a component of G - v joined to
+v that misses v^-1, and A = {v} u K.  Every edge that leaves A leaves from
+v, and at least one edge joins v to K, so cap(A) < deg(v).  QED
+
+The multiplier moves of ``whitehead_minimize`` include every Whitehead
+automorphism, so if ``base`` uses every generator, its Whitehead graph is
+one block on all 2n letters.  Each letter then has two neighbours or more,
+so |base| >= 2n.  At |base| = 2n every degree is 2, the graph is one
+2n-cycle, and so is the level-1 quotient with the identity put back on
+one edge.  Hence, once the direct tests on s fail:
+
+* ``base`` misses a generator: No (MissingGenerator), witnessed by the
+  minimization chain;
+* the Whitehead graph of ``base`` is not one block: the lemma is violated,
+  and ``CertifierInternalError`` is raised;
+* |base| = 2n: Yes, witnessed by the minimization chain, with every
+  checked level of ``base`` re-verified, level 1 included;
+* |base| > 2n: Unknown.  ``base`` is of minimal length in its orbit (see
+  ``hamcirc.minimize``), so every automorphic image of s is longer than
+  the length-2n words a level-1 cycle needs, and none misses a generator,
+  since that would put ``base`` into a proper free factor up to
+  conjugacy, whose cyclically reduced words all have a Whitehead graph
+  with a cut vertex or more than one component.  The orbit closure would
+  find nothing, so it is not run; the note says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .automorphisms import FGAutomorphism, chain_moves
 from .minimize import (
@@ -149,14 +170,19 @@ def default_max_level(n: int) -> int:
     return 4 if n == 2 else 3
 
 
-def _verify_quotient_cycles(n: int, s: ReducedWord, max_level: int) -> tuple[int, ...]:
+def _verify_quotient_cycles(
+    n: int, s: ReducedWord, checked: ReducedWord, max_level: int
+) -> tuple[int, ...]:
+    """Re-verify that the quotients of ``checked``, the word that decided
+    Yes for the input ``s`` (``s`` itself or its minimized form), are
+    cycles at levels 1..max_level."""
     check_quotient_budget(n, max_level)
     for level in range(1, max_level + 1):
-        q = build_quotient_local(n, [s], level)
+        q = build_quotient_local(n, [checked], level)
         if not q.graph.is_cycle():
             raise CertifierInternalError(
-                f"level-{level} quotient of {s.display()} is not a cycle "
-                "although the level-1 quotient is"
+                f"certify {s.display()}: the level-{level} quotient of "
+                f"{checked.display()} is not a cycle"
             )
     return tuple(range(1, max_level + 1))
 
@@ -165,40 +191,20 @@ def _uniqueness_flag(s: ReducedWord) -> bool:
     return s.max_letter_count() <= 2
 
 
-def closure_cannot_decide(base: ReducedWord) -> bool:
-    """The gate of ``certify`` (see the module docstring): whether the
-    minimized word ``base`` is longer than 2n and its Whitehead graph is
-    connected with no cut vertex.
+def whitehead_graph_is_one_block(word: ReducedWord) -> bool:
+    """Whether the Whitehead graph of the cyclically reduced ``word`` (see
+    the module docstring) is connected with no cut vertex, that is, one
+    block on all 2n letters.
 
-    That holds exactly when the whole graph is one block.  Letter x is
-    vertex 2(|x| - 1), and x^-1 the one after it.
+    Letter x is vertex 2(|x| - 1), and x^-1 the one after it.
     """
-    n, t = base.rank, base.letters
-    if len(t) <= 2 * n:
-        return False
+    n, t = word.rank, word.letters
     adj: list[set[int]] = [set() for _ in range(2 * n)]
     for x, y in zip(t[-1:] + t[:-1], t):  # the cyclic pairs x y
         u, v = 2 * abs(x) - 2 + (x > 0), 2 * abs(y) - 2 + (y < 0)  # x^-1, y
         adj[u].add(v)
         adj[v].add(u)
     return any(len(block) == 2 * n for block in _blocks(adj))
-
-
-def _orbit_probe(n: int) -> Callable[[tuple[int, ...]], Optional[str]]:
-    """The stop test of ``certify``'s closure: "missing" on a word that
-    misses a generator, "cycle" on a word of length 2n whose level-1
-    quotient is a cycle."""
-
-    def probe(raw: tuple[int, ...]) -> Optional[str]:
-        if len(frozenset(abs(x) for x in raw)) < n:
-            return "missing"
-        if len(raw) == 2 * n:
-            w = ReducedWord(raw, n)
-            if w.max_letter_count() <= 2 and level_one_quotient(w).is_cycle():
-                return "cycle"
-        return None
-
-    return probe
 
 
 def certify(
@@ -209,11 +215,13 @@ def certify(
 ) -> Certificate:
     """Decide the hamiltonian-circle property for Cay(F_n; A u s^{+-1}).
 
-    Yes when the level-1 quotient of s (or of some orbit element, with the
-    witness chain recorded) is a cycle; No when the word is trivial, when
-    some orbit element misses a generator, or when a degree-two word fails
-    the cycle test; Unknown otherwise.  The orbit is not explored when
-    ``closure_cannot_decide`` shows that it would answer Unknown.
+    Yes when the level-1 quotient of s, or of its minimized form with the
+    minimization chain as witness, is a cycle; No when the word is trivial,
+    when a degree-two word fails the cycle test, or when the minimized form
+    misses a generator; Unknown otherwise.  No orbit closure is run: the
+    module docstring shows why the minimized form alone decides, and
+    ``orbit_cap`` bounds only the classifier cross-check of the degree-two
+    branch.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -229,7 +237,7 @@ def certify(
         return Certificate(VERDICT_NO, False, REASON_TRIVIAL, None, ())
 
     if level_one_quotient(s).is_cycle():
-        levels = _verify_quotient_cycles(n, s, max_level)
+        levels = _verify_quotient_cycles(n, s, s, max_level)
         return Certificate(VERDICT_YES, _uniqueness_flag(s), REASON_CYCLE, None, levels)
 
     if all(s.letter_count(i) == 2 for i in range(1, n + 1)):
@@ -250,60 +258,23 @@ def certify(
             VERDICT_NO, False, REASON_NOT_CYCLE_DEGREE_TWO, None, (), note=note
         )
 
-    minimized = whitehead_minimize(s)
-    base = minimized[0]
-    if closure_cannot_decide(base):
-        return Certificate(
-            VERDICT_UNKNOWN, False, REASON_UNDECIDED, None, (),
-            note=f"orbit closure skipped: {base.display()} is longer than "
-            f"{2 * n} letters and its Whitehead graph is connected with no "
-            "cut vertex, so no word of its orbit can decide",
-        )
-
-    try:
-        orbit = minimal_orbit(s, cap=orbit_cap, stop=_orbit_probe(n), minimized=minimized)
-    except OrbitCapExceeded as exc:
-        return Certificate(
-            VERDICT_UNKNOWN, False, REASON_UNDECIDED, None, (), note=str(exc)
-        )
-
-    if orbit.hit is not None:
-        raw, tag = orbit.hit
-        witness = orbit.chain_to(raw)
-        if tag == "missing":
-            return Certificate(
-                VERDICT_NO, False, REASON_MISSING_GENERATOR, witness, ()
-            )
-        via = ReducedWord(raw, n)
-        levels = _verify_quotient_cycles(n, via, max_level)
-        return Certificate(
-            VERDICT_YES, _uniqueness_flag(s), REASON_CYCLE, witness, levels
-        )
-
-    # Full closure, no missing generator, no cycle element.
-    _assert_not_canonical(n, orbit)
-    if orbit.min_length == 2 * n:
-        # Every minimal word then has each letter count exactly 2, and none
-        # passed the cycle test, so the circle cannot exist.
-        witness = orbit.chain_to(orbit.base.letters)
-        return Certificate(
-            VERDICT_NO, False, REASON_NOT_CYCLE_DEGREE_TWO, witness, ()
-        )
-    return Certificate(VERDICT_UNKNOWN, False, REASON_UNDECIDED, None, ())
-
-
-def _assert_not_canonical(n: int, orbit) -> None:
-    """Cross-check for the No branch: the canonical words must not be in
-    the explored closure, otherwise the decision rules are inconsistent."""
-    targets = {squares_word(n).letters}
-    if n % 2 == 0:
-        targets.add(commutators_word(n).letters)
-    found = targets & set(orbit.parents)
-    if found:
+    base, chain = whitehead_minimize(s)
+    if len(base.support()) < n:
+        return Certificate(VERDICT_NO, False, REASON_MISSING_GENERATOR, chain, ())
+    if not whitehead_graph_is_one_block(base):
         raise CertifierInternalError(
-            "orbit contains a canonical word although no orbit element "
-            "passed the cycle test"
+            f"{base.display()}, the minimized form of {s.display()}, uses every "
+            "generator, but its Whitehead graph is not one block"
         )
+    if len(base) == 2 * n:
+        levels = _verify_quotient_cycles(n, s, base, max_level)
+        return Certificate(VERDICT_YES, _uniqueness_flag(s), REASON_CYCLE, chain, levels)
+    return Certificate(
+        VERDICT_UNKNOWN, False, REASON_UNDECIDED, None, (),
+        note=f"orbit closure skipped: {base.display()} is longer than "
+        f"{2 * n} letters and its Whitehead graph is connected with no "
+        "cut vertex, so no word of its orbit can decide",
+    )
 
 
 def classify(

@@ -7,8 +7,10 @@ internal failure and exits 4.  Identical inputs always produce
 byte-identical output.
 
 The orbit budget can be preset via HAMCIRC_ORBIT_CAP; the --orbit-cap flag
-takes precedence, and a budget below 1 exits 3.  The quotient command uses
-the per-class synthesis; the enumeration builder is the library-level
+takes precedence, and a budget below 1 exits 3.  It bounds the orbit
+closure of classify, which exits 3 past it; certify runs no closure and
+only hands the budget to its classifier cross-check.  The quotient command
+uses the per-class synthesis; the enumeration builder is the library-level
 oracle it is tested against.  A level over 500,000 quotient classes
 (quotients.QUOTIENT_BUDGET) exits 3.
 """

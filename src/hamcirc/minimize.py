@@ -154,10 +154,6 @@ class OrbitResult:
     hit: Optional[tuple[tuple[int, ...], object]]
     complete: bool
 
-    @property
-    def min_length(self) -> int:
-        return len(self.base)
-
     def words(self) -> list[ReducedWord]:
         rank = self.rank
         return sorted(

@@ -10,8 +10,11 @@ import random
 
 import pytest
 
+import hamcirc.certifier as certifier
 from census_golden import census_words, load
 from hamcirc.cli import main
+from hamcirc.minimize import minimal_orbit
+from hamcirc.words import ReducedWord
 
 SAMPLE = 300
 EXIT = {"Yes": 0, "No": 1, "Unknown": 2}
@@ -55,6 +58,27 @@ def test_sample_covers_every_outcome(golden, sample):
     }
     assert {(line["certify"]["verdict"], line["certify"]["reason"]) for line in sample} == pairs
     assert {line["classify"]["kind"] for line in sample} == kinds
+
+
+def test_certify_runs_no_orbit_closure(sample, monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("certify called minimal_orbit")
+
+    closures = []
+
+    def counted(*args, **kwargs):
+        closures.append(args)
+        return minimal_orbit(*args, **kwargs)
+
+    monkeypatch.setattr(certifier, "minimal_orbit", no_closure)
+    for line in sample:
+        word = ReducedWord.parse(line["word"], line["n"])
+        assert certifier.certify(line["n"], word).to_json_dict() == line["certify"], line
+    monkeypatch.setattr(certifier, "minimal_orbit", counted)
+    for line in sample:
+        word = ReducedWord.parse(line["word"], line["n"])
+        assert certifier.classify(line["n"], word).to_json_dict() == line["classify"], line
+    assert len(closures) > 20  # classify still searches the orbit
 
 
 def test_sample_replays_through_the_cli(sample, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hamcirc.automorphisms import apply_chain
+from hamcirc.automorphisms import apply_chain, elementary_automorphisms
 from hamcirc.certifier import (
     REASON_CYCLE,
     REASON_MISSING_GENERATOR,
@@ -13,18 +13,20 @@ from hamcirc.certifier import (
     VERDICT_NO,
     VERDICT_UNKNOWN,
     VERDICT_YES,
-    _orbit_probe,
+    Certificate,
+    CertifierInternalError,
     certify,
     classify,
-    closure_cannot_decide,
     commutators_word,
+    default_max_level,
     level_one_quotient,
     split_check,
     squares_word,
+    whitehead_graph_is_one_block,
 )
 from hamcirc.minimize import OrbitCapExceeded, minimal_orbit, whitehead_minimize
 from hamcirc.multigraph import Multigraph
-from hamcirc.quotients import BudgetExceeded
+from hamcirc.quotients import BudgetExceeded, build_quotient_local
 from hamcirc.words import ReducedWord, cyclic_reduce_letters, letter_str, reduced_words
 
 
@@ -151,6 +153,23 @@ class TestCertify:
             certify(2, w("aaabab"), max_level=12)  # a Yes through a witness chain
         assert certify(2, w("abab"), max_level=12).verdict == VERDICT_NO
 
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_quotient_recheck_names_input_word_and_level(self, monkeypatch, level):
+        """A Yes re-verifies every level of the word that decided it, level 1
+        included, also when that is the minimized form of the input."""
+        build = build_quotient_local
+
+        def broken(n, gens, at):
+            return build(n, [w("abab")] if at == level else gens, at)
+
+        monkeypatch.setattr("hamcirc.certifier.build_quotient_local", broken)
+        for text, checked in (("aabb", "aabb"), ("aaabab", "aabb")):
+            with pytest.raises(
+                CertifierInternalError,
+                match=f"^certify {text}: the level-{level} quotient of {checked} is not a cycle$",
+            ):
+                certify(2, w(text))
+
     def test_higher_ranks(self):
         assert certify(3, w("aabbcc", 3)).verdict == VERDICT_YES
         assert certify(4, w("abABcdCD", 4)).verdict == VERDICT_YES
@@ -213,12 +232,80 @@ def is_gated(cert):
     return cert.note.startswith("orbit closure skipped")
 
 
+def certify_by_closure(n, s, cap):
+    """``certify`` as it stood before it decided from the minimized word
+    alone, as an oracle for a nontrivial cyclically reduced ``s``.
+
+    A level-1 cycle is a Yes and a word with every letter count 2 a No, as
+    in ``certify``.  Otherwise the orbit closure from ``whitehead_minimize(s)``
+    stops at the first word that misses a generator (No) or is a level-1
+    cycle (Yes, its levels re-verified by ``certify``).  A complete closure
+    with no hit holds no canonical word and answers No at minimal length 2n,
+    Unknown otherwise; that Unknown carries the note of the skipped closure
+    when the minimized word is longer than 2n with a one-block Whitehead
+    graph by ``whitehead_oracle``.  Raises ``OrbitCapExceeded`` past ``cap``
+    words.
+    """
+    levels = tuple(range(1, default_max_level(n) + 1))
+    if level_one_quotient(s).is_cycle():
+        return Certificate(VERDICT_YES, s.max_letter_count() <= 2, REASON_CYCLE, None, levels)
+    if all(s.letter_count(i) == 2 for i in range(1, n + 1)):
+        return Certificate(VERDICT_NO, False, REASON_NOT_CYCLE_DEGREE_TWO, None, ())
+
+    def probe(raw):
+        if len(frozenset(abs(x) for x in raw)) < n:
+            return "missing"
+        if len(raw) == 2 * n:
+            v = ReducedWord(raw, n)
+            if v.max_letter_count() <= 2 and level_one_quotient(v).is_cycle():
+                return "cycle"
+        return None
+
+    orbit = minimal_orbit(s, cap=cap, stop=probe)
+    if orbit.hit is not None:
+        raw, tag = orbit.hit
+        if tag == "missing":
+            return Certificate(VERDICT_NO, False, REASON_MISSING_GENERATOR, orbit.chain_to(raw), ())
+        return Certificate(VERDICT_YES, s.max_letter_count() <= 2, REASON_CYCLE,
+                           orbit.chain_to(raw), levels)
+    canonical = {squares_word(n).letters}
+    if n % 2 == 0:
+        canonical.add(commutators_word(n).letters)
+    assert not canonical & set(orbit.parents), s
+    base = orbit.base
+    if len(base) == 2 * n:
+        return Certificate(VERDICT_NO, False, REASON_NOT_CYCLE_DEGREE_TWO,
+                           orbit.chain_to(base.letters), ())
+    note = ""
+    if whitehead_oracle(base):
+        note = (f"orbit closure skipped: {base.display()} is longer than {2 * n} "
+                "letters and its Whitehead graph is connected with no cut vertex, "
+                "so no word of its orbit can decide")
+    return Certificate(VERDICT_UNKNOWN, False, REASON_UNDECIDED, None, (), note=note)
+
+
+def differential_words():
+    """(word, orbit cap) for every cyclically reduced rank-2 word up to
+    length 7 and rank-3 word up to length 5, and 20 seeded rank-4 words:
+    half of them random, of length 6-12, and half images of the canonical
+    words under one elementary automorphism."""
+    rng = random.Random(13)
+    cases = [(word, 10**5) for word in (*cyclic_words(2, 7), *cyclic_words(3, 5))]
+    autos = elementary_automorphisms(4)
+    for i in range(10):
+        cases.append((next(random_cyclic_words(rng, 4, rng.randrange(6, 13))), 2000))
+        canonical = (squares_word, commutators_word)[i % 2](4)
+        cases.append((rng.choice(autos).apply(canonical).cyclic_reduction(), 2000))
+    return cases
+
+
 class TestGate:
-    """certify answers Unknown without the orbit closure when the minimized
-    word is longer than 2n and its Whitehead graph is 2-connected."""
+    """certify decides from the minimized word alone: by Whitehead's
+    cut-vertex lemma its Whitehead graph is one block when it uses every
+    generator, so the orbit closure could only repeat the answer."""
 
     @pytest.mark.parametrize(
-        "text,rank,two_connected,fires",
+        "text,rank,one_block,unknown",
         [
             ("aaabbb", 2, True, True),  # the 4-cycle a - A - b - B
             ("aaabbbb", 3, False, False),  # misses c: c and C are isolated
@@ -228,48 +315,53 @@ class TestGate:
             ("aabbcc", 3, True, False),
         ],
     )
-    def test_hand_picked_words(self, text, rank, two_connected, fires):
+    def test_hand_picked_words(self, text, rank, one_block, unknown):
         word = w(text, rank)
-        assert whitehead_oracle(word) == two_connected
-        assert closure_cannot_decide(word) == fires
+        assert whitehead_oracle(word) == one_block
+        assert whitehead_graph_is_one_block(word) == one_block
+        assert (certify(rank, word).verdict == VERDICT_UNKNOWN) == unknown
 
     def test_predicate_matches_the_contracted_level_one_quotient(self):
         rng = random.Random(5)
         words = [*cyclic_words(2, 7)]
         for length in (7, 8, 9):
             words += [next(random_cyclic_words(rng, 3, length)) for _ in range(100)]
-        fired = 0
+        outcomes = []
         for word in words:
-            expect = len(word) > 2 * word.rank and whitehead_oracle(word)
-            assert closure_cannot_decide(word) == expect, word
-            fired += expect
-        assert fired > 1000 and sum(closure_cannot_decide(v) for v in words[-300:]) > 30
+            outcomes.append(whitehead_oracle(word))
+            assert whitehead_graph_is_one_block(word) == outcomes[-1], word
+        # both answers are common, also among the rank-3 words
+        assert outcomes.count(True) > 1000 and outcomes.count(False) > 500
+        assert 30 < outcomes[-300:].count(True) < 270
 
-    def test_gated_words_cannot_be_decided_by_the_closure(self):
-        rng = random.Random(13)
-        rank_four = []
-        for word in random_cyclic_words(rng, 4, 12):
-            if is_gated(certify(4, word)):
-                rank_four.append(word)
-            if len(rank_four) == 20:
-                break
-        cases = [(word, 10**5) for word in (*cyclic_words(2, 7), *cyclic_words(3, 5))]
-        cases += [(word, 200) for word in rank_four]
-        gated = {2: 0, 3: 0, 4: 0}
-        for word, cap in cases:
-            cert = certify(word.rank, word)
-            if not is_gated(cert):
-                continue
-            gated[word.rank] += 1
-            assert (cert.verdict, cert.reason) == (VERDICT_UNKNOWN, REASON_UNDECIDED)
-            assert cert.witness is None and cert.checked_levels == ()
+    def test_certify_matches_the_closure_oracle(self):
+        decided = {VERDICT_YES: 0, VERDICT_NO: 0, VERDICT_UNKNOWN: 0}
+        ranks = set()
+        for word, cap in differential_words():
             try:
-                orbit = minimal_orbit(word, cap=cap, stop=_orbit_probe(word.rank))
+                expect = certify_by_closure(word.rank, word, cap)
             except OrbitCapExceeded:
                 continue
-            assert orbit.hit is None and orbit.complete, word
-        # no rank-3 word of length <= 5 is longer than 2n, so none is gated
-        assert gated[2] > 1000 and gated[3] == 0 and gated[4] == 20
+            cert = certify(word.rank, word)
+            assert cert.to_json_dict() == expect.to_json_dict(), word
+            assert cert.note == expect.note, word
+            decided[cert.verdict] += 1
+            ranks.add(word.rank)
+        assert min(decided.values()) > 40 and ranks == {2, 3, 4}, (decided, ranks)
+
+    def test_minimized_word_is_one_block_or_misses_a_generator(self):
+        cycles = 0
+        for word, _cap in differential_words():
+            base, chain = whitehead_minimize(word)
+            assert apply_chain(chain, word) == base
+            if len(base.support()) < word.rank:
+                continue
+            assert whitehead_oracle(base), word
+            assert len(base) >= 2 * word.rank, word
+            if len(base) == 2 * word.rank:
+                assert level_one_quotient(base).is_cycle(), word
+                cycles += 1
+        assert cycles > 40
 
     def test_rank_four_orbit_cap_word_skips_the_closure(self, monkeypatch):
         def no_closure(*args, **kwargs):
@@ -281,12 +373,6 @@ class TestGate:
         assert cert.witness is None and cert.checked_levels == ()
         assert is_gated(cert)
 
-    def test_cap_branch_with_the_gate_off(self, monkeypatch):
-        monkeypatch.setattr("hamcirc.certifier.closure_cannot_decide", lambda base: False)
-        cert = certify(2, w("aaabbb"), orbit_cap=2)
-        assert (cert.verdict, cert.reason) == (VERDICT_UNKNOWN, REASON_UNDECIDED)
-        assert cert.note == "orbit closure exceeded cap of 2 words"
-
     def test_minimizes_once(self, monkeypatch):
         calls = []
 
@@ -296,7 +382,7 @@ class TestGate:
 
         monkeypatch.setattr("hamcirc.minimize.whitehead_minimize", counted)
         monkeypatch.setattr("hamcirc.certifier.whitehead_minimize", counted)
-        # gated, No through the closure, Yes through the closure
+        # Unknown, No and Yes, each from the minimized word
         for text, verdict in (("aaabbb", VERDICT_UNKNOWN), ("aaab", VERDICT_NO),
                               ("aaabab", VERDICT_YES)):
             calls.clear()

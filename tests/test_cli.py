@@ -8,6 +8,7 @@ import pytest
 
 from hamcirc.cli import main
 from hamcirc.quotients import COUNT_CAP
+from hamcirc.words import ReducedWord
 
 
 def run_cli(capsys, *argv):
@@ -32,21 +33,23 @@ class TestCertifyCommand:
         assert code == 2
         assert out.startswith("UNKNOWN")
 
-    def test_gate_notes_the_skipped_closure_on_stderr_only(self, capsys, monkeypatch):
-        def runs():
-            return [run_cli(capsys, "certify", "-n", "2", "aaabbb", *json) for json in ((), ("--json",))]
-
-        (code, out, err), doc = runs()
-        monkeypatch.setattr("hamcirc.certifier.closure_cannot_decide", lambda base: False)
-        searched, searched_doc = runs()  # the completed closure
+    def test_gate_notes_the_skipped_closure_on_stderr_only(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "-n", "2", "aaabbb")
         assert (code, out) == (2, "UNKNOWN (Undecided)\n")
         assert err == (
             "note: orbit closure skipped: aaabbb is longer than 4 letters and its "
             "Whitehead graph is connected with no cut vertex, so no word of its "
             "orbit can decide\n"
         )
-        assert searched == (code, out, "")
-        assert doc == searched_doc and doc[2] == ""
+        code, out, err = run_cli(capsys, "certify", "-n", "2", "aaabbb", "--json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "verdict": "Unknown",
+            "unique": False,
+            "reason": "Undecided",
+            "witness": None,
+            "checked_levels": [],
+        }
 
     def test_parse_error_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "certify", "-n", "2", "ab@b")
@@ -306,26 +309,26 @@ class TestEnvironmentOverrides:
     def test_orbit_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
         code, out, _ = run_cli(capsys, "certify", "-n", "2", "aaabbb")
-        assert code == 2  # gated: no closure can decide, whatever the cap
+        assert code == 2  # certify runs no orbit closure, whatever the cap
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
         code, _, _ = run_cli(
             capsys, "certify", "-n", "2", "aaabbb", "--orbit-cap", "100000"
         )
-        assert code == 2  # still unknown, and gated before any closure runs
+        assert code == 2  # still unknown, and no orbit closure runs
 
     def test_flag_beats_env_on_the_closure(self, capsys, monkeypatch):
-        # with the gate off, aaabbb runs the closure, and the cap decides
-        # whether it completes
-        monkeypatch.setattr("hamcirc.certifier.closure_cannot_decide", lambda base: False)
+        # aBAb has length 2n, so classify runs its closure, which passes 2
+        # words before it reaches abAB
         monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
-        code, _, err = run_cli(capsys, "certify", "-n", "2", "aaabbb")
-        assert (code, err) == (2, "note: orbit closure exceeded cap of 2 words\n")
-        code, _, err = run_cli(
-            capsys, "certify", "-n", "2", "aaabbb", "--orbit-cap", "100000"
+        code, out, err = run_cli(capsys, "classify", "-n", "2", "aBAb")
+        assert (code, out) == (3, "")
+        assert err == "error: orbit closure exceeded cap of 2 words\n"
+        code, out, _ = run_cli(
+            capsys, "classify", "-n", "2", "aBAb", "--orbit-cap", "100000"
         )
-        assert (code, err) == (2, "")
+        assert code == 0 and out.startswith("Commutators\n")
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "lots")
@@ -406,13 +409,18 @@ class TestQuotientBudget:
 
 class TestInternalErrors:
     def test_orbit_inconsistency_exits_four(self, capsys, monkeypatch):
-        def broken(*args, **kwargs):
-            raise AssertionError("closure found a shorter word")
-
-        monkeypatch.setattr("hamcirc.certifier.minimal_orbit", broken)
-        code, _, err = run_cli(capsys, "certify", "-n", "2", "aaab")
-        assert code == 4
-        assert err.startswith("internal error:")
+        # a "minimized" word that uses every generator, but whose Whitehead
+        # graph (B - a, A - b) is disconnected, contradicts the lemma
+        monkeypatch.setattr(
+            "hamcirc.certifier.whitehead_minimize",
+            lambda word: (ReducedWord.parse("abab", 2), ()),
+        )
+        code, out, err = run_cli(capsys, "certify", "-n", "2", "aaab")
+        assert (code, out) == (4, "")
+        assert err.startswith(
+            "internal error: CertifierInternalError: abab, the minimized form of "
+            "aaab, uses every generator, but its Whitehead graph is not one block\n"
+        )
 
     @pytest.mark.parametrize("fault", [KeyError, IndexError])
     def test_unexpected_exception_exits_four(self, capsys, monkeypatch, fault):

@@ -264,8 +264,8 @@ def reference_orbit(word, cap, stop=None):
     return parents, None, True
 
 
-def captured_probe(monkeypatch, decide, n, word):
-    """The stop probe that certify or classify hands to minimal_orbit."""
+def captured_probe(monkeypatch, n, word):
+    """The stop probe that classify hands to minimal_orbit."""
     probes = []
 
     def spy(w, cap, stop, **kwargs):
@@ -273,7 +273,7 @@ def captured_probe(monkeypatch, decide, n, word):
         return minimal_orbit(w, cap=cap, stop=stop, **kwargs)
 
     monkeypatch.setattr(certifier, "minimal_orbit", spy)
-    decide(n, word)
+    certifier.classify(n, word)
     monkeypatch.undo()
     return probes[0] if probes else None
 
@@ -296,24 +296,22 @@ class TestOrbitAgainstReference:
         assert list(orbit.parents.items()) == list(parents.items())
         assert (orbit.hit, orbit.complete) == (hit, complete) == (None, True)
         assert orbit.base.letters == next(iter(parents))
-        for decide in (certifier.certify, certifier.classify):
-            probe = captured_probe(monkeypatch, decide, word.rank, word)
-            if probe is None:
-                continue
+        probe = captured_probe(monkeypatch, word.rank, word)
+        if probe is not None:
             parents, hit, complete = reference_orbit(word, cap=10**6, stop=probe)
             orbit = minimal_orbit(word, stop=probe)
             assert list(orbit.parents.items()) == list(parents.items())
             assert (orbit.hit, orbit.complete) == (hit, complete)
 
     def test_probes_reached(self, monkeypatch):
-        # each probe runs at least once on the seeded words, and hits at least once
-        hits = {certifier.certify: 0, certifier.classify: 0}
+        # classify's probe runs at least once on the seeded words, and hits
+        # at least once; certify runs no closure
+        hits = 0
         for word in orbit_words():
-            for decide in hits:
-                probe = captured_probe(monkeypatch, decide, word.rank, word)
-                if probe is not None:
-                    hits[decide] += minimal_orbit(word, stop=probe).hit is not None
-        assert all(hits.values()), hits
+            probe = captured_probe(monkeypatch, word.rank, word)
+            if probe is not None:
+                hits += minimal_orbit(word, stop=probe).hit is not None
+        assert hits
 
     def test_cap_fires_at_the_same_count(self):
         word = w("aabab")
