@@ -49,6 +49,11 @@ so |base| >= 2n.  At |base| = 2n every degree is 2, the graph is one
 2n-cycle, and so is the level-1 quotient with the identity put back on
 one edge.  Hence, once the direct tests on s fail:
 
+* every generator occurs twice in s: No (X1NotCycleDegreeTwo), without a
+  witness.  Then |s| = 2n, and s is either not cyclically reduced or, with
+  no level-1 cycle, has a Whitehead graph of degree 2 that is not one
+  2n-cycle, so not one block.  Either way |base| < 2n, so ``base`` misses
+  a generator; if it does not, ``CertifierInternalError`` is raised;
 * ``base`` misses a generator: No (MissingGenerator), witnessed by the
   minimization chain;
 * the Whitehead graph of ``base`` is not one block: the lemma is violated,
@@ -72,7 +77,6 @@ from typing import Optional
 from .automorphisms import FGAutomorphism, chain_moves
 from .minimize import (
     DEFAULT_ORBIT_CAP,
-    OrbitCapExceeded,
     check_orbit_cap,
     minimal_orbit,
     whitehead_minimize,
@@ -211,17 +215,14 @@ def certify(
     n: int,
     s: ReducedWord,
     max_level: Optional[int] = None,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
 ) -> Certificate:
     """Decide the hamiltonian-circle property for Cay(F_n; A u s^{+-1}).
 
     Yes when the level-1 quotient of s, or of its minimized form with the
     minimization chain as witness, is a cycle; No when the word is trivial,
     when a degree-two word fails the cycle test, or when the minimized form
-    misses a generator; Unknown otherwise.  No orbit closure is run: the
-    module docstring shows why the minimized form alone decides, and
-    ``orbit_cap`` bounds only the classifier cross-check of the degree-two
-    branch.
+    misses a generator; Unknown otherwise.  The module docstring shows why
+    the minimized form alone decides.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -231,7 +232,6 @@ def certify(
         max_level = default_max_level(n)
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    check_orbit_cap(orbit_cap)
 
     if len(s) == 0:
         return Certificate(VERDICT_NO, False, REASON_TRIVIAL, None, ())
@@ -240,26 +240,17 @@ def certify(
         levels = _verify_quotient_cycles(n, s, s, max_level)
         return Certificate(VERDICT_YES, _uniqueness_flag(s), REASON_CYCLE, None, levels)
 
-    if all(s.letter_count(i) == 2 for i in range(1, n + 1)):
-        # A hamiltonian circle would force the level-1 quotient to be a
-        # cycle, so this is a No.  Cross-check against the classifier to
-        # turn any inconsistency into a hard failure instead of a wrong
-        # verdict.
-        note = ""
-        try:
-            if classify(n, s, orbit_cap=orbit_cap).kind is not None:
-                raise CertifierInternalError(
-                    f"{s.display()} classifies as canonical although its "
-                    "level-1 quotient is not a cycle"
-                )
-        except OrbitCapExceeded as exc:
-            note = f"classifier cross-check skipped: {exc}"
-        return Certificate(
-            VERDICT_NO, False, REASON_NOT_CYCLE_DEGREE_TWO, None, (), note=note
-        )
-
     base, chain = whitehead_minimize(s)
-    if len(base.support()) < n:
+    misses = len(base.support()) < n
+    if all(s.letter_count(i) == 2 for i in range(1, n + 1)):
+        if not misses:
+            raise CertifierInternalError(
+                f"{base.display()}, the minimized form of the degree-two word "
+                f"{s.display()}, uses every generator, but the level-1 "
+                "quotient of the word is not a cycle"
+            )
+        return Certificate(VERDICT_NO, False, REASON_NOT_CYCLE_DEGREE_TWO, None, ())
+    if misses:
         return Certificate(VERDICT_NO, False, REASON_MISSING_GENERATOR, chain, ())
     if not whitehead_graph_is_one_block(base):
         raise CertifierInternalError(

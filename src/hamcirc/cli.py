@@ -6,20 +6,17 @@ input errors, and sizes over a budget, exit 3; any other exception is an
 internal failure and exits 4.  Identical inputs always produce
 byte-identical output.
 
-The orbit budget can be preset via HAMCIRC_ORBIT_CAP; the --orbit-cap flag
-takes precedence, and a budget below 1 exits 3.  It bounds the orbit
-closure of classify, which exits 3 past it; certify runs no closure and
-only hands the budget to its classifier cross-check.  The quotient command
-uses the per-class synthesis; the enumeration builder is the library-level
-oracle it is tested against.  A level over 500,000 quotient classes
-(quotients.QUOTIENT_BUDGET) exits 3.
+The --orbit-cap flag of classify bounds its orbit closure, which exits 3
+past it, as does a cap below 1; certify runs no closure and takes no cap.
+The quotient command uses the per-class synthesis; the enumeration builder
+is the library-level oracle it is tested against.  A level over 500,000
+quotient classes (quotients.QUOTIENT_BUDGET) exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .certifier import (
@@ -50,16 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}")
-
-
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=False))
 
@@ -72,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--rank", type=int, required=True)
     p.add_argument("word")
     p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--orbit-cap", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("quotient", help="build a truncation quotient, export DOT")
@@ -95,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="canonical form under automorphisms")
     p.add_argument("-n", "--rank", type=int, required=True)
     p.add_argument("word")
-    p.add_argument("--orbit-cap", type=int, default=None)
+    p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("finite", help="count hamiltonian cycles of a finite Cayley graph")
@@ -111,20 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _orbit_cap(args) -> int:
-    if args.orbit_cap is not None:
-        cap, source = args.orbit_cap, "--orbit-cap"
-    else:
-        cap, source = _env_int("HAMCIRC_ORBIT_CAP", DEFAULT_ORBIT_CAP), "HAMCIRC_ORBIT_CAP"
-    if cap < 1:
-        raise UsageError(f"{source} must be at least 1, got {cap}")
-    return cap
-
-
 def _cmd_certify(args) -> int:
-    cap = _orbit_cap(args)
     word = ReducedWord.parse(args.word, args.rank)
-    cert = certify(args.rank, word, max_level=args.max_level, orbit_cap=cap)
+    cert = certify(args.rank, word, max_level=args.max_level)
     if args.json:
         _emit_json(cert.to_json_dict())
     else:
@@ -194,9 +169,8 @@ def _cmd_cycletree(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cap = _orbit_cap(args)
     word = ReducedWord.parse(args.word, args.rank)
-    form = classify(args.rank, word, orbit_cap=cap)
+    form = classify(args.rank, word, orbit_cap=args.orbit_cap)
     if args.json:
         _emit_json(form.to_json_dict())
     else:

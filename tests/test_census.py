@@ -81,8 +81,7 @@ def test_certify_runs_no_orbit_closure(sample, monkeypatch):
     assert len(closures) > 20  # classify still searches the orbit
 
 
-def test_sample_replays_through_the_cli(sample, capsys, monkeypatch):
-    monkeypatch.delenv("HAMCIRC_ORBIT_CAP", raising=False)  # the golden uses the default cap
+def test_sample_replays_through_the_cli(sample, capsys):
     mismatches = []
     for line in sample:
         n, word = str(line["n"]), line["word"]

@@ -96,6 +96,18 @@ class TestCertify:
         assert cert.verdict == VERDICT_NO
         assert cert.reason == REASON_NOT_CYCLE_DEGREE_TWO
 
+    def test_degree_two_word_minimized_to_every_generator_raises(self, monkeypatch):
+        # |abab| = 2n with no level-1 cycle, so by the lemma its minimized
+        # form is shorter and misses a generator; one that does not is a bug
+        monkeypatch.setattr(
+            "hamcirc.certifier.whitehead_minimize", lambda s: (s.cyclic_reduction(), ())
+        )
+        with pytest.raises(
+            CertifierInternalError,
+            match="^abab, the minimized form of the degree-two word abab, uses every generator",
+        ):
+            certify(2, w("abab"))
+
     def test_trivial_word(self):
         cert = certify(2, w(""))
         assert (cert.verdict, cert.reason) == (VERDICT_NO, REASON_TRIVIAL)
@@ -115,25 +127,6 @@ class TestCertify:
         cert = certify(2, w("aaabbb"))
         assert cert.verdict == VERDICT_UNKNOWN
         assert cert.reason == REASON_UNDECIDED
-
-    def test_orbit_cap_gives_unknown_with_note(self):
-        cert = certify(2, w("aaabbb"), orbit_cap=2)
-        assert cert.verdict == VERDICT_UNKNOWN
-        assert cert.note
-
-    @pytest.mark.parametrize("text", ["aabb", "abab", "aabbab", ""])
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_orbit_cap_below_one_refused_at_entry(self, monkeypatch, text, cap):
-        """Every word is refused alike, whichever branch would decide it,
-        before the level-1 quotient or an orbit is built."""
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the orbit cap check")
-
-        monkeypatch.setattr("hamcirc.certifier.level_one_quotient", no_work)
-        monkeypatch.setattr("hamcirc.certifier.minimal_orbit", no_work)
-        with pytest.raises(ValueError, match=f"^orbit cap must be at least 1, got {cap}$"):
-            certify(2, w(text), orbit_cap=cap)
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
@@ -382,9 +375,10 @@ class TestGate:
 
         monkeypatch.setattr("hamcirc.minimize.whitehead_minimize", counted)
         monkeypatch.setattr("hamcirc.certifier.whitehead_minimize", counted)
-        # Unknown, No and Yes, each from the minimized word
+        # Unknown, No (also for a degree-two word) and Yes, each from the
+        # minimized word
         for text, verdict in (("aaabbb", VERDICT_UNKNOWN), ("aaab", VERDICT_NO),
-                              ("aaabab", VERDICT_YES)):
+                              ("abab", VERDICT_NO), ("aaabab", VERDICT_YES)):
             calls.clear()
             assert certify(2, w(text)).verdict == verdict
             assert len(calls) == 1, text

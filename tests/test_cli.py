@@ -306,35 +306,19 @@ class TestOtherCommands:
 
 
 class TestEnvironmentOverrides:
-    def test_orbit_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
-        code, out, _ = run_cli(capsys, "certify", "-n", "2", "aaabbb")
-        assert code == 2  # certify runs no orbit closure, whatever the cap
+    """classify --orbit-cap is the one orbit budget: certify takes none, and
+    no environment variable sets one."""
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
-        code, _, _ = run_cli(
-            capsys, "certify", "-n", "2", "aaabbb", "--orbit-cap", "100000"
-        )
-        assert code == 2  # still unknown, and no orbit closure runs
-
-    def test_flag_beats_env_on_the_closure(self, capsys, monkeypatch):
+    def test_flag_bounds_the_closure(self, capsys):
         # aBAb has length 2n, so classify runs its closure, which passes 2
         # words before it reaches abAB
-        monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "2")
-        code, out, err = run_cli(capsys, "classify", "-n", "2", "aBAb")
+        code, out, err = run_cli(capsys, "classify", "-n", "2", "aBAb", "--orbit-cap", "2")
         assert (code, out) == (3, "")
         assert err == "error: orbit closure exceeded cap of 2 words\n"
         code, out, _ = run_cli(
             capsys, "classify", "-n", "2", "aBAb", "--orbit-cap", "100000"
         )
         assert code == 0 and out.startswith("Commutators\n")
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "lots")
-        code, _, err = run_cli(capsys, "certify", "-n", "2", "aabb")
-        assert code == 3
-        assert "HAMCIRC_ORBIT_CAP" in err
 
     def test_classify_cap_exceeded_is_clean_error(self, capsys):
         # aaaa has orbit-minimal length 4 and a four-word closure, so a cap
@@ -346,23 +330,18 @@ class TestEnvironmentOverrides:
         assert "cap" in err
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
-    @pytest.mark.parametrize("argv", [
-        ("certify", "-n", "2", "aabbab", "--json"),
-        ("classify", "-n", "2", "aabb"),
-        ("certify", "-n", "2", "aabb"),  # decided before any orbit search
-    ])
-    def test_orbit_cap_below_one_is_usage_error(self, capsys, monkeypatch, argv, cap):
-        code, out, err = run_cli(capsys, *argv, "--orbit-cap", cap)
+    def test_orbit_cap_below_one_is_usage_error(self, capsys, cap):
+        # refused by classify itself, before it minimizes
+        code, out, err = run_cli(capsys, "classify", "-n", "2", "aabb", "--orbit-cap", cap)
         assert (code, out) == (3, "")
-        assert err == f"error: --orbit-cap must be at least 1, got {cap}\n"
-        monkeypatch.setenv("HAMCIRC_ORBIT_CAP", cap)
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (3, "")
-        assert err == f"error: HAMCIRC_ORBIT_CAP must be at least 1, got {cap}\n"
+        assert err == f"error: orbit cap must be at least 1, got {cap}\n"
 
-    def test_flag_of_one_overrides_a_bad_env(self, capsys, monkeypatch):
+    def test_certify_has_no_cap_and_the_environment_sets_none(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, "certify", "-n", "2", "aabb", "--orbit-cap", "5")
+        assert (code, out) == (3, "")
+        assert err == "error: unrecognized arguments: --orbit-cap 5\n"
         monkeypatch.setenv("HAMCIRC_ORBIT_CAP", "0")
-        code, out, _ = run_cli(capsys, "classify", "-n", "2", "aabb", "--orbit-cap", "1")
+        code, out, _ = run_cli(capsys, "classify", "-n", "2", "aabb")
         assert (code, out) == (0, "Squares\nwitness: \n")
 
 
