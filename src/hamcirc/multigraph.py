@@ -5,6 +5,11 @@ Parallel edges are allowed, loops are rejected at construction (the quotient
 constructions delete them before building a graph).  Vertices are integers
 0..n-1 carrying opaque string labels; an edge is identified by its index in
 the edge list, which is what distinguishes parallels.
+
+A graph is its labels and its edge list and holds no cached state: the cycle
+test, the readers and DOT export walk the edge list, and only the
+connectivity checks, Mitchell's reduction and hamiltonian enumeration build
+an adjacency, on the call that needs it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ class Edge(NamedTuple):
 
 
 class Multigraph:
-    __slots__ = ("labels", "edges", "_adj")
+    __slots__ = ("labels", "edges")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple]):
         self.labels = tuple(str(x) for x in labels)
@@ -43,7 +48,6 @@ class Multigraph:
                 u, v = v, u
             es.append(Edge(u, v, tag))
         self.edges = tuple(es)
-        self._adj = None
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...], edges: Iterable[tuple]) -> "Multigraph":
@@ -53,16 +57,7 @@ class Multigraph:
         graph.labels = labels
         # tuple.__new__ skips the namedtuple's Python-level __new__
         graph.edges = tuple(map(tuple.__new__, itertools.repeat(Edge), edges))
-        graph._adj = None
         return graph
-
-    def _incidence(self) -> list[list[tuple[int, int]]]:
-        """Each vertex's (neighbour, edge index) pairs, built on first use:
-        the checks that read only ``edges`` (the circle-order outerplanarity
-        check, DOT export) never pay for them."""
-        if self._adj is None:
-            self._adj = _incidence_lists(len(self.labels), self.edges)
-        return self._adj
 
     @property
     def n_vertices(self) -> int:
@@ -73,65 +68,39 @@ class Multigraph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self._incidence()[v])
+        return self.degrees()[v]
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self._incidence()]
+        deg = [0] * len(self.labels)
+        for u, v, _ in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
 
     def neighbors(self, v: int) -> list[int]:
-        return [w for w, _ in self._incidence()[v]]
+        return [b if a == v else a for a, b, _ in self.edges if a == v or b == v]
 
     def edges_between(self, u: int, v: int) -> list[int]:
-        return [idx for w, idx in self._incidence()[u] if w == v]
+        lo, hi = (u, v) if u < v else (v, u)
+        return [i for i, (a, b, _) in enumerate(self.edges) if a == lo and b == hi]
 
     def vertex(self, label: str) -> int:
         return self.labels.index(label)
 
     def connected_components(self) -> list[list[int]]:
-        adj = self._incidence()
-        seen = [False] * self.n_vertices
-        comps = []
-        for start in range(self.n_vertices):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w, _ in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        n = self.n_vertices
+        adj = _incidence_lists(n, self.edges)
+        seen = [False] * n
+        return [sorted(_reach(adj, v, seen)) for v in range(n) if not seen[v]]
 
     def is_connected(self) -> bool:
-        """One traversal from vertex 0 that counts the vertices it reaches."""
+        """One traversal from vertex 0 reaches every vertex."""
         n = self.n_vertices
-        if n <= 1:
-            return True
-        adj = self._incidence()
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            for w, _ in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    reached += 1
-                    stack.append(w)
-        return reached == n
+        return n <= 1 or len(_reach(_incidence_lists(n, self.edges), 0, [False] * n)) == n
 
     def is_cycle(self) -> bool:
         """Connected, at least 3 vertices, every degree exactly 2."""
-        return (
-            self.n_vertices >= 3
-            and all(len(a) == 2 for a in self._incidence())
-            and self.is_connected()
-        )
+        return _cycle_positions(self.n_vertices, self.edges) is not None
 
     def is_simple(self) -> bool:
         seen = set()
@@ -194,7 +163,8 @@ class Multigraph:
 def collector_paused(build: Callable) -> Callable:
     """Run ``build`` with the cyclic garbage collector held off.
 
-    A build (a quotient, a truncation, a graph's adjacency) allocates up to
+    A build (a quotient, a truncation, the adjacency a connectivity check
+    traverses, the per-vertex ends a cycle walk follows) allocates up to
     hundreds of thousands of tuples, lists and dicts and makes no reference
     cycles, so reference counting frees all of it, and the collector's
     passes over it (hundreds per quotient build, 11-16% of its time) find
@@ -218,12 +188,51 @@ def collector_paused(build: Callable) -> Callable:
 
 @collector_paused
 def _incidence_lists(n: int, edges: tuple[Edge, ...]) -> list[list[tuple[int, int]]]:
-    """The adjacency of ``Multigraph._incidence``, for n vertices."""
+    """Each of the n vertices' (neighbour, edge index) pairs in edge order,
+    built afresh for each connectivity check."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, (u, v, _) in enumerate(edges):
         adj[u].append((v, idx))
         adj[v].append((u, idx))
     return adj
+
+
+def _reach(adj: list[list[tuple[int, int]]], start: int, seen: list[bool]) -> list[int]:
+    """The vertices reachable from ``start`` that ``seen`` has not marked,
+    marked as they are reached, ``start`` first."""
+    seen[start] = True
+    reached, stack = [start], [start]
+    while stack:
+        for w, _ in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
+                stack.append(w)
+    return reached
+
+
+@collector_paused
+def _cycle_positions(n: int, edges: Iterable[tuple]) -> Optional[list[int]]:
+    """Each vertex's position along ``edges`` when they form a hamiltonian
+    cycle on the n vertices, else None: at least 3 vertices, every vertex on
+    exactly two edges, and one walk from vertex 0 covers all of them (the
+    edges are disjoint cycles; it goes round 0's).  A parallel pair sends
+    the walk straight back, so it closes too early."""
+    ends: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        ends[u].append(v)
+        ends[v].append(u)
+    if n < 3 or any(len(x) != 2 for x in ends):
+        return None
+    pos = [0] * n
+    prev, v = 0, ends[0][0]
+    for i in range(1, n):
+        if v == 0:
+            return None
+        pos[v] = i
+        a, b = ends[v]
+        prev, v = v, b if a == prev else a
+    return pos
 
 
 def parse_adjacency(text: str) -> Multigraph:
@@ -284,7 +293,7 @@ def enumerate_hamiltonian_cycles(g: Multigraph, max_vertices: int = 20) -> list[
         raise ValueError("hamiltonian enumeration requires a simple graph")
     if n < 3:
         return []
-    adj = [sorted(set(g.neighbors(v))) for v in range(n)]
+    adj = [sorted(x) for x in _neighbour_sets(g)]
     adj0 = set(adj[0])
     cycles = []
     path = [0]
@@ -397,7 +406,7 @@ def is_outerplanar(g: Multigraph, circle: Optional[Sequence[int]] = None) -> boo
         ends = ((circle[u], circle[v]) for u, v, _ in g.edges)
         # an edge between neighbours on the circle crosses nothing
         return spans_nest((a, b) if a < b else (b, a) for a, b in ends if not -1 <= a - b <= 1)
-    adj = [set(g.neighbors(v)) for v in range(g.n_vertices)]
+    adj = _neighbour_sets(g)
     for block in _blocks(adj):
         work = {v: adj[v] & block for v in block}
         todo, peeled = list(block), []
@@ -445,28 +454,17 @@ def spans_nest(spans: Iterable[tuple[int, int]]) -> bool:
 
 def tagged_cycle_positions(g: Multigraph, tag: Optional[str]) -> Optional[list[int]]:
     """Each vertex's position along the edges tagged ``tag`` when they form a
-    hamiltonian cycle, else None.  The same test as ``is_cycle`` on their
-    spanning subgraph, without building it: at least 3 vertices, every vertex
-    on exactly two tagged edges, and one walk from vertex 0 covers all of
-    them.  A parallel pair of tagged edges sends the walk straight back, so
-    it closes too early."""
-    n = len(g.labels)
-    ends: list[list[int]] = [[] for _ in range(n)]
-    for u, v, t in g.edges:
-        if t == tag:
-            ends[u].append(v)
-            ends[v].append(u)
-    if n < 3 or any(len(x) != 2 for x in ends):
-        return None
-    pos = [0] * n
-    prev, v = 0, ends[0][0]
-    for i in range(1, n):  # the tagged edges are disjoint cycles; walk round 0's
-        if v == 0:
-            return None
-        pos[v] = i
-        a, b = ends[v]
-        prev, v = v, b if a == prev else a
-    return pos
+    hamiltonian cycle, else None: ``is_cycle`` on their spanning subgraph."""
+    return _cycle_positions(len(g.labels), (e for e in g.edges if e.tag == tag))
+
+
+def _neighbour_sets(g: Multigraph) -> list[set[int]]:
+    """Each vertex's set of neighbours, from one pass over the edges."""
+    adj: list[set[int]] = [set() for _ in g.labels]
+    for u, v, _ in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def _blocks(adj: list[set[int]]) -> list[set[int]]:

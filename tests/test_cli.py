@@ -172,6 +172,33 @@ class TestQuotientCommand:
         assert [result[0] for result in expected] == [0, 0, 0]
         assert [run(argv, f"patched{i}.dot") for i, argv in enumerate(argvs)] == expected
 
+    def test_hot_paths_build_no_adjacency(self, capsys, monkeypatch, tmp_path):
+        # the cycle test, the circle-order outerplanarity check and DOT
+        # export read the edge list alone, so a quotient's is_cycle, a Yes
+        # re-verified at levels 1-3 and an outerplanarity PASS (with its
+        # certify precondition) build no per-vertex adjacency
+        dot = tmp_path / "q.dot"
+        argvs = [
+            ["quotient", "-n", "2", "-s", "aabb", "-l", "6", "--dot", str(dot), "--json"],
+            ["certify", "-n", "3", "abABcc", "--json"],
+            ["outerplanar", "-n", "2", "-s", "abAB", "-l", "5", "--json"],
+        ]
+        expected = [run_cli(capsys, *argv)[:2] for argv in argvs]
+        dot_bytes = dot.read_bytes()
+        quotient, certificate, report = (json.loads(out) for _, out in expected)
+        assert [code for code, _ in expected] == [0, 0, 0]
+        assert quotient["is_cycle"] and quotient["vertices"] == 1457
+        assert certificate["verdict"] == "Yes" and certificate["checked_levels"] == [1, 2, 3]
+        assert all(lv["outerplanar"] and lv["circle_is_ham_cycle"] for lv in report["levels"])
+
+        def no_adjacency(*args):
+            raise AssertionError("a per-vertex adjacency was built")
+
+        monkeypatch.setattr("hamcirc.multigraph._incidence_lists", no_adjacency)
+        dot.unlink()
+        assert [run_cli(capsys, *argv)[:2] for argv in argvs] == expected
+        assert dot.read_bytes() == dot_bytes
+
     def test_with_tree_highlights_circle(self, capsys, tmp_path):
         out_path = tmp_path / "full.dot"
         code, _, _ = run_cli(

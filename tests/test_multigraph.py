@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from hamcirc import multigraph
 from hamcirc.multigraph import (
     EdgeCut,
     Multigraph,
@@ -524,9 +523,15 @@ def _reference_connected(g):
     return g.n_vertices <= 1 or len(seen) == g.n_vertices
 
 
+def _reference_cycle(g):
+    """The cycle test spelled out: at least 3 vertices, every degree 2, connected."""
+    degrees = [len(x) for x in _reference_incidence(g)]
+    return g.n_vertices >= 3 and set(degrees) == {2} and _reference_connected(g)
+
+
 class TestLazyAdjacency:
-    """The adjacency is built on first use; every reading of it must agree
-    with the edge list, however the graph was made."""
+    """A graph caches no adjacency; every reader and check must agree with
+    the edge list, however the graph was made."""
 
     @staticmethod
     def graphs(seed):
@@ -548,12 +553,26 @@ class TestLazyAdjacency:
             yield g.without_edges(drop)  # after
         yield cycle_graph(5)
         yield cycle_graph(5).without_edges([2])
+        for _ in range(40):
+            # every degree 2, where the cycle walk differs from a degree test:
+            # disjoint cycles, a ring of 2 being a parallel pair, under a
+            # random numbering, in shuffled edge order
+            rings = [rng.choice([2, 2, 3, 4, 5]) for _ in range(rng.choice([1, 1, 2, 3]))]
+            k = sum(rings)
+            order = iter(rng.sample(range(k), k))
+            edges = []
+            for r in rings:
+                ring = [next(order) for _ in range(r)]
+                edges += [(ring[i], ring[(i + 1) % r], "p") for i in range(r)]
+            rng.shuffle(edges)
+            yield Multigraph([str(i) for i in range(k)], edges)
+            # the same rings beside an isolated vertex 0
+            yield Multigraph([str(i) for i in range(k + 1)], [(u + 1, v + 1, t) for u, v, t in edges])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_readers_match_edge_list(self, seed):
-        cycles = 0
+        cycles = non_cycles = 0
         for g in self.graphs(seed):
-            assert g._adj is None
             inc = _reference_incidence(g)
             k = g.n_vertices
             assert g.is_connected() == _reference_connected(g)
@@ -563,20 +582,28 @@ class TestLazyAdjacency:
             for u in range(k):
                 for v in range(k):
                     assert g.edges_between(u, v) == [i for w, i in inc[u] if w == v]
-            is_cycle = k >= 3 and all(len(x) == 2 for x in inc) and _reference_connected(g)
+            is_cycle = _reference_cycle(g)
             assert g.is_cycle() == is_cycle
+            for tag in (None, "p", "q"):
+                tagged = g.without_edges(i for i, e in enumerate(g.edges) if e.tag != tag)
+                assert (tagged_cycle_positions(g, tag) is not None) == _reference_cycle(tagged)
             cycles += is_cycle
-        assert cycles >= 1
+            non_cycles += set(g.degrees()) == {2} and not is_cycle
+        assert cycles >= 10 and non_cycles >= 10
 
-    def test_built_once_with_the_collector_off(self, monkeypatch):
-        g = cycle_graph(5)
+    def test_built_once_with_the_collector_off(self):
+        # each check that builds per-vertex lists walks the edge list once
+        # to build them, with the collector off, and turns it back on
         states = []
 
-        def recorded(n):
-            states.append(gc.isenabled())
-            return range(n)
+        class Recorded(tuple):
+            def __iter__(self):
+                states.append(gc.isenabled())
+                return super().__iter__()
 
-        monkeypatch.setattr(multigraph, "range", recorded, raising=False)
-        assert g.is_cycle() and g.degrees() == [2] * 5 and g.neighbors(0) == [1, 4]
-        assert states == [False]
+        g = cycle_graph(5)
+        g.edges = Recorded(g.edges)
+        assert g.is_connected() and g.connected_components() == [[0, 1, 2, 3, 4]]
+        assert g.is_cycle()
+        assert states == [False] * 3
         assert gc.isenabled()
