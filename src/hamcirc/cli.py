@@ -26,9 +26,10 @@ from .certifier import (
     certify,
     classify,
 )
-from .finite import build_finite_cayley, parse_spec, verify_unique_finite
+from .finite import build_finite_cayley, parse_spec
 from .freeproduct import verify_circle_truncations
 from .minimize import DEFAULT_ORBIT_CAP, OrbitCapExceeded
+from .multigraph import enumerate_hamiltonian_cycles
 from .outerplanar import tree_generators, verify_outerplanar_quotient
 from .quotients import BudgetExceeded, build_quotient_local, edge_tag
 from .words import ReducedWord
@@ -129,7 +130,7 @@ def _cmd_quotient(args) -> int:
     if args.with_tree:
         marks = {edge_tag(w) for w in words}
         highlight = [
-            i for i, e in enumerate(q.graph.edges) if e.tag in marks
+            i for i, (_, _, tag) in enumerate(q.graph.edges) if tag in marks
         ]
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -182,10 +183,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_finite(args) -> int:
     spec = parse_spec(args.spec)
-    count, unique = verify_unique_finite(spec)
+    graph = build_finite_cayley(spec)  # built once, for the count and the DOT
+    count = len(enumerate_hamiltonian_cycles(graph))
+    unique = count == 1
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(build_finite_cayley(spec).to_dot())
+            fh.write(graph.to_dot())
     if args.json:
         _emit_json({"spec": str(spec), "hamiltonian_cycles": count, "unique": unique})
     else:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
-from .multigraph import Multigraph, collector_paused, tagged_cycle_positions
+from .multigraph import Multigraph, collector_paused
 from .quotients import (
     COUNT_CAP,
     QuotientGraph,
@@ -420,31 +420,27 @@ class TruncationReport:
 
 def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
     """Check that the circle's truncation is a single cycle for r <= r_max,
-    and that it spans the connected full-generating-set truncation.  The
-    circle is the (ab)-edge subgraph of the one truncation on {a, ab} built
-    per depth, and it spans when every class lies on a circle edge, which
-    one pass over the tagged edges shows; the subgraph itself is built only
-    at the deepest depth.  The deepest depth is sized against CLASS_BUDGET
-    before depth 1 is built."""
+    and that it spans the connected full-generating-set truncation.  At
+    each depth the circle is ``generator_subgraph`` of the one truncation
+    on {a, ab} built there; it spans when every class lies on a circle
+    edge (no degree is 0), and the full truncation's connectivity is
+    checked on its own, not inferred from the circle.  The deepest depth
+    is sized against CLASS_BUDGET before depth 1 is built."""
     if m < 3 or n < 2:
         raise ValueError("family needs m >= 3 and n >= 2")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     check_budget(count_truncation_classes(m, n, r_max, cap=COUNT_CAP), CLASS_BUDGET)
     ab = gen_ab(m, n)
-    tag = edge_tag(ab)
     depths = tuple(range(1, r_max + 1))
     rows = []
     for r in depths:
         full = build_truncation(m, n, [gen_a(m, n), ab], r).graph
-        on_circle = bytearray(full.n_vertices)
-        for u, v, t in full.edges:
-            if t == tag:
-                on_circle[u] = on_circle[v] = 1
-        cycle = tagged_cycle_positions(full, tag) is not None
-        rows.append((full.n_vertices, cycle, full.is_connected(), all(on_circle)))
+        circle = generator_subgraph(full, ab)
+        rows.append(
+            (full.n_vertices, circle.is_cycle(), full.is_connected(), all(circle.degrees()))
+        )
     counts, cyc, conn, span = zip(*rows)
-    circle = generator_subgraph(full, ab)
     return TruncationReport(m, n, depths, counts, cyc, conn, span, circle)
 
 

@@ -6,10 +6,10 @@ constructions delete them before building a graph).  Vertices are integers
 0..n-1 carrying opaque string labels; an edge is identified by its index in
 the edge list, which is what distinguishes parallels.
 
-A graph is its labels and its edge list and holds no cached state: the cycle
-test, the readers and DOT export walk the edge list, and only the
-connectivity checks, Mitchell's reduction and hamiltonian enumeration build
-an adjacency, on the call that needs it.
+A graph is its labels and its edges, plain (u, v, tag) tuples with u < v
+kept as its builder made them, and holds no cached state: the cycle test,
+the readers and DOT export walk the edge list, and one helper,
+``_neighbour_sets``, builds the only adjacency, on the call that needs it.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ import functools
 import gc
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
-
-
-class Edge(NamedTuple):
-    u: int
-    v: int
-    tag: Optional[str]
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class Multigraph:
@@ -46,17 +40,17 @@ class Multigraph:
                 raise ValueError(f"loops are not allowed: {e}")
             if u > v:
                 u, v = v, u
-            es.append(Edge(u, v, tag))
+            es.append((u, v, tag))
         self.edges = tuple(es)
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...], edges: Iterable[tuple]) -> "Multigraph":
         """A graph on labels and edges that are already checked: string
-        labels, and (u, v, tag) triples with 0 <= u < v < len(labels)."""
+        labels, and (u, v, tag) tuples with 0 <= u < v < len(labels), which
+        are kept as they are, not copied."""
         graph = cls.__new__(cls)
         graph.labels = labels
-        # tuple.__new__ skips the namedtuple's Python-level __new__
-        graph.edges = tuple(map(tuple.__new__, itertools.repeat(Edge), edges))
+        graph.edges = tuple(edges)
         return graph
 
     @property
@@ -89,14 +83,14 @@ class Multigraph:
 
     def connected_components(self) -> list[list[int]]:
         n = self.n_vertices
-        adj = _incidence_lists(n, self.edges)
+        adj = _neighbour_sets(self)
         seen = [False] * n
         return [sorted(_reach(adj, v, seen)) for v in range(n) if not seen[v]]
 
     def is_connected(self) -> bool:
         """One traversal from vertex 0 reaches every vertex."""
         n = self.n_vertices
-        return n <= 1 or len(_reach(_incidence_lists(n, self.edges), 0, [False] * n)) == n
+        return n <= 1 or len(_reach(_neighbour_sets(self), 0, [False] * n)) == n
 
     def is_cycle(self) -> bool:
         """Connected, at least 3 vertices, every degree exactly 2."""
@@ -104,8 +98,8 @@ class Multigraph:
 
     def is_simple(self) -> bool:
         seen = set()
-        for e in self.edges:
-            key = (e.u, e.v)
+        for u, v, _ in self.edges:
+            key = (u, v)
             if key in seen:
                 return False
             seen.add(key)
@@ -114,8 +108,8 @@ class Multigraph:
     def simple_support(self) -> "Multigraph":
         """Collapse parallel edges, keeping the first tag."""
         seen = {}
-        for e in self.edges:
-            seen.setdefault((e.u, e.v), e.tag)
+        for u, v, tag in self.edges:
+            seen.setdefault((u, v), tag)
         return Multigraph(
             self.labels, [(u, v, tag) for (u, v), tag in seen.items()]
         )
@@ -131,9 +125,9 @@ class Multigraph:
         kept = sorted(set(keep))
         index = {v: i for i, v in enumerate(kept)}
         edges = [
-            (index[e.u], index[e.v], e.tag)
-            for e in self.edges
-            if e.u in index and e.v in index
+            (index[u], index[v], tag)
+            for u, v, tag in self.edges
+            if u in index and v in index
         ]
         return Multigraph([self.labels[v] for v in kept], edges)
 
@@ -163,14 +157,14 @@ class Multigraph:
 def collector_paused(build: Callable) -> Callable:
     """Run ``build`` with the cyclic garbage collector held off.
 
-    A build (a quotient, a truncation, the adjacency a connectivity check
-    traverses, the per-vertex ends a cycle walk follows) allocates up to
-    hundreds of thousands of tuples, lists and dicts and makes no reference
-    cycles, so reference counting frees all of it, and the collector's
-    passes over it (hundreds per quotient build, 11-16% of its time) find
-    nothing.  Their cost is memory-bound and swings with the host's caches
-    more than the rest of the build does.  The collector's state is
-    restored on return.
+    A build (a quotient, a truncation, the neighbour sets of
+    ``_neighbour_sets``, the per-vertex ends a cycle walk follows) allocates
+    up to hundreds of thousands of tuples, lists, sets and dicts and makes
+    no reference cycles, so reference counting frees all of it, and the
+    collector's passes over it (hundreds per quotient build, 11-16% of its
+    time) find nothing.  Their cost is memory-bound and swings with the
+    host's caches more than the rest of the build does.  The collector's
+    state is restored on return.
     """
 
     @functools.wraps(build)
@@ -187,23 +181,24 @@ def collector_paused(build: Callable) -> Callable:
 
 
 @collector_paused
-def _incidence_lists(n: int, edges: tuple[Edge, ...]) -> list[list[tuple[int, int]]]:
-    """Each of the n vertices' (neighbour, edge index) pairs in edge order,
-    built afresh for each connectivity check."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, (u, v, _) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
+def _neighbour_sets(g: Multigraph) -> list[set[int]]:
+    """Each vertex's set of neighbours, from one pass over the edges: the
+    one adjacency a graph builds, afresh on each call that needs it (the
+    connectivity checks, Mitchell's reduction, hamiltonian enumeration)."""
+    adj: list[set[int]] = [set() for _ in g.labels]
+    for u, v, _ in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     return adj
 
 
-def _reach(adj: list[list[tuple[int, int]]], start: int, seen: list[bool]) -> list[int]:
+def _reach(adj: list[set[int]], start: int, seen: list[bool]) -> list[int]:
     """The vertices reachable from ``start`` that ``seen`` has not marked,
     marked as they are reached, ``start`` first."""
     seen[start] = True
     reached, stack = [start], [start]
     while stack:
-        for w, _ in adj[stack.pop()]:
+        for w in adj[stack.pop()]:
             if not seen[w]:
                 seen[w] = True
                 reached.append(w)
@@ -274,7 +269,7 @@ class EdgeCut:
         if not s or len(s) >= g.n_vertices:
             raise ValueError("cut side must be nonempty and proper")
         cut = tuple(
-            i for i, e in enumerate(g.edges) if (e.u in s) != (e.v in s)
+            i for i, (u, v, _) in enumerate(g.edges) if (u in s) != (v in s)
         )
         return cls(s, cut)
 
@@ -330,11 +325,11 @@ def cubic_cycles_through_edge(g: Multigraph, edge_index: int) -> int:
     """Number of hamiltonian cycles through one edge of a cubic simple graph."""
     if any(d != 3 for d in g.degrees()):
         raise ValueError("graph is not cubic")
-    e = g.edges[edge_index]
+    u, v, _ = g.edges[edge_index]
     return sum(
         1
         for cyc in enumerate_hamiltonian_cycles(g)
-        if cycle_contains_edge(cyc, e.u, e.v)
+        if cycle_contains_edge(cyc, u, v)
     )
 
 
@@ -359,13 +354,13 @@ def find_cut_separating_pair(
     if e1 not in factor or e2 not in factor or e1 == e2:
         raise ValueError("e1, e2 must be distinct edges of the 2-factor")
     other_factor = [i for i in factor if i not in (e1, e2)]
-    ends = [(e.u, e.v) for e in g.edges]
-    f1, f2 = g.edges[e1], g.edges[e2]
+    ends = [(u, v) for u, v, _ in g.edges]
+    (u1, v1), (u2, v2) = ends[e1], ends[e2]
 
     best: Optional[tuple[int, tuple[int, ...]]] = None
     for flip in (False, True):
-        pin = {f1.u: True, f1.v: False}
-        a2, b2 = (f2.u, f2.v) if not flip else (f2.v, f2.u)
+        pin = {u1: True, v1: False}
+        a2, b2 = (u2, v2) if not flip else (v2, u2)
         if pin.get(a2) is False or pin.get(b2) is True:
             continue
         pin[a2], pin[b2] = True, False
@@ -455,16 +450,7 @@ def spans_nest(spans: Iterable[tuple[int, int]]) -> bool:
 def tagged_cycle_positions(g: Multigraph, tag: Optional[str]) -> Optional[list[int]]:
     """Each vertex's position along the edges tagged ``tag`` when they form a
     hamiltonian cycle, else None: ``is_cycle`` on their spanning subgraph."""
-    return _cycle_positions(len(g.labels), (e for e in g.edges if e.tag == tag))
-
-
-def _neighbour_sets(g: Multigraph) -> list[set[int]]:
-    """Each vertex's set of neighbours, from one pass over the edges."""
-    adj: list[set[int]] = [set() for _ in g.labels]
-    for u, v, _ in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+    return _cycle_positions(len(g.labels), (e for e in g.edges if e[2] == tag))
 
 
 def _blocks(adj: list[set[int]]) -> list[set[int]]:
@@ -542,7 +528,7 @@ def has_minor(g: Multigraph, target: str, max_vertices: int = 10) -> bool:
         )
     check = {"K4": _has_k4_subgraph, "K23": _has_k23_subgraph}[target]
     start = frozenset(
-        frozenset((frozenset((e.u,)), frozenset((e.v,)))) for e in g.edges
+        frozenset((frozenset((u,)), frozenset((v,)))) for u, v, _ in g.edges
     )
     seen = set()
     stack = [start]

@@ -113,9 +113,10 @@ def edge_tag(g) -> str:
 
 
 def generator_subgraph(graph: Multigraph, g) -> Multigraph:
-    """The spanning subgraph on generator g's edges: the build on g alone."""
+    """The spanning subgraph on generator g's edges: the build on g alone.
+    Its edges are the very tuples of ``graph``, filtered by tag."""
     tag = edge_tag(g)
-    return graph.without_edges(i for i, e in enumerate(graph.edges) if e.tag != tag)
+    return Multigraph._trusted(graph.labels, [e for e in graph.edges if e[2] == tag])
 
 
 def check_budget(count: int, budget: int, what: str = "classes") -> None:

@@ -12,7 +12,7 @@ def nx_outerplanar():
         apex = g.n_vertices
         graph = nx.Graph()
         graph.add_nodes_from(range(apex + 1))
-        graph.add_edges_from((e.u, e.v) for e in g.edges)
+        graph.add_edges_from((u, v) for u, v, _ in g.edges)
         graph.add_edges_from((apex, v) for v in range(apex))
         return nx.check_planarity(graph)[0]
 

@@ -53,7 +53,7 @@ def w(text, rank=2):
 
 
 def sorted_label_edges(g):
-    return sorted(tuple(sorted((g.labels[e.u], g.labels[e.v]))) for e in g.edges)
+    return sorted(tuple(sorted((g.labels[u], g.labels[v]))) for u, v, _ in g.edges)
 
 
 def cycle_edge_set(order):
@@ -181,9 +181,9 @@ def test_criterion_08_cubic_parity():
         for name, g in corpus_graphs(names).items():
             assert all(d == 3 for d in g.degrees()), name
             cycles = enumerate_hamiltonian_cycles(g)
-            for idx, e in enumerate(g.edges):
+            for idx, (u, v, _) in enumerate(g.edges):
                 through = sum(
-                    1 for cyc in cycles if cycle_contains_edge(cyc, e.u, e.v)
+                    1 for cyc in cycles if cycle_contains_edge(cyc, u, v)
                 )
                 assert through % 2 == 0, (name, idx)
                 if name == "k4":

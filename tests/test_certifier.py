@@ -36,7 +36,7 @@ def w(text, rank=2):
 
 def edge_labels(g):
     return sorted(
-        tuple(sorted((g.labels[e.u], g.labels[e.v]))) for e in g.edges
+        tuple(sorted((g.labels[u], g.labels[v]))) for u, v, _ in g.edges
     )
 
 
@@ -194,7 +194,7 @@ def whitehead_oracle(word):
     and a brute-force search for a cut vertex."""
     g = level_one_quotient(word)
     t = word.letters
-    edges = [(e.u, e.v) for e in g.edges if 0 not in (e.u, e.v)]
+    edges = [(u, v) for u, v, _ in g.edges if 0 not in (u, v)]
     edges.append((g.vertex(letter_str(-t[-1])), g.vertex(letter_str(t[0]))))
     contracted = Multigraph(g.labels[1:], [(u - 1, v - 1) for u, v in edges])
     every = range(contracted.n_vertices)

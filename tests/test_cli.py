@@ -194,7 +194,7 @@ class TestQuotientCommand:
         def no_adjacency(*args):
             raise AssertionError("a per-vertex adjacency was built")
 
-        monkeypatch.setattr("hamcirc.multigraph._incidence_lists", no_adjacency)
+        monkeypatch.setattr("hamcirc.multigraph._neighbour_sets", no_adjacency)
         dot.unlink()
         assert [run_cli(capsys, *argv)[:2] for argv in argvs] == expected
         assert dot.read_bytes() == dot_bytes
@@ -289,6 +289,26 @@ class TestOtherCommands:
     def test_finite_unique(self, capsys):
         code, out, _ = run_cli(capsys, "finite", "dihedral:10:a,b")
         assert out.strip() == "hamiltonian cycles: 1, unique: yes"
+
+    def test_finite_dot_builds_the_graph_once(self, capsys, tmp_path, monkeypatch):
+        import hamcirc.finite as finite
+
+        calls = []
+        build = finite.build_finite_cayley
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(finite, "build_finite_cayley", counting)
+        # an import by name in the CLI would bypass the module attribute
+        monkeypatch.setattr("hamcirc.cli.build_finite_cayley", counting, raising=False)
+        out_path = tmp_path / "finite.dot"
+        code, out, _ = run_cli(capsys, "finite", "dihedral:10:a,b", "--dot", str(out_path))
+        assert code == 0
+        assert out.strip() == "hamiltonian cycles: 1, unique: yes"
+        assert len(calls) == 1
+        assert out_path.read_text() == build(finite.parse_spec("dihedral:10:a,b")).to_dot()
 
     def test_finite_bad_spec(self, capsys):
         code, _, err = run_cli(capsys, "finite", "ring:5:1")

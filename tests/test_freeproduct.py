@@ -20,6 +20,7 @@ from hamcirc.freeproduct import (
     syllables_str,
     verify_circle_truncations,
 )
+from hamcirc.multigraph import Multigraph, tagged_cycle_positions
 from hamcirc.quotients import (
     COUNT_CAP,
     BudgetExceeded,
@@ -396,7 +397,7 @@ class TestVerification:
         def strand_the_identity(m, n, gens, depth):
             # drop the circle edges at class "1", keeping its a-edges
             q = real(m, n, gens, depth)
-            drop = [i for i, e in enumerate(q.graph.edges) if e.u == 0 and e.tag == "a1b1"]
+            drop = [i for i, (u, _, tag) in enumerate(q.graph.edges) if u == 0 and tag == "a1b1"]
             assert len(drop) == 2
             return dataclasses.replace(q, graph=q.graph.without_edges(drop))
 
@@ -404,6 +405,64 @@ class TestVerification:
         report = verify_circle_truncations(3, 2, 1)
         assert report.circle_spans_full == (False,)
         assert not report.passed
+
+    @staticmethod
+    def _reference(full, tag):
+        """(circle is a cycle, full connected, circle spans) from degrees and
+        connected components alone."""
+        circle = full.without_edges(i for i, (_, _, t) in enumerate(full.edges) if t != tag)
+        degrees = circle.degrees()
+        one_piece = len(circle.connected_components()) == 1
+        return (
+            len(degrees) >= 3 and set(degrees) == {2} and one_piece,
+            len(full.connected_components()) == 1,
+            all(degrees),
+        )
+
+    def _fields_with(self, monkeypatch, change, m=3, n=2, r_max=3):
+        """The per-depth fields of a report whose truncations went through
+        ``change``, checked against the reference on each changed graph."""
+        real, built = build_truncation, []
+
+        def changed(m, n, gens, depth):
+            q = real(m, n, gens, depth)
+            built.append(change(q.graph, edge_tag(gens[1])))
+            return dataclasses.replace(q, graph=built[-1])
+
+        monkeypatch.setattr("hamcirc.freeproduct.build_truncation", changed)
+        report = verify_circle_truncations(m, n, r_max)
+        fields = list(zip(report.circle_is_cycle, report.full_connected, report.circle_spans_full))
+        assert fields == [self._reference(g, edge_tag(gen_ab(m, n))) for g in built]
+        assert not report.passed
+        return fields
+
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 3)])
+    def test_isolated_class_fails_all_three(self, monkeypatch, m, n):
+        def isolate_last(g, tag):
+            last = g.n_vertices - 1
+            return g.without_edges(i for i, (u, v, _) in enumerate(g.edges) if last in (u, v))
+
+        fields = self._fields_with(monkeypatch, isolate_last, m, n)
+        assert fields == [(False, False, False)] * 3
+
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 3)])
+    def test_circle_split_in_two_stays_connected_and_spanning(self, monkeypatch, m, n):
+        def split_circle(g, tag):
+            # swap the far ends of two opposite circle edges (x0, x1) and
+            # (xh, xh+1): the ab-edges close into two cycles, x1..xh and
+            # xh+1..x0, and every class keeps its two circle edges
+            pos = tagged_cycle_positions(g, tag)
+            at = sorted(range(g.n_vertices), key=pos.__getitem__)
+            h = len(at) // 2
+            drop = [
+                next(i for i in g.edges_between(x, y) if g.edges[i][2] == tag)
+                for x, y in ((at[0], at[1]), (at[h], at[h + 1]))
+            ]
+            kept = g.without_edges(drop).edges
+            return Multigraph(g.labels, [*kept, (at[0], at[h + 1], tag), (at[h], at[1], tag)])
+
+        fields = self._fields_with(monkeypatch, split_circle, m, n)
+        assert fields == [(False, True, True)] * 3
 
     def test_report_keeps_deepest_circle(self):
         report = verify_circle_truncations(3, 2, 2)

@@ -52,7 +52,7 @@ class TestCertifiedWords:
         assert g.n_edges == 9  # 5 circle edges + 4 tree edges
         one = g.labels.index("1")
         assert g.degree(one) == 6
-        circle = [e for e in g.edges if e.tag == "aabb"]
+        circle = [(u, v) for u, v, tag in g.edges if tag == "aabb"]
         assert len(circle) == 5
         for v in range(g.n_vertices):
             if v != one:
@@ -107,7 +107,7 @@ def test_yes_word_never_builds_adjacency(monkeypatch, n, text, level):
         raise AssertionError("a per-vertex adjacency was built")
 
     monkeypatch.setattr("hamcirc.outerplanar.build_quotient_local", recording)
-    monkeypatch.setattr("hamcirc.multigraph._incidence_lists", no_adjacency)
+    monkeypatch.setattr("hamcirc.multigraph._neighbour_sets", no_adjacency)
     report = verify_outerplanar_quotient(n, w(text, n), level)
     assert report.precondition_ok and report.passed
     assert len(built) == level

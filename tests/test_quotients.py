@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hamcirc.certifier import level_one_quotient
+from hamcirc.multigraph import Multigraph
 from hamcirc.outerplanar import tree_generators
 from hamcirc.quotients import (
     COUNT_CAP,
@@ -87,12 +88,12 @@ class TestLevelOneAgainstDefinition:
         q = build_quotient_enum(rank, [word], 1)
         assert sorted(built.labels) == sorted(q.graph.labels)
         direct = sorted(
-            tuple(sorted((built.labels[e.u], built.labels[e.v])))
-            for e in built.edges
+            tuple(sorted((built.labels[u], built.labels[v])))
+            for u, v, _ in built.edges
         )
         quotient = sorted(
-            tuple(sorted((q.graph.labels[e.u], q.graph.labels[e.v])))
-            for e in q.graph.edges
+            tuple(sorted((q.graph.labels[u], q.graph.labels[v])))
+            for u, v, _ in q.graph.edges
         )
         assert direct == quotient
 
@@ -266,7 +267,7 @@ class TestKernelAgainstOracle:
         # generators they were found from.
         gens = [w("aaa"), w("AAb")]
         q = build_quotient_local(2, gens, 1)
-        a_to_A = [(e.tag, pair) for e, pair in zip(q.graph.edges, q.edge_pairs) if (e.u, e.v) == (1, 2)]
+        a_to_A = [(tag, pair) for (u, v, tag), pair in zip(q.graph.edges, q.edge_pairs) if (u, v) == (1, 2)]
         assert a_to_A == [
             ("aaa", ((1,), (-1, -1))),
             ("AAb", ((1,), (-1, 2))),
@@ -294,6 +295,41 @@ class TestGeneratorSubgraph:
             derived = generator_subgraph(full.graph, s)
             assert derived.labels == alone.labels, (text, level)
             assert derived.edges == alone.edges, (text, level)
+
+
+class TestEdgeTuples:
+    """Every builder's edges are plain (u, v, tag) tuples with u < v, and a
+    subgraph keeps its parent's edge objects rather than copying them."""
+
+    @staticmethod
+    def graphs():
+        from hamcirc.freeproduct import build_truncation, gen_a, gen_ab
+
+        s = w("aabb")
+        full = build_quotient_local(2, tree_generators(2) + [s], 3).graph
+        yield Multigraph(["x", "y", "z"], [(1, 0), (1, 2, "p"), (2, 0, None)])
+        yield full
+        yield build_quotient_enum(2, tree_generators(2) + [s], 2).graph
+        yield build_truncation(3, 2, [gen_a(3, 2), gen_ab(3, 2)], 2).graph
+        yield generator_subgraph(full, s)
+        yield full.without_edges(range(0, full.n_edges, 3))
+        yield full.simple_support()
+        yield full.induced_subgraph(range(1, full.n_vertices, 2))
+
+    def test_builders_give_plain_ordered_triples(self):
+        for g in self.graphs():
+            assert g.n_edges > 0
+            for e in g.edges:
+                assert type(e) is tuple and len(e) == 3
+                assert e[0] < e[1]
+
+    def test_generator_subgraph_shares_edge_objects(self):
+        s = w("aabb")
+        full = build_quotient_local(2, tree_generators(2) + [s], 3).graph
+        circle = generator_subgraph(full, s)
+        kept = [e for e in full.edges if e[2] == "aabb"]
+        assert len(circle.edges) == len(kept) > 0
+        assert all(a is b for a, b in zip(circle.edges, kept))
 
 
 class TestDegreeLaw:
@@ -367,7 +403,7 @@ class TestCircleCuts:
         word = w("aabb")
         q = build_quotient_local(2, tree_generators(2) + [word], 2)
         g = q.graph
-        circle = [i for i, e in enumerate(g.edges) if e.tag == "aabb"]
+        circle = [i for i, (_, _, tag) in enumerate(g.edges) if tag == "aabb"]
         assert len(circle) == 17
         pairs = list(combinations(circle, 2))
         for e1, e2 in pairs[::9]:  # deterministic sample
