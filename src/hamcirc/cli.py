@@ -29,7 +29,7 @@ from .certifier import (
 from .finite import build_finite_cayley, parse_spec
 from .freeproduct import verify_circle_truncations
 from .minimize import DEFAULT_ORBIT_CAP, OrbitCapExceeded
-from .multigraph import enumerate_hamiltonian_cycles
+from .multigraph import check_enumeration_size, enumerate_hamiltonian_cycles
 from .outerplanar import tree_generators, verify_outerplanar_quotient
 from .quotients import BudgetExceeded, build_quotient_local, edge_tag
 from .words import ReducedWord
@@ -183,6 +183,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_finite(args) -> int:
     spec = parse_spec(args.spec)
+    check_enumeration_size(spec.size)  # the order is the vertex count
     graph = build_finite_cayley(spec)  # built once, for the count and the DOT
     count = len(enumerate_hamiltonian_cycles(graph))
     unique = count == 1

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from .multigraph import Multigraph, enumerate_hamiltonian_cycles, parse_adjacency
+from .multigraph import (
+    Multigraph,
+    check_enumeration_size,
+    enumerate_hamiltonian_cycles,
+    parse_adjacency,
+)
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,9 @@ def second_cycle_cyclic(n: int, s: int) -> tuple[int, ...]:
 
 
 def verify_unique_finite(spec: FiniteCayleySpec) -> tuple[int, bool]:
-    """(number of hamiltonian cycles, whether it is exactly one)."""
+    """(number of hamiltonian cycles, whether it is exactly one).  A group
+    order past the enumeration cap is refused before the graph is built."""
+    check_enumeration_size(spec.size)
     count = len(enumerate_hamiltonian_cycles(build_finite_cayley(spec)))
     return count, count == 1
 

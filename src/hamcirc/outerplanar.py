@@ -3,9 +3,13 @@
 When the certifier answers Yes for a word s, every truncation
 Cay(F_n; A u s^{+-1}) / level-L must be outerplanar (no K4 or K2,3 minor)
 and must contain the circle's truncation as a hamiltonian cycle.  The
-circle is the s-edge subgraph of that one full truncation, so each level
-is built once.  Only the checked levels are attested; nothing is claimed
-about the infinite graph beyond them.
+circle is the s-edge subgraph of that one full truncation.  Only the top
+level is built; each shallower one is contracted from the level above it
+(``contract_level``), which gives the same classes and the same edge
+multiset as a rebuild, because prefix classes nest: a group edge between
+two classes at one level joins two classes at every deeper one.  Only the
+checked levels are attested; nothing is claimed about the infinite graph
+beyond them.
 
 The two checks share one walk.  A 2-connected outerplanar graph has exactly
 one hamiltonian cycle, its outer face (Sysło, "Characterizations of
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 from .certifier import VERDICT_YES, certify
 from .multigraph import is_outerplanar, tagged_cycle_positions
-from .quotients import build_quotient_local, check_quotient_budget, edge_tag
+from .quotients import build_quotient_local, check_quotient_budget, contract_level, edge_tag
 from .words import ReducedWord
 
 
@@ -78,7 +82,9 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
 
     The certifier verdict for s is recorded; when it is not Yes the checks
     still run (callers report the violated precondition rather than skip),
-    which is how negative controls are exercised.  The circle spans the
+    which is how negative controls are exercised.  Only ``max_level`` is
+    built; the levels below are contracted from it, then all are checked in
+    increasing order.  The circle spans the
     vertices of the full quotient, so a cycle on it is hamiltonian.  Each
     level walks the s-edges once; if they form a hamiltonian cycle, the
     level is outerplanar iff its edges nest as chords of that cycle (Sysło
@@ -90,9 +96,12 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
     check_quotient_budget(n, max_level)
     cert = certify(n, s, max_level=1)
     tag = edge_tag(s)
+    fulls = [build_quotient_local(n, tree_generators(n) + [s], max_level).graph]
+    for level in range(max_level - 1, 0, -1):
+        fulls.append(contract_level(n, fulls[-1], level))
     levels = []
     for level in range(1, max_level + 1):
-        full = build_quotient_local(n, tree_generators(n) + [s], level).graph
+        full = fulls.pop()  # freed once checked
         circle = tagged_cycle_positions(full, tag)
         outer = is_outerplanar(full, circle)
         levels.append(LevelReport(level, full.n_vertices, outer, circle is not None))

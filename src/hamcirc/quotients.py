@@ -17,7 +17,8 @@ letters on those integers: short classes walk every generator, and a
 full-length class with last letter a walks from each occurrence of a^-1.
 Both builders take the level's classes in vertex order from
 ``shortlex_labels`` (the enumeration through ``shortlex_words``), so
-nothing is sorted per word.
+nothing is sorted per word.  ``contract_level`` derives a shallower level
+from a deeper one by the same numbering, without a rebuild.
 
 The integer kernels here and in ``freeproduct`` share their tail: each
 puts a class's (class, far class, start id) triples in order with
@@ -423,6 +424,35 @@ def build_quotient_local(
 
     tags = [tag for _, _, tag in starts]
     return assemble(labels, level, sym, out, tags, pair)
+
+
+@collector_paused
+def contract_level(n: int, graph: Multigraph, level: int) -> Multigraph:
+    """The rank-n prefix quotient at ``level``, contracted from ``graph``,
+    one at a deeper level numbered as ``build_quotient_local`` numbers it.
+
+    The count_reduced_words(n, level) classes at ``level`` keep their ids;
+    every deeper class merges into its ancestor among them.  Prefix classes
+    nest, so each edge at ``level`` is exactly one edge of ``graph`` whose
+    ends do not merge: the labels and edge multiset are a rebuild's.  The
+    map is not monotone, so mapped ends are put back in order; only the
+    order of the edges differs from a rebuild.
+    """
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    size, d = count_reduced_words(n, level), 2 * n - 1
+    up = list(range(size))
+    for i in range(size, len(graph.labels)):
+        up.append(up[(i - 2) // d])
+    edges = []
+    for e in graph.edges:
+        u, v, tag = e
+        if v < size:
+            edges.append(e)
+        elif up[u] != up[v]:
+            u, v = up[u], up[v]
+            edges.append((u, v, tag) if u < v else (v, u, tag))
+    return Multigraph._trusted(graph.labels[:size], edges)
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:

@@ -310,6 +310,18 @@ class TestOtherCommands:
         assert len(calls) == 1
         assert out_path.read_text() == build(finite.parse_spec("dihedral:10:a,b")).to_dot()
 
+    def test_finite_refuses_a_large_order_before_building(self, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the graph was built before its size was checked")
+
+        monkeypatch.setattr("hamcirc.finite.build_finite_cayley", no_build)
+        monkeypatch.setattr("hamcirc.cli.build_finite_cayley", no_build)
+        for spec in ("cyclic:300000:1", "dihedral:22:a,b"):
+            code, out, err = run_cli(capsys, "finite", spec)
+            order = spec.split(":")[1]
+            assert (code, out) == (3, "")
+            assert err == f"error: graph too large for enumeration: {order} > 20\n"
+
     def test_finite_bad_spec(self, capsys):
         code, _, err = run_cli(capsys, "finite", "ring:5:1")
         assert code == 3
@@ -340,9 +352,11 @@ class TestOtherCommands:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(outerplanar, "build_quotient_local", counting)
-        code, _, _ = run_cli(capsys, "outerplanar", "-n", "2", "-s", "aabb", "-l", "3")
+        code, out, _ = run_cli(capsys, "outerplanar", "-n", "2", "-s", "aabb", "-l", "3")
         assert code == 0
-        assert [args[2] for args in calls] == [1, 2, 3]  # the full quotient per level
+        assert out.count("outerplanar: yes") == 3  # every level is checked
+        # one full quotient, at the top level; the shallower ones are its contractions
+        assert [args[2] for args in calls] == [3]
 
     def test_outerplanar_json_schema(self, capsys):
         _, out, _ = run_cli(

@@ -98,6 +98,18 @@ class TestUniqueness:
         count, unique = verify_unique_finite(parse_spec("dihedral:12:a,b,aba"))
         assert count >= 2 and count % 2 == 0 and not unique
 
+    def test_large_order_refused_before_building(self, monkeypatch):
+        assert verify_unique_finite(parse_spec("cyclic:20:1")) == (1, True)  # at the cap
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the graph was built before its size was checked")
+
+        monkeypatch.setattr("hamcirc.finite.build_finite_cayley", no_build)
+        with pytest.raises(ValueError, match=r"^graph too large for enumeration: 300000 > 20$"):
+            verify_unique_finite(parse_spec("cyclic:300000:1"))
+        with pytest.raises(ValueError, match=r"^graph too large for enumeration: 22 > 20$"):
+            verify_unique_finite(parse_spec("dihedral:22:a,b"))
+
 
 class TestCorpus:
     def test_names_present(self):

@@ -110,7 +110,9 @@ def test_yes_word_never_builds_adjacency(monkeypatch, n, text, level):
     monkeypatch.setattr("hamcirc.multigraph._neighbour_sets", no_adjacency)
     report = verify_outerplanar_quotient(n, w(text, n), level)
     assert report.precondition_ok and report.passed
-    assert len(built) == level
+    assert [lv.level for lv in report.levels] == list(range(1, level + 1))
+    # one build, at the top level; every shallower level is contracted from it
+    assert [g.n_vertices for g in built] == [count_reduced_words(n, level)]
 
 
 def test_level_one_quotients_agree_with_minor_oracle():

@@ -12,6 +12,7 @@ from hamcirc.quotients import (
     BudgetExceeded,
     build_quotient_enum,
     build_quotient_local,
+    contract_level,
     generator_subgraph,
     quotients_equal,
     symmetric_closure,
@@ -295,6 +296,60 @@ class TestGeneratorSubgraph:
             derived = generator_subgraph(full.graph, s)
             assert derived.labels == alone.labels, (text, level)
             assert derived.edges == alone.edges, (text, level)
+
+
+def _random_words(rng, n, count, circle, longest):
+    """Seeded reduced words of length 2..longest; with ``circle`` only those
+    whose level-1 circle quotient is a cycle (the Yes shape), without it
+    only those whose quotient is not."""
+    words = []
+    while len(words) < count:
+        word = random_word(rng, n, rng.randint(2, longest))
+        if level_one_quotient(word).is_cycle() == circle:
+            words.append(word)
+    return words
+
+
+class TestContractLevel:
+    """A shallower level contracted from a deeper one against a rebuild at
+    that level: the same labels and the same edge multiset, u < v on every
+    edge.  Only the edge order may differ."""
+
+    @staticmethod
+    def same(contracted, built):
+        assert contracted.labels == built.labels
+        assert all(u < v for u, v, _ in contracted.edges)
+        assert sorted(contracted.edges) == sorted(built.edges)
+
+    @pytest.mark.parametrize("rank, top", [(2, 6), (3, 4)])
+    def test_matches_the_kernel_at_every_level(self, rank, top):
+        rng = random.Random(rank * 7)
+        words = _random_words(rng, rank, 8, True, 8) + _random_words(rng, rank, 8, False, top + 4)
+        assert max(len(s) for s in words) > top  # walks that cancel through several depths
+        for s in words:
+            for gens in (tree_generators(rank) + [s], [s]):
+                deepest = build_quotient_local(rank, gens, top).graph
+                above = deepest
+                for level in range(top - 1, 0, -1):
+                    built = build_quotient_local(rank, gens, level).graph
+                    above = contract_level(rank, above, level)  # from the level above
+                    self.same(above, built)
+                    self.same(contract_level(rank, deepest, level), built)  # from the top
+
+    # a rank-3 word of the Yes shape has length 6 or more, which puts the
+    # enumeration horizon past the test's time; the kernel test covers it
+    @pytest.mark.parametrize("rank, longest, shapes", [(2, 5, (True, False)), (3, 3, (False,))])
+    def test_matches_the_enumeration(self, rank, longest, shapes):
+        rng = random.Random(rank * 11)
+        words = [s for circle in shapes for s in _random_words(rng, rank, 3, circle, longest)]
+        for s in words:
+            gens = tree_generators(rank) + [s]
+            kernel = build_quotient_local(rank, gens, 3).graph
+            enum = build_quotient_enum(rank, gens, 3).graph
+            for level in (1, 2):
+                built = build_quotient_enum(rank, gens, level).graph
+                self.same(contract_level(rank, kernel, level), built)
+                self.same(contract_level(rank, enum, level), built)
 
 
 class TestEdgeTuples:
