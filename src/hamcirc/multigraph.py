@@ -277,23 +277,21 @@ class EdgeCut:
 ENUM_MAX_VERTICES = 20  # the backtracking enumeration is exponential in the order
 
 
-def check_enumeration_size(n: int, max_vertices: int = ENUM_MAX_VERTICES) -> None:
-    """Refuse hamiltonian enumeration on more than ``max_vertices`` vertices."""
-    if n > max_vertices:
-        raise ValueError(f"graph too large for enumeration: {n} > {max_vertices}")
+def check_enumeration_size(n: int) -> None:
+    """Refuse hamiltonian enumeration on more than ``ENUM_MAX_VERTICES`` vertices."""
+    if n > ENUM_MAX_VERTICES:
+        raise ValueError(f"graph too large for enumeration: {n} > {ENUM_MAX_VERTICES}")
 
 
-def enumerate_hamiltonian_cycles(
-    g: Multigraph, max_vertices: int = ENUM_MAX_VERTICES
-) -> list[tuple[int, ...]]:
+def enumerate_hamiltonian_cycles(g: Multigraph) -> list[tuple[int, ...]]:
     """Every hamiltonian cycle exactly once, canonicalized.
 
     Canonical form: starts at vertex 0, and of the two directions the one
     whose second vertex is smaller than its last.  Backtracking search;
-    requires a simple graph with at most ``max_vertices`` vertices.
+    requires a simple graph with at most ``ENUM_MAX_VERTICES`` vertices.
     """
     n = g.n_vertices
-    check_enumeration_size(n, max_vertices)
+    check_enumeration_size(n)
     if not g.is_simple():
         raise ValueError("hamiltonian enumeration requires a simple graph")
     if n < 3:
@@ -408,15 +406,9 @@ def is_outerplanar(g: Multigraph, circle: Optional[Sequence[int]] = None) -> boo
     Discrete Math. 26, 1979), so g is outerplanar iff no two of its edges cross
     as chords of that cycle."""
     if circle is not None:
-        keys = []  # (lo, -hi) per chord; an edge between circle neighbours crosses nothing
-        for u, v, _ in g.edges:
-            a, b = circle[u], circle[v]
-            if a > b + 1:
-                keys.append((b, -a))
-            elif b > a + 1:
-                keys.append((a, -b))
-        keys.sort()
-        return _keys_nest(keys)
+        ends = ((circle[u], circle[v]) for u, v, _ in g.edges)
+        # an edge between neighbours on the circle crosses nothing
+        return spans_nest((a, b) if a < b else (b, a) for a, b in ends if not -1 <= a - b <= 1)
     adj = _neighbour_sets(g)
     for block in _blocks(adj):
         work = {v: adj[v] & block for v in block}
@@ -453,14 +445,8 @@ def spans_nest(spans: Iterable[tuple[int, int]]) -> bool:
     """No two spans (lo, hi), lo < hi, cross: none has lo < lo' < hi < hi'.
     Spans that share an end, or are equal, nest.  With a cycle's vertices
     numbered along it, the spans of its chords nest iff no two chords cross."""
-    return _keys_nest(sorted((lo, -hi) for lo, hi in spans))
-
-
-def _keys_nest(keys: list[tuple[int, int]]) -> bool:
-    """``spans_nest`` on the spans' sorted (lo, -hi) keys: by left end,
-    outer spans first."""
     ends: list[int] = []  # right ends of the open spans, innermost last
-    for lo, neg_hi in keys:
+    for lo, neg_hi in sorted((lo, -hi) for lo, hi in spans):  # by left end, outer spans first
         while ends and ends[-1] <= lo:
             ends.pop()
         if ends and ends[-1] < -neg_hi:
