@@ -15,10 +15,12 @@ The multiplier (Whitehead) automorphisms are generated as compositions of
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .quotients import check_budget
 from .words import (
     RankError,
     ReducedWord,
@@ -276,12 +278,18 @@ def conjugation_by_letter(x: int, rank: int) -> FGAutomorphism:
     return FGAutomorphism.from_moves(moves, rank)
 
 
+MOVE_BUDGET = 100_000  # elementary automorphisms: rank 7 builds 62,512, rank 8 302,720
+
+
 def elementary_automorphisms(rank: int) -> tuple[FGAutomorphism, ...]:
     """The finite elementary set: permutations, sign flips, and multipliers.
 
     Deduplicated on images, deterministic order.  Closed under inversion and
-    contains the identity.
+    contains the identity.  The n! + 2^n + 2n 4^(n-1) automorphisms it builds
+    are counted against MOVE_BUDGET before any is built.
     """
+    count = math.factorial(rank) + 2**rank + 2 * rank * 4 ** (rank - 1)
+    check_budget(count, MOVE_BUDGET, "elementary moves")
     seen: dict[tuple, FGAutomorphism] = {}
     for phi in (
         permutation_automorphisms(rank)

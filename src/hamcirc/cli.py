@@ -10,7 +10,8 @@ The --orbit-cap flag of classify bounds its orbit closure, which exits 3
 past it, as does a cap below 1; certify runs no closure and takes no cap.
 The quotient command uses the per-class synthesis; the enumeration builder
 is the library-level oracle it is tested against.  A level over 500,000
-quotient classes (quotients.QUOTIENT_BUDGET) exits 3.
+quotient classes (quotients.QUOTIENT_BUDGET) exits 3, and so does a word
+that needs minimization at rank 8 or more (automorphisms.MOVE_BUDGET).
 """
 
 from __future__ import annotations

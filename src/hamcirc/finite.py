@@ -124,8 +124,6 @@ def build_finite_cayley(spec: FiniteCayleySpec) -> Multigraph:
         for g in conn:
             other = _dihedral_mul(el, g, half)
             u, v = index[el], index[other]
-            if u == v:
-                raise ValueError("connection element fixes a vertex")
             edges.add((min(u, v), max(u, v)))
     return Multigraph(labels, sorted(edges))
 

@@ -44,7 +44,7 @@ from .quotients import (
     order_pair,
 )
 
-CLASS_BUDGET = 100_000
+CLASS_BUDGET = 100_000  # classes of one truncation
 
 Syllables = tuple[tuple[str, int], ...]
 
@@ -192,19 +192,19 @@ def fp_symmetric_closure(gens: Iterable[FPWord]) -> tuple[FPWord, ...]:
     return tuple(sorted(seen.values()))
 
 
-def count_truncation_classes(m: int, n: int, depth: int, cap: Optional[int] = None) -> int:
+def count_truncation_classes(m: int, n: int, depth: int) -> int:
     """Classes of the depth-r truncation, in closed form: the normal forms
     with fewer than r b-syllables, plus those ending in their r-th one.
 
-    With a cap, counting stops once the total passes it, and that partial
-    total (still above the cap) is returned."""
+    Counting stops once the total passes COUNT_CAP, and that partial total
+    (still above the cap) is returned."""
     a, b = m - 1, n - 1
     if a * b == 1:  # Z_2 * Z_2: every depth adds 4 classes
         return 4 * depth
     total = 1 + a
     for k in range(1, depth):
         total += (1 + a) ** 2 * b**k * a ** (k - 1)
-        if cap is not None and total > cap:
+        if total > COUNT_CAP:
             return total
     return total + (1 + a) * b**depth * a ** (depth - 1)
 
@@ -262,7 +262,6 @@ def build_truncation(
     n: int,
     gens: Iterable[FPWord],
     depth: int,
-    budget: int = CLASS_BUDGET,
 ) -> QuotientGraph:
     """The depth-r truncation of Cay(Z_m * Z_n; gens^{+-1}), class by class.
 
@@ -272,7 +271,7 @@ def build_truncation(
     a group edge leaves a full class only from rep, or from rep * a^i by a
     generator t that starts with a^{m-i} (any other t keeps rep * a^i t in
     the class).  The latter edge is {rep * a^i, rep * t'} with t = a^{m-i} t'.
-    Loops are dropped.  The class count is checked against ``budget`` in
+    Loops are dropped.  The class count is checked against CLASS_BUDGET in
     closed form, before any class is built.
 
     Classes are numbered by ``_class_tree``.  The far end of an edge is
@@ -295,7 +294,7 @@ def build_truncation(
         raise ValueError(f"generators must lie in Z_{m} * Z_{n}")
     if any(g.b_count() > 1 for g in sym):
         raise ValueError("generators may use at most one b-syllable")
-    check_budget(count_truncation_classes(m, n, depth, cap=COUNT_CAP), budget)
+    check_budget(count_truncation_classes(m, n, depth), CLASS_BUDGET)
 
     parent, last, base, full, texts = _class_tree(m, n, depth)
     syllables = _syllables(m, n)
@@ -430,7 +429,7 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
         raise ValueError("family needs m >= 3 and n >= 2")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    check_budget(count_truncation_classes(m, n, r_max, cap=COUNT_CAP), CLASS_BUDGET)
+    check_budget(count_truncation_classes(m, n, r_max), CLASS_BUDGET)
     ab = gen_ab(m, n)
     depths = tuple(range(1, r_max + 1))
     rows = []

@@ -243,9 +243,10 @@ def minimal_orbit(
     return OrbitResult(rank, base, base_chain, parents, None, True)
 
 
-def orbit_minimal_set(w: ReducedWord, cap: int = DEFAULT_ORBIT_CAP) -> tuple[ReducedWord, ...]:
+def orbit_minimal_set(w: ReducedWord) -> tuple[ReducedWord, ...]:
     """All minimal-length orbit words reachable by length-preserving moves.
 
     Deterministically ordered by (length, letter sequence) with a < A < b < B.
+    Raises :class:`OrbitCapExceeded` past ``minimal_orbit``'s default cap.
     """
-    return tuple(minimal_orbit(w, cap=cap).words())
+    return tuple(minimal_orbit(w).words())

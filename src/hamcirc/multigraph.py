@@ -131,10 +131,10 @@ class Multigraph:
         ]
         return Multigraph([self.labels[v] for v in kept], edges)
 
-    def to_dot(self, highlight: Iterable[int] = (), name: str = "") -> str:
-        """DOT text: each label and tag is escaped once (a label without a
-        quote is used as it is), and an edge line takes its attribute text
-        from a table by tag."""
+    def to_dot(self, highlight: Iterable[int] = ()) -> str:
+        """DOT text, no graph name, ``highlight`` edges bold: each label and
+        tag is escaped once (a label without a quote is used as it is), and
+        an edge line takes its attribute text from a table by tag."""
         hi = set(highlight)
         esc = lambda s: s.replace('"', '\\"') if '"' in s else s
         names = [esc(label) for label in self.labels]
@@ -144,7 +144,7 @@ class Multigraph:
             tag: f' [label="{esc(tag)}", penwidth=2.5]' if tag else " [penwidth=2.5]"
             for tag in tags
         }
-        lines = [f"graph {esc(name)} {{" if name else "graph {"]
+        lines = ["graph {"]
         lines += [f'  "{label}";' for label in names]
         lines += [
             f'  "{names[u]}" -- "{names[v]}"{(bold if i in hi else plain)[tag]};'
@@ -275,6 +275,8 @@ class EdgeCut:
 
 
 ENUM_MAX_VERTICES = 20  # the backtracking enumeration is exponential in the order
+CUT_SEARCH_MAX_VERTICES = 22  # so is the search over cut sides
+MINOR_MAX_VERTICES = 10  # and the minor oracle's contraction search
 
 
 def check_enumeration_size(n: int) -> None:
@@ -342,22 +344,19 @@ def cubic_cycles_through_edge(g: Multigraph, edge_index: int) -> int:
 
 
 def find_cut_separating_pair(
-    g: Multigraph,
-    factor_edges: Iterable[int],
-    e1: int,
-    e2: int,
-    max_vertices: int = 22,
+    g: Multigraph, factor_edges: Iterable[int], e1: int, e2: int
 ) -> Optional[EdgeCut]:
     """A smallest edge cut meeting a designated 2-factor in exactly {e1, e2}.
 
     Exhaustive search over vertex sides.  Both named edges must cross the
     cut, so their endpoints are pinned to opposite sides (which also kills
     the side/complement symmetry) and only the remaining vertices are
-    enumerated.  Returns None if no such cut exists.
+    enumerated.  Returns None if no such cut exists.  Refuses a graph of
+    more than ``CUT_SEARCH_MAX_VERTICES`` vertices.
     """
     n = g.n_vertices
-    if n > max_vertices:
-        raise ValueError(f"graph too large for cut search: {n} > {max_vertices}")
+    if n > CUT_SEARCH_MAX_VERTICES:
+        raise ValueError(f"graph too large for cut search: {n} > {CUT_SEARCH_MAX_VERTICES}")
     factor = sorted(set(factor_edges))
     if e1 not in factor or e2 not in factor or e1 == e2:
         raise ValueError("e1, e2 must be distinct edges of the 2-factor")
@@ -523,16 +522,17 @@ def _has_k23_subgraph(edges: frozenset) -> bool:
     return False
 
 
-def has_minor(g: Multigraph, target: str, max_vertices: int = 10) -> bool:
+def has_minor(g: Multigraph, target: str) -> bool:
     """Exact minor test for K4 or K2,3 by contraction enumeration.
 
     A graph has an H minor iff H is a subgraph of some contraction, so the
     search contracts edges in all ways (memoized on the resulting graph)
-    and tests for an H subgraph at each step.
+    and tests for an H subgraph at each step.  Refuses a graph of more
+    than ``MINOR_MAX_VERTICES`` vertices.
     """
-    if g.n_vertices > max_vertices:
+    if g.n_vertices > MINOR_MAX_VERTICES:
         raise ValueError(
-            f"minor oracle capped at {max_vertices} vertices, got {g.n_vertices}"
+            f"minor oracle capped at {MINOR_MAX_VERTICES} vertices, got {g.n_vertices}"
         )
     check = {"K4": _has_k4_subgraph, "K23": _has_k23_subgraph}[target]
     start = frozenset(

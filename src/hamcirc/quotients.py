@@ -27,9 +27,10 @@ pairs behind it (here the shortlex positions of their ends, with no group
 word formed; a truncation forms the pairs of its parallel edges), and
 ``assemble`` builds the ``QuotientGraph``, whose group pairs are derived
 only when asked for.  Every size is checked by ``check_budget`` against a
-count that stops at COUNT_CAP, before any word or class is generated, and
-refused with ``BudgetExceeded``.  Builders run with the cyclic garbage
-collector held off (``collector_paused``).
+count that stops at COUNT_CAP (defined in ``words``), before any word or
+class is generated, and refused with ``BudgetExceeded``.  Every budget is
+a module constant, read when the check runs.  Builders run with the
+cyclic garbage collector held off (``collector_paused``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .multigraph import Multigraph, collector_paused
 from .words import (
     _DIGIT,
+    COUNT_CAP,
     RankError,
     ReducedWord,
     concat_letters,
@@ -54,9 +56,8 @@ from .words import (
     word_key,
 )
 
-ENUM_BUDGET = 5_000_000
+ENUM_BUDGET = 5_000_000  # words the enumeration oracle may generate
 QUOTIENT_BUDGET = 500_000  # classes of one prefix quotient
-COUNT_CAP = 10**12  # a budget check counts no further than this
 
 
 class BudgetExceeded(RuntimeError):
@@ -66,8 +67,9 @@ class BudgetExceeded(RuntimeError):
 @dataclass(frozen=True)
 class QuotientGraph:
     """A prefix quotient of F_n at ``level``, or a Z_m * Z_n truncation at
-    depth ``level``.  ``pair_of(i)`` gives the group pair behind edge i,
-    and ``edge_pairs`` all of them, derived on first access."""
+    depth ``level``: only what every builder produces.  ``pair_of(i)`` gives
+    the group pair behind edge i, and ``edge_pairs`` all of them, derived
+    on first access."""
 
     graph: Multigraph
     level: int
@@ -75,20 +77,10 @@ class QuotientGraph:
     pair_of: Callable[[int], tuple] = field(repr=False, compare=False)
 
     @functools.cached_property
-    def class_index(self) -> dict:
-        """Defining prefix (letter tuple) -> vertex; F_n prefixes only."""
-        words = shortlex_words(self.gens[0].rank, self.level)
-        return {raw: i for i, (raw, _) in enumerate(words)}
-
-    @functools.cached_property
     def edge_pairs(self) -> tuple[tuple[tuple, tuple], ...]:
         """The group pair (u, v), smaller key first (word_key, or
         syllable_key for a truncation), behind each edge."""
         return tuple(map(self.pair_of, range(self.graph.n_edges)))
-
-    def vertex_of_word(self, w: ReducedWord) -> int:
-        """The class of an F_n word, by its prefix."""
-        return self.class_index[w.letters[: self.level]]
 
 
 def symmetric_closure(gens: Iterable[ReducedWord], rank: int) -> tuple[ReducedWord, ...]:
@@ -121,8 +113,8 @@ def generator_subgraph(graph: Multigraph, g) -> Multigraph:
 
 
 def check_budget(count: int, budget: int, what: str = "classes") -> None:
-    """Refuse a count, taken with cap COUNT_CAP, of more than ``budget``
-    (or past the cap, where the count stopped)."""
+    """Refuse a count of more than ``budget``, or past COUNT_CAP, where
+    the size counts stop (shown as "more than COUNT_CAP")."""
     if count > min(budget, COUNT_CAP):
         shown = f"more than {COUNT_CAP}" if count > COUNT_CAP else count
         raise BudgetExceeded(f"{shown} {what} exceeds {budget}")
@@ -130,7 +122,7 @@ def check_budget(count: int, budget: int, what: str = "classes") -> None:
 
 def check_quotient_budget(n: int, level: int) -> None:
     """Refuse a level of more than QUOTIENT_BUDGET classes before any work."""
-    check_budget(count_reduced_words(n, level, cap=COUNT_CAP), QUOTIENT_BUDGET)
+    check_budget(count_reduced_words(n, level), QUOTIENT_BUDGET)
 
 
 def order_pair(u: tuple, v: tuple, key: Callable) -> tuple[tuple, tuple]:
@@ -218,19 +210,19 @@ def build_quotient_enum(
     n: int,
     gens: Iterable[ReducedWord],
     level: int,
-    budget: int = ENUM_BUDGET,
 ) -> QuotientGraph:
     """Quotient by definition: enumerate words, project every group edge.
 
     Any group edge joining two distinct classes has an endpoint of length
     at most level + max generator length, so enumerating up to that bound
-    produces the complete edge multiset.
+    produces the complete edge multiset.  The words up to that bound are
+    counted against ENUM_BUDGET before any is generated.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
     sym = symmetric_closure(gens, n)
     horizon = level + max(len(g) for g in sym)
-    check_budget(count_reduced_words(n, horizon, cap=COUNT_CAP), budget, "words")
+    check_budget(count_reduced_words(n, horizon), ENUM_BUDGET, "words")
     tagged = [(g.letters, edge_tag(g)) for g in sym]
     pairs: dict = {}
     for w in reduced_words(n, horizon):

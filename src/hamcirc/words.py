@@ -10,9 +10,10 @@ letter, so ``"abA"`` is a1*a2*a1^-1.  The empty string is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 MAX_RANK = 26
+COUNT_CAP = 10**12  # a size count goes no further than this
 
 
 class WordSyntaxError(ValueError):
@@ -147,9 +148,6 @@ class ReducedWord:
     def cyclic_reduction(self) -> "ReducedWord":
         return ReducedWord(cyclic_reduce_letters(self.letters)[0], self.rank)
 
-    def prefix(self, k: int) -> "ReducedWord":
-        return ReducedWord(self.letters[:k], self.rank)
-
     def sort_key(self) -> tuple:
         return word_key(self.letters)
 
@@ -227,17 +225,17 @@ def shortlex_words(rank: int, max_len: int) -> Iterator[tuple[tuple[int, ...], s
         yield text_letters(text), text
 
 
-def count_reduced_words(rank: int, max_len: int, cap: Optional[int] = None) -> int:
+def count_reduced_words(rank: int, max_len: int) -> int:
     """Number of reduced words of length <= max_len: 1 + sum 2n(2n-1)^(k-1).
 
-    With a cap, counting stops at the first length where the total passes
-    it, and that partial total (still above the cap) is returned."""
+    Counting stops at the first length where the total passes COUNT_CAP,
+    and that partial total (still above the cap) is returned."""
     if rank == 1:
         return 1 + 2 * max_len
     total, term = 1, 2 * rank
     for _ in range(max_len):
         total += term
-        if cap is not None and total > cap:
+        if total > COUNT_CAP:
             break
         term *= 2 * rank - 1
     return total

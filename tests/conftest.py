@@ -1,5 +1,14 @@
 import pytest
 
+from hamcirc.words import shortlex_words
+
+
+def class_index(rank: int, level: int) -> dict:
+    """The vertex of each class of the rank-n prefix quotient at ``level``,
+    by its defining prefix (a letter tuple): the builders number classes in
+    shortlex order.  A word's class is ``index[word.letters[:level]]``."""
+    return {raw: i for i, (raw, _) in enumerate(shortlex_words(rank, level))}
+
 
 @pytest.fixture
 def nx_outerplanar():

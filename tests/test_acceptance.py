@@ -7,6 +7,8 @@ import random
 import time
 from contextlib import contextmanager
 
+from conftest import class_index
+
 from hamcirc.automorphisms import apply_chain, elementary_automorphisms
 from hamcirc.certifier import certify, classify, level_one_quotient
 from hamcirc.finite import (
@@ -148,7 +150,7 @@ def test_criterion_05_degree_law_and_dual_construction():
                 local = build_quotient_local(2, [word], level)
                 enum = build_quotient_enum(2, [word], level)
                 assert quotients_equal(local, enum)
-                for rep, idx in local.class_index.items():
+                for rep, idx in class_index(2, level).items():
                     expected = (
                         2
                         if len(rep) < level
@@ -304,13 +306,14 @@ def suite_expansion_connectivity(max_words=30):
     for word in pool:
         for level in (2, 3, 4, 5):
             q = build_quotient_local(2, [word], level)
-            for rep, idx in q.class_index.items():
+            index = class_index(2, level)
+            for rep, idx in index.items():
                 if len(rep) != level - 1:
                     continue
                 block = [idx]
                 for x in (1, -1, 2, -2):
                     if x != -rep[-1]:
-                        block.append(q.vertex_of_word(ReducedWord(rep + (x,), 2)))
+                        block.append(index[rep + (x,)])
                 assert q.graph.induced_subgraph(block).is_connected(), (
                     word, level, rep,
                 )

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hamcirc.automorphisms import (
+    MOVE_BUDGET,
     FGAutomorphism,
     Inv,
     Mul,
@@ -11,8 +12,12 @@ from hamcirc.automorphisms import (
     chain_moves,
     conjugation_by_letter,
     elementary_automorphisms,
+    multiplier_automorphisms,
     parse_move,
+    permutation_automorphisms,
+    sign_automorphisms,
 )
+from hamcirc.quotients import COUNT_CAP, BudgetExceeded
 from hamcirc.words import ReducedWord
 
 
@@ -95,6 +100,54 @@ class TestElementarySet:
         for phi in elementary_automorphisms(rank):
             assert phi.compose(phi.inverse()).is_identity()
             assert phi.inverse().compose(phi).is_identity()
+
+
+class TestMoveBudget:
+    """The elementary set is sized in closed form before any move is built."""
+
+    @staticmethod
+    def no_moves(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an automorphism was built")
+
+        monkeypatch.setattr(FGAutomorphism, "from_moves", refuse)
+
+    def test_rank_eight_refused_before_building(self, monkeypatch):
+        self.no_moves(monkeypatch)
+        with pytest.raises(BudgetExceeded, match="^302720 elementary moves exceeds 100000$"):
+            elementary_automorphisms(8)
+        text = f"^more than {COUNT_CAP} elementary moves exceeds 100000$"
+        with pytest.raises(BudgetExceeded, match=text):
+            elementary_automorphisms(26)
+
+    def test_rank_seven_admitted(self, monkeypatch):
+        self.no_moves(monkeypatch)
+        with pytest.raises(AssertionError, match="an automorphism was built"):
+            elementary_automorphisms(7)
+
+    def test_count_is_what_gets_built(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr(
+            "hamcirc.automorphisms.check_budget", lambda count, *args: counts.append(count)
+        )
+        for rank in (1, 2, 3, 4):
+            elementary_automorphisms(rank)
+            built = (
+                permutation_automorphisms(rank)
+                + sign_automorphisms(rank)
+                + multiplier_automorphisms(rank)
+            )
+            assert counts[-1] == len(built), rank
+        assert counts[-1] == 24 + 16 + 8 * 64
+
+    def test_budget_read_at_call_time(self, monkeypatch):
+        assert MOVE_BUDGET == 100_000
+        # rank 2 builds 2 + 4 + 16 automorphisms, 17 after deduplication
+        monkeypatch.setattr("hamcirc.automorphisms.MOVE_BUDGET", 21)
+        with pytest.raises(BudgetExceeded, match="^22 elementary moves exceeds 21$"):
+            elementary_automorphisms(2)
+        monkeypatch.setattr("hamcirc.automorphisms.MOVE_BUDGET", 22)
+        assert len(elementary_automorphisms(2)) == 17
 
 
 class TestApply:

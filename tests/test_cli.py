@@ -447,6 +447,32 @@ class TestQuotientBudget:
         assert out.startswith("NO")
 
 
+class TestMoveBudget:
+    """A word that needs minimization at a rank whose elementary set is over
+    MOVE_BUDGET is refused before any move is built."""
+
+    @pytest.mark.parametrize("argv,count", [
+        (["certify", "-n", "8", "abcdefghabcdefgha"], "302720"),
+        (["classify", "-n", "26", "abcdefghijklmnopqrstuvwxyzz"], f"more than {COUNT_CAP}"),
+    ])
+    def test_over_budget_rank_exits_three_in_time(self, capsys, monkeypatch, argv, count):
+        def no_moves(*args):
+            raise AssertionError("an automorphism was built before the budget check")
+
+        monkeypatch.setattr("hamcirc.automorphisms.FGAutomorphism.from_moves", no_moves)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: {count} elementary moves exceeds 100000\n"
+
+    def test_level_one_cycle_never_minimizes(self, capsys):
+        word = "".join(chr(ord("a") + i) * 2 for i in range(26))
+        code, out, _ = run_cli(capsys, "certify", "-n", "26", word, "--max-level", "1")
+        assert code == 0
+        assert out == "YES (unique)\nquotient cycles verified at levels [1]\n"
+
+
 class TestInternalErrors:
     def test_orbit_inconsistency_exits_four(self, capsys, monkeypatch):
         # a "minimized" word that uses every generator, but whose Whitehead

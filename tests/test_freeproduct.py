@@ -215,17 +215,25 @@ class TestTruncationGraphs:
         with pytest.raises(ValueError, match="^generating set must not be empty$"):
             build_truncation(3, 2, [], 2)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            build_truncation(3, 2, [gen_ab(3, 2)], 3, budget=5)
+    def test_budget(self, monkeypatch):
+        size = count_truncation_classes(3, 2, 3)
+        monkeypatch.setattr("hamcirc.freeproduct.CLASS_BUDGET", size - 1)
+        with pytest.raises(BudgetExceeded, match=f"^{size} classes exceeds {size - 1}$"):
+            build_truncation(3, 2, [gen_ab(3, 2)], 3)
+        with pytest.raises(BudgetExceeded, match=f"^{size} classes exceeds {size - 1}$"):
+            verify_circle_truncations(3, 2, 3)
+        monkeypatch.setattr("hamcirc.freeproduct.CLASS_BUDGET", size)
+        assert build_truncation(3, 2, [gen_ab(3, 2)], 3).graph.n_vertices == size
+        assert verify_circle_truncations(3, 2, 3).passed
 
     def test_budget_refuses_before_enumerating(self, monkeypatch):
         def no_enumeration(*args):
             raise AssertionError("classes enumerated before the budget check")
 
         monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_enumeration)
+        monkeypatch.setattr("hamcirc.freeproduct.CLASS_BUDGET", 10)
         with pytest.raises(BudgetExceeded, match="^18660 classes exceeds 10$"):
-            build_truncation(4, 3, [gen_ab(4, 3)], 5, budget=10)
+            build_truncation(4, 3, [gen_ab(4, 3)], 5)
 
     def test_class_count_closed_form(self):
         checked = 0
@@ -236,17 +244,17 @@ class TestTruncationGraphs:
         assert checked == 48
 
     def test_class_count_stops_past_its_cap(self, monkeypatch):
-        assert count_truncation_classes(2, 2, 10**15, cap=10) == 4 * 10**15
-        assert count_truncation_classes(4, 3, 5, cap=10**6) == 18660
-        capped = count_truncation_classes(3, 2, 10**4, cap=COUNT_CAP)
+        assert count_truncation_classes(2, 2, 10**15) == 4 * 10**15  # closed form
+        capped = count_truncation_classes(3, 2, 10**4)
         assert COUNT_CAP < capped < 10 * COUNT_CAP
 
         def no_enumeration(*args):
             raise AssertionError("classes enumerated before the budget check")
 
         monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_enumeration)
+        monkeypatch.setattr("hamcirc.freeproduct.CLASS_BUDGET", 10)
         with pytest.raises(BudgetExceeded, match=f"^more than {COUNT_CAP} classes exceeds 10$"):
-            build_truncation(3, 2, [gen_ab(3, 2)], 10**9, budget=10)
+            build_truncation(3, 2, [gen_ab(3, 2)], 10**9)
 
     def test_budget_past_the_count_cap_still_refuses(self, monkeypatch):
         # the count stops just past COUNT_CAP, so it cannot show that the
@@ -256,8 +264,9 @@ class TestTruncationGraphs:
 
         monkeypatch.setattr("hamcirc.freeproduct._class_tree", no_enumeration)
         budget = 10 * COUNT_CAP
+        monkeypatch.setattr("hamcirc.freeproduct.CLASS_BUDGET", budget)
         with pytest.raises(BudgetExceeded, match=f"^more than {COUNT_CAP} classes exceeds {budget}$"):
-            build_truncation(3, 2, [gen_ab(3, 2)], 10**9, budget=budget)
+            build_truncation(3, 2, [gen_ab(3, 2)], 10**9)
 
     @pytest.mark.parametrize("gens", sorted(DIFFERENTIAL_SETS))
     def test_matches_enumeration_oracle(self, gens):

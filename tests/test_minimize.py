@@ -144,10 +144,6 @@ class TestOrbitMinimalSet:
         out = orbit_minimal_set(w("abab"))
         assert {len(x) for x in out} == {2}
 
-    def test_cap_exceeded(self):
-        with pytest.raises(OrbitCapExceeded):
-            orbit_minimal_set(w("aabb"), cap=3)
-
     def test_chains_reach_every_reported_word(self):
         orbit = minimal_orbit(w("abab"))
         for raw in sorted(orbit.parents):

@@ -171,6 +171,13 @@ class TestEdgeCuts:
         assert len(cut.cut_edges) == 2
         assert set(cut.cut_edges) == {0, 3}
 
+    def test_size_cap(self, monkeypatch):
+        with pytest.raises(ValueError, match="^graph too large for cut search: 23 > 22$"):
+            find_cut_separating_pair(cycle_graph(23), range(23), 0, 3)
+        monkeypatch.setattr("hamcirc.multigraph.CUT_SEARCH_MAX_VERTICES", 5)
+        with pytest.raises(ValueError, match="^graph too large for cut search: 6 > 5$"):
+            find_cut_separating_pair(cycle_graph(6), range(6), 0, 3)
+
     def test_absent_when_impossible(self):
         g = Multigraph(
             list("abcdef"), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
@@ -207,9 +214,13 @@ class TestOuterplanarity:
         )
         assert has_minor(g, "K4")
 
-    def test_oracle_cap(self):
-        with pytest.raises(ValueError):
+    def test_oracle_cap(self, monkeypatch):
+        assert not has_minor(cycle_graph(10), "K4")
+        with pytest.raises(ValueError, match="^minor oracle capped at 10 vertices, got 11$"):
             has_minor(cycle_graph(11), "K4")
+        monkeypatch.setattr("hamcirc.multigraph.MINOR_MAX_VERTICES", 3)
+        with pytest.raises(ValueError, match="^minor oracle capped at 3 vertices, got 4$"):
+            has_minor(cycle_graph(4), "K4")
 
     def test_fast_path_matches_oracle_on_small_corpus(self):
         from hamcirc.finite import corpus_graphs
@@ -428,13 +439,12 @@ class TestDotExport:
         assert 'label="s"' in g.to_dot()
 
     @staticmethod
-    def reference_dot(g, highlight=(), name=""):
+    def reference_dot(g, highlight=()):
         """The DOT export as it was written before each label was escaped
         once: one esc call per edge end and an attribute list per edge."""
         hi = set(highlight)
         esc = lambda s: s.replace('"', '\\"')
-        head = f"graph {esc(name)} {{" if name else "graph {"
-        lines = [head]
+        lines = ["graph {"]
         for label in g.labels:
             lines.append(f'  "{esc(label)}";')
         for idx, (u, v, tag) in enumerate(g.edges):
@@ -451,9 +461,9 @@ class TestDotExport:
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("highlight", [(), [0, 3], range(50), [99]])
-    @pytest.mark.parametrize("name", ["", "G", 'say "hi"'])
-    def test_matches_reference_with_quotes(self, highlight, name):
-        labels = ["1", 'a"', '"b"', "c", 'x"y"z', ""]
+    @pytest.mark.parametrize("label", ["", "G", 'say "hi"'])
+    def test_matches_reference_with_quotes(self, highlight, label):
+        labels = ["1", 'a"', '"b"', "c", 'x"y"z', "", label]
         tags = [None, "s", 'q"', "", '"t"', "s"]
         rng = random.Random(5)
         edges = []
@@ -461,7 +471,7 @@ class TestDotExport:
             u, v = rng.sample(range(len(labels)), 2)
             edges.append((u, v, tags[i % len(tags)]))
         g = Multigraph(labels, edges)
-        assert g.to_dot(highlight=highlight, name=name) == self.reference_dot(g, highlight, name)
+        assert g.to_dot(highlight=highlight) == self.reference_dot(g, highlight)
 
     def test_matches_reference_on_quotient(self):
         from hamcirc.quotients import build_quotient_local
@@ -469,7 +479,7 @@ class TestDotExport:
 
         g = build_quotient_local(2, [ReducedWord.parse("aabb", 2)], 4).graph
         for highlight in ((), range(0, g.n_edges, 3)):
-            assert g.to_dot(highlight=highlight, name="q") == self.reference_dot(g, highlight, "q")
+            assert g.to_dot(highlight=highlight) == self.reference_dot(g, highlight)
 
 
 class TestAdjacencyFormat:

@@ -2,6 +2,7 @@ import gc
 import random
 
 import pytest
+from conftest import class_index
 
 from hamcirc.certifier import level_one_quotient
 from hamcirc.multigraph import Multigraph
@@ -29,7 +30,8 @@ class TestClassOf:
 
     @staticmethod
     def rep_of(q, word):
-        return q.graph.labels[q.vertex_of_word(word)]
+        index = class_index(word.rank, q.level)
+        return q.graph.labels[index[word.letters[: q.level]]]
 
     def test_long_word_truncates(self):
         q = build_quotient_local(3, [w("aabbcc", 3)], 3)
@@ -252,11 +254,10 @@ class TestKernelAgainstOracle:
             ql = build_quotient_local(rank, gens, level)
             assert "edge_pairs" not in vars(ql)  # derived on first access
             assert quotients_equal(qe, ql), (gens, level)
-            assert ql.class_index == qe.class_index
+            index = class_index(rank, level)
             for _ in range(20):
                 word = random_word(rng, rank, rng.randint(0, level + 2))
-                vertex = ql.vertex_of_word(word)
-                assert vertex == qe.vertex_of_word(word)
+                vertex = index[word.letters[:level]]
                 assert ql.graph.labels[vertex] == (str(word)[:level] or "1")
             parallel += not ql.graph.is_simple()
         if seed % 2 == 0:
@@ -398,7 +399,7 @@ class TestDegreeLaw:
         word = w(text)
         for level in levels:
             q = build_quotient_local(2, [word], level)
-            for rep, idx in q.class_index.items():
+            for rep, idx in class_index(2, level).items():
                 if len(rep) < level:
                     assert q.graph.degree(idx) == 2
                 else:
@@ -435,15 +436,15 @@ class TestExpansionConnectivity:
         for word in pool:
             for level in (2, 3, 4):
                 q = build_quotient_local(2, [word], level)
-                for rep, idx in q.class_index.items():
+                index = class_index(2, level)
+                for rep, idx in index.items():
                     if len(rep) != level - 1:
                         continue
                     last = rep[-1]
                     block = [idx]
                     for x in (1, -1, 2, -2):
                         if x != -last:
-                            ext = ReducedWord(rep + (x,), 2)
-                            block.append(q.vertex_of_word(ext))
+                            block.append(index[rep + (x,)])
                     sub = q.graph.induced_subgraph(block)
                     assert sub.is_connected(), (word, level, rep)
 
@@ -469,10 +470,13 @@ class TestCircleCuts:
 
 
 class TestBudget:
-    def test_enum_budget_raises(self):
+    def test_enum_budget_raises(self, monkeypatch):
         # level 3 plus |aabb| = 4: 4373 words up to length 7
-        with pytest.raises(BudgetExceeded, match="^4373 words exceeds 100$"):
-            build_quotient_enum(2, [w("aabb")], 3, budget=100)
+        monkeypatch.setattr("hamcirc.quotients.ENUM_BUDGET", 4372)
+        with pytest.raises(BudgetExceeded, match="^4373 words exceeds 4372$"):
+            build_quotient_enum(2, [w("aabb")], 3)
+        monkeypatch.setattr("hamcirc.quotients.ENUM_BUDGET", 4373)
+        assert build_quotient_enum(2, [w("aabb")], 3).graph.n_vertices == 53
 
     def test_enum_budget_refuses_a_huge_level(self, monkeypatch):
         def no_enumeration(*args):
@@ -482,8 +486,9 @@ class TestBudget:
         text = f"^more than {COUNT_CAP} words exceeds {ENUM_BUDGET}$"
         with pytest.raises(BudgetExceeded, match=text):
             build_quotient_enum(2, [w("aabb")], 10000)
+        monkeypatch.setattr("hamcirc.quotients.ENUM_BUDGET", 10**15)
         with pytest.raises(BudgetExceeded, match=f"^more than {COUNT_CAP} words"):
-            build_quotient_enum(2, [w("aabb")], 10000, budget=10**15)
+            build_quotient_enum(2, [w("aabb")], 10000)
 
     def test_local_budget_counts_classes(self, monkeypatch):
         monkeypatch.setattr("hamcirc.quotients.QUOTIENT_BUDGET", 53)
@@ -535,9 +540,10 @@ class TestCollectorPaused:
         assert states == [False, False, False]
         assert gc.isenabled()
 
-    def test_collector_state_restored(self):
+    def test_collector_state_restored(self, monkeypatch):
+        monkeypatch.setattr("hamcirc.quotients.ENUM_BUDGET", 100)
         with pytest.raises(BudgetExceeded):
-            build_quotient_enum(2, [w("aabb")], 3, budget=100)
+            build_quotient_enum(2, [w("aabb")], 3)
         assert gc.isenabled()
         gc.disable()
         try:

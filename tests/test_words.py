@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamcirc.words import (
+    COUNT_CAP,
     RankError,
     ReducedWord,
     WordSyntaxError,
@@ -168,10 +169,9 @@ def test_word_key_orders_like_the_tuple_key():
 
 
 def test_count_reduced_words_stops_past_its_cap():
-    assert count_reduced_words(2, 14, cap=10**9) == 9565937
-    assert count_reduced_words(2, 14, cap=500_000) == count_reduced_words(2, 12)
-    assert 10**12 < count_reduced_words(2, 10**4, cap=10**12) < 3 * 10**12 + 1
-    assert count_reduced_words(1, 10**9, cap=10) == 2 * 10**9 + 1
+    assert count_reduced_words(2, 14) == 9565937
+    assert COUNT_CAP < count_reduced_words(2, 10**4) < 3 * COUNT_CAP + 1
+    assert count_reduced_words(1, 10**15) == 2 * 10**15 + 1  # closed form
 
 
 def test_cyclic_reduction():
