@@ -2,14 +2,17 @@
 
 When the certifier answers Yes for a word s, every truncation
 Cay(F_n; A u s^{+-1}) / level-L must be outerplanar (no K4 or K2,3 minor)
-and must contain the circle's truncation as a hamiltonian cycle.  The
-circle is the s-edge subgraph of that one full truncation.  Only the top
-level is built; each shallower one is contracted from the level above it
-(``contract_level``), which gives the same classes and the same edge
-multiset as a rebuild, because prefix classes nest: a group edge between
-two classes at one level joins two classes at every deeper one.  Only the
-checked levels are attested; nothing is claimed about the infinite graph
-beyond them.
+and must contain the circle's truncation as a hamiltonian cycle.  Only the
+circle is built, and only at the top level: the quotient of s alone.  Each
+shallower level is contracted from the level above it (``contract_level``),
+which gives the same classes and the same edge multiset as a rebuild,
+because prefix classes nest: a group edge between two classes at one level
+joins two classes at every deeper one.  The standard generators' edges are
+never walked.  At every level they are the Cayley tree of A, one edge from
+each class to its parent, which the shortlex numbering of the classes
+gives by arithmetic, so ``with_tree`` reads them off it and adds them to
+the circle.  Only the checked levels are attested; nothing is claimed about
+the infinite graph beyond them.
 
 The two checks share one walk.  A 2-connected outerplanar graph has exactly
 one hamiltonian cycle, its outer face (Sysło, "Characterizations of
@@ -27,7 +30,13 @@ from dataclasses import dataclass
 
 from .certifier import VERDICT_YES, certify
 from .multigraph import is_outerplanar, tagged_cycle_positions
-from .quotients import build_quotient_local, check_quotient_budget, contract_level, edge_tag
+from .quotients import (
+    build_quotient_local,
+    check_quotient_budget,
+    contract_level,
+    edge_tag,
+    with_tree,
+)
 from .words import ReducedWord
 
 
@@ -82,27 +91,31 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
 
     The certifier verdict for s is recorded; when it is not Yes the checks
     still run (callers report the violated precondition rather than skip),
-    which is how negative controls are exercised.  Only ``max_level`` is
-    built; the levels below are contracted from it, then all are checked in
-    increasing order.  The circle spans the
-    vertices of the full quotient, so a cycle on it is hamiltonian.  Each
-    level walks the s-edges once; if they form a hamiltonian cycle, the
-    level is outerplanar iff its edges nest as chords of that cycle (Sysło
-    1979), and otherwise Mitchell's reduction decides.  ``is_outerplanar``
-    runs either, as it is given the circle or None.
+    which is how negative controls are exercised.  Only the circle
+    quotient at ``max_level`` is built; the levels below are contracted
+    from it, then all are checked in increasing order.  Each level first
+    walks its circle, whose vertices are all the classes, so a cycle on it
+    is hamiltonian.  Only then is the full quotient formed, with the tree
+    edges read off the class numbering (``with_tree``), so the walk's
+    memory is freed before the tree's is taken.  If the circle is a
+    hamiltonian cycle, the level is outerplanar iff its edges nest as
+    chords of that cycle (Sysło 1979), and otherwise Mitchell's reduction
+    decides.  ``is_outerplanar`` runs either, as it is given the circle or
+    None.
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
     check_quotient_budget(n, max_level)
     cert = certify(n, s, max_level=1)
     tag = edge_tag(s)
-    fulls = [build_quotient_local(n, tree_generators(n) + [s], max_level).graph]
+    circles = [build_quotient_local(n, [s], max_level).graph]
     for level in range(max_level - 1, 0, -1):
-        fulls.append(contract_level(n, fulls[-1], level))
+        circles.append(contract_level(n, circles[-1], level))
     levels = []
     for level in range(1, max_level + 1):
-        full = fulls.pop()  # freed once checked
-        circle = tagged_cycle_positions(full, tag)
+        circle_graph = circles.pop()  # freed once checked
+        circle = tagged_cycle_positions(circle_graph, tag)
+        full = with_tree(n, circle_graph)
         outer = is_outerplanar(full, circle)
         levels.append(LevelReport(level, full.n_vertices, outer, circle is not None))
     return OuterplanarReport(str(s), n, cert.verdict, tuple(levels))

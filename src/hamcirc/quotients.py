@@ -18,7 +18,9 @@ full-length class with last letter a walks from each occurrence of a^-1.
 Both builders take the level's classes in vertex order from
 ``shortlex_labels`` (the enumeration through ``shortlex_words``), so
 nothing is sorted per word.  ``contract_level`` derives a shallower level
-from a deeper one by the same numbering, without a rebuild.
+from a deeper one by the same numbering, without a rebuild, and
+``with_tree`` adds the standard generators' edges to a level, each class's
+edge to its parent, by the same arithmetic and without a walk.
 
 The integer kernels here and in ``freeproduct`` share their tail: each
 puts a class's (class, far class, start id) triples in order with
@@ -418,6 +420,19 @@ def build_quotient_local(
     return assemble(labels, level, sym, out, tags, pair)
 
 
+def quotient_level(n: int, graph: Multigraph) -> int:
+    """The level of ``graph``, a rank-n prefix quotient numbered as
+    ``build_quotient_local`` numbers it: the k >= 1 with
+    count_reduced_words(n, k) classes, the last of them a word of length k.
+    Any other graph is refused with ValueError."""
+    size, level = len(graph.labels), 1
+    while count_reduced_words(n, level) < size:
+        level += 1
+    if count_reduced_words(n, level) != size or len(graph.labels[-1]) != level:
+        raise ValueError(f"a graph on {size} classes is no rank-{n} prefix quotient")
+    return level
+
+
 @collector_paused
 def contract_level(n: int, graph: Multigraph, level: int) -> Multigraph:
     """The rank-n prefix quotient at ``level``, contracted from ``graph``,
@@ -428,10 +443,15 @@ def contract_level(n: int, graph: Multigraph, level: int) -> Multigraph:
     nest, so each edge at ``level`` is exactly one edge of ``graph`` whose
     ends do not merge: the labels and edge multiset are a rebuild's.  The
     map is not monotone, so mapped ends are put back in order; only the
-    order of the edges differs from a rebuild.
+    order of the edges differs from a rebuild.  A graph that is not a
+    rank-n quotient at ``level`` or deeper (``quotient_level``) is refused
+    with ValueError.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
+    top = quotient_level(n, graph)
+    if top < level:
+        raise ValueError(f"cannot contract a level-{top} quotient to level {level}")
     size, d = count_reduced_words(n, level), 2 * n - 1
     up = list(range(size))
     for i in range(size, len(graph.labels)):
@@ -445,6 +465,42 @@ def contract_level(n: int, graph: Multigraph, level: int) -> Multigraph:
             u, v = up[u], up[v]
             edges.append((u, v, tag) if u < v else (v, u, tag))
     return Multigraph._trusted(graph.labels[:size], edges)
+
+
+def with_tree(n: int, graph: Multigraph) -> Multigraph:
+    """``graph``, a rank-n prefix quotient numbered as ``build_quotient_local``
+    numbers it (built or contracted), with the edges of the standard
+    generators A = a, b, ... added after its own: for each class c >= 1 the
+    edge (parent(c), c) tagged with edge_tag of c's last letter, where
+    parent(c) is 0 for c <= 2n and (c-2)//(2n-1) beyond.
+
+    These are the edges ``build_quotient_local(n, tree_generators(n) + gens,
+    level)`` adds to the build on ``gens``: the labels and the edge multiset,
+    tags included, are that build's, and only the edge order differs.  At
+    level L a group edge {w, wx}, x in A^+-1, joins the classes of w and wx.
+    If |w| >= L and |wx| >= L, one of the two words extends the other, so
+    both share their first L letters and the edge is a loop.  Otherwise the
+    shorter of the two, of length < L, is its own class and the parent of
+    the other, whose class is the word itself (its length is at most L):
+    the edge is the pair (parent(c), c) for the class c of the longer word,
+    tagged by its last letter x^+-1.  Each class c >= 1 is the longer end of
+    exactly one group edge, {parent(c), c}.  When ``gens`` holds a standard
+    generator its edges are tree edges, which the build would keep once,
+    but here they appear twice, as same-tag parallel pairs.  A graph that is
+    no rank-n prefix quotient is refused (``quotient_level``).
+    """
+    labels = graph.labels
+    quotient_level(n, graph)
+    d, root = 2 * n - 1, 2 * n
+    tag = {x: x.lower() for x in labels[1 : root + 1]}  # one string per generator
+    tree = [(0, c, tag[labels[c]]) for c in range(1, root + 1)]
+    # the children of class p >= 1 are d*p + 2 .. d*p + d + 1
+    tree += [
+        (p, c, tag[labels[c][-1]])
+        for p in range(1, (len(labels) - 2) // d)
+        for c in range(d * p + 2, d * p + d + 2)
+    ]
+    return Multigraph._trusted(labels, graph.edges + tuple(tree))
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:

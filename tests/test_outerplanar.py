@@ -194,11 +194,11 @@ def test_levels_match_cycle_and_mitchell_checks(n, top):
 
 
 def _spy(monkeypatch, fn):
-    """Record the first argument of every call to fn, wherever hamcirc bound it."""
+    """Record the arguments of every call to fn, wherever hamcirc bound it."""
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -252,6 +252,22 @@ def test_mitchell_runs_only_where_the_circle_fails(capsys, monkeypatch, word, le
     text, warning = capsys.readouterr()
     assert json.loads(text) == {"word": word, "levels": levels} and warning == err
     failed = [lv["vertices"] for lv in levels if not lv["circle_is_ham_cycle"]]
-    assert [g.n_vertices for g in checks] == [lv["vertices"] for lv in levels] * 2
-    assert [len(adj) for adj in mitchell] == failed * 2
+    assert [g.n_vertices for g, _ in checks] == [lv["vertices"] for lv in levels] * 2
+    assert [len(adj) for adj, in mitchell] == failed * 2
     assert subgraph == []
+
+
+@pytest.mark.parametrize(
+    "n, text, level, code, builds",
+    [
+        (2, "abAB", 6, 0, [1, 6]),  # a Yes word: certify rechecks its level-1 quotient
+        (3, "abABcc", 4, 0, [1, 4]),
+        (2, "abab", 5, 1, [5]),  # a No word: certify builds no quotient
+    ],
+)
+def test_standard_generators_are_never_walked(monkeypatch, n, text, level, code, builds):
+    # the kernel walks s alone, once at the top level; every level's tree
+    # edges are read off the class numbering (quotients.with_tree)
+    calls = _spy(monkeypatch, quotients.build_quotient_local)
+    assert main(["outerplanar", "-n", str(n), "-s", text, "-l", str(level)]) == code
+    assert calls == [(n, [w(text, n)], lv) for lv in builds]

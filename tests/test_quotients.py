@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 
 import pytest
 from conftest import class_index
@@ -17,6 +18,7 @@ from hamcirc.quotients import (
     generator_subgraph,
     quotients_equal,
     symmetric_closure,
+    with_tree,
 )
 from hamcirc.words import RankError, ReducedWord, count_reduced_words, reduced_words
 
@@ -351,6 +353,66 @@ class TestContractLevel:
                 built = build_quotient_enum(rank, gens, level).graph
                 self.same(contract_level(rank, kernel, level), built)
                 self.same(contract_level(rank, enum, level), built)
+
+    def test_refuses_what_it_cannot_contract(self):
+        level3 = build_quotient_local(2, [w("aabb")], 3).graph
+        with pytest.raises(ValueError, match="level-3 quotient to level 5"):
+            contract_level(2, level3, 5)  # deeper than the graph
+        with pytest.raises(ValueError, match="no rank-3 prefix quotient"):
+            contract_level(3, level3, 2)  # 53 classes, no rank-3 count
+        level1 = build_quotient_local(2, [w("aabb")], 1).graph
+        with pytest.raises(ValueError, match="no rank-1 prefix quotient"):
+            contract_level(1, level1, 1)  # 5 classes, the rank-1 count at level 2
+
+
+class TestWithTree:
+    """The standard generators' edges read off the class numbering against
+    the kernel's build with them: the same labels and the same edge
+    multiset, tags included, on a built level and on a contracted one."""
+
+    @staticmethod
+    def words(n):
+        rng = random.Random(n * 13)
+        non_circles = []
+        while len(non_circles) < 3:  # every level-1 degree 2, and no cycle
+            word = random_word(rng, n, 2 * n)
+            q = level_one_quotient(word)
+            if set(q.degrees()) == {2} and not q.is_cycle():
+                non_circles.append(word)
+        circles = {2: ("aabb", "abAB"), 3: ("aabbcc", "abABcc"), 4: ("aabbccdd", "abABcdCD")}
+        return [
+            *(w(text, n) for text in circles[n]),
+            *_random_words(rng, n, 2, True, 2 * n + 2),
+            *non_circles,
+            *(random_word(rng, n, rng.randint(2, 6)) for _ in range(3)),
+            w("a", n),
+            w("B", n),
+        ]
+
+    @pytest.mark.parametrize("n, top", [(2, 5), (3, 4), (4, 3)])
+    def test_equals_the_build_with_the_tree(self, n, top):
+        for s in self.words(n):
+            deepest = build_quotient_local(n, [s], top).graph
+            for level in range(1, top + 1):
+                full = build_quotient_local(n, tree_generators(n) + [s], level).graph
+                alone = build_quotient_local(n, [s], level).graph
+                want = Counter(full.edges)
+                if len(s) == 1:  # the build keeps a tree generator once
+                    want += Counter(alone.edges)
+                for graph in (alone, contract_level(n, deepest, level)):
+                    got = with_tree(n, graph)
+                    assert got.labels == full.labels, (str(s), level)
+                    assert Counter(got.edges) == want, (str(s), level)
+
+    def test_refuses_what_is_no_quotient(self):
+        level3 = build_quotient_local(2, [w("aabb")], 3).graph
+        with pytest.raises(ValueError, match="no rank-3 prefix quotient"):
+            with_tree(3, level3)
+        level1 = build_quotient_local(2, [w("aabb")], 1).graph
+        with pytest.raises(ValueError, match="no rank-1 prefix quotient"):
+            with_tree(1, level1)
+        with pytest.raises(ValueError, match="no rank-2 prefix quotient"):
+            with_tree(2, Multigraph(["1", "a"], []))
 
 
 class TestEdgeTuples:
