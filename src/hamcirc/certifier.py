@@ -75,12 +75,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .automorphisms import FGAutomorphism, chain_moves
-from .minimize import (
-    DEFAULT_ORBIT_CAP,
-    check_orbit_cap,
-    minimal_orbit,
-    whitehead_minimize,
-)
+from .minimize import minimal_orbit, whitehead_minimize
 from .multigraph import Multigraph, _blocks
 from .quotients import build_quotient_local, check_quotient_budget
 from .words import ReducedWord, letter_str
@@ -268,21 +263,17 @@ def certify(
     )
 
 
-def classify(
-    n: int,
-    s: ReducedWord,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
-) -> CanonicalForm:
+def classify(n: int, s: ReducedWord) -> CanonicalForm:
     """Search the orbit for the squares word or the commutator-product word.
 
     Both canonical words have minimal length 2n in their orbits, so a word
     whose minimal orbit length differs is classified None without a search.
+    Raises ``OrbitCapExceeded`` past ``minimize.ORBIT_CAP`` orbit words.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
     if s.rank != n:
         raise ValueError(f"word has rank {s.rank}, expected {n}")
-    check_orbit_cap(orbit_cap)
 
     minimized = whitehead_minimize(s)
     if len(minimized[0]) != 2 * n:
@@ -291,11 +282,7 @@ def classify(
     targets = {squares_word(n).letters: "Squares"}
     if n % 2 == 0:
         targets[commutators_word(n).letters] = "Commutators"
-
-    def probe(raw: tuple[int, ...]) -> Optional[str]:
-        return targets.get(raw)
-
-    orbit = minimal_orbit(s, cap=orbit_cap, stop=probe, minimized=minimized)
+    orbit = minimal_orbit(s, stop=targets.get, minimized=minimized)
     if orbit.hit is None:
         return CanonicalForm(None, None)
     raw, kind = orbit.hit

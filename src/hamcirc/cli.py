@@ -6,8 +6,8 @@ input errors, and sizes over a budget, exit 3; any other exception is an
 internal failure and exits 4.  Identical inputs always produce
 byte-identical output.
 
-The --orbit-cap flag of classify bounds its orbit closure, which exits 3
-past it, as does a cap below 1; certify runs no closure and takes no cap.
+Every size guard is a module constant.  The orbit closure of classify
+exits 3 past minimize.ORBIT_CAP (100,000 words); certify runs no closure.
 The quotient command uses the per-class synthesis; the enumeration builder
 is the library-level oracle it is tested against.  A level over 500,000
 quotient classes (quotients.QUOTIENT_BUDGET) exits 3, and so does a word
@@ -29,7 +29,7 @@ from .certifier import (
 )
 from .finite import build_finite_cayley, parse_spec
 from .freeproduct import verify_circle_truncations
-from .minimize import DEFAULT_ORBIT_CAP, OrbitCapExceeded
+from .minimize import OrbitCapExceeded
 from .multigraph import check_enumeration_size, enumerate_hamiltonian_cycles
 from .outerplanar import tree_generators, verify_outerplanar_quotient
 from .quotients import BudgetExceeded, build_quotient_local, edge_tag
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="canonical form under automorphisms")
     p.add_argument("-n", "--rank", type=int, required=True)
     p.add_argument("word")
-    p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("finite", help="count hamiltonian cycles of a finite Cayley graph")
@@ -172,7 +171,7 @@ def _cmd_cycletree(args) -> int:
 
 def _cmd_classify(args) -> int:
     word = ReducedWord.parse(args.word, args.rank)
-    form = classify(args.rank, word, orbit_cap=args.orbit_cap)
+    form = classify(args.rank, word)
     if args.json:
         _emit_json(form.to_json_dict())
     else:

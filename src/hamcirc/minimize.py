@@ -8,7 +8,9 @@ strictly shortens its cyclic reduction, so the descent cannot stall early.
 
 ``minimal_orbit`` then explores the minimal-length words reachable by
 length-preserving moves, breadth-first, recording parent pointers so a
-witness chain to any discovered word can be reconstructed.
+witness chain to any discovered word can be reconstructed.  The closure's
+size is unknown until it is built, so it is bounded as it grows, by the
+module constant ``ORBIT_CAP``, read when the closure runs.
 
 Both apply moves with a string kernel on the text form of a word: one
 ``str.translate`` that writes every letter's image, then one
@@ -56,7 +58,7 @@ from .words import (
     word_key,
 )
 
-DEFAULT_ORBIT_CAP = 100_000
+ORBIT_CAP = 100_000  # words of one orbit closure, counted as it grows
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -145,17 +147,18 @@ def whitehead_minimize(w: ReducedWord) -> tuple[ReducedWord, tuple[FGAutomorphis
 
 @dataclass
 class OrbitResult:
-    """Closure of the minimal-length orbit words under length-preserving moves."""
+    """Closure of the minimal-length orbit words under length-preserving moves.
 
-    rank: int
+    ``hit`` is ``None`` exactly when the closure is complete.
+    """
+
     base: ReducedWord
     base_chain: tuple[FGAutomorphism, ...]
     parents: dict  # raw -> None (base) or (prev_raw, move_index, strip)
     hit: Optional[tuple[tuple[int, ...], object]]
-    complete: bool
 
     def words(self) -> list[ReducedWord]:
-        rank = self.rank
+        rank = self.base.rank
         return sorted(
             (ReducedWord(raw, rank) for raw in self.parents),
             key=lambda v: v.sort_key(),
@@ -163,7 +166,7 @@ class OrbitResult:
 
     def chain_to(self, raw: tuple[int, ...]) -> tuple[FGAutomorphism, ...]:
         """Witness chain from the original input word to ``raw``."""
-        moves = _move_tables(self.rank)
+        moves = _move_tables(self.base.rank)
         steps = []
         cur = raw
         while True:
@@ -171,7 +174,7 @@ class OrbitResult:
             if rec is None:
                 break
             prev, idx, strip = rec
-            steps.append(_step_chain(self.rank, moves[idx][0], strip))
+            steps.append(_step_chain(self.base.rank, moves[idx][0], strip))
             cur = prev
         chain = list(self.base_chain)
         for step in reversed(steps):
@@ -179,16 +182,8 @@ class OrbitResult:
         return tuple(chain)
 
 
-def check_orbit_cap(cap: int) -> None:
-    """Refuse an orbit cap below 1; every function that takes a cap calls
-    this before any work."""
-    if cap < 1:
-        raise ValueError(f"orbit cap must be at least 1, got {cap}")
-
-
 def minimal_orbit(
     w: ReducedWord,
-    cap: int = DEFAULT_ORBIT_CAP,
     stop: Optional[Callable[[tuple[int, ...]], object]] = None,
     *,
     minimized: Optional[tuple[ReducedWord, tuple[FGAutomorphism, ...]]] = None,
@@ -196,13 +191,12 @@ def minimal_orbit(
     """Breadth-first closure from ``whitehead_minimize(w)``.
 
     ``stop(raw)`` may return a truthy tag to halt exploration at that word;
-    the result then carries ``hit=(raw, tag)`` and ``complete=False``.
-    A caller that has already minimized ``w`` passes the result of
-    ``whitehead_minimize(w)`` as ``minimized``, so it is not computed again.
-    Raises :class:`OrbitCapExceeded` if the closure grows past ``cap``, and
-    ``ValueError`` for a cap below 1.
+    the result then carries ``hit=(raw, tag)``.  A complete closure carries
+    ``hit=None``.  A caller that has already minimized ``w`` passes the
+    result of ``whitehead_minimize(w)`` as ``minimized``, so it is not
+    computed again.  Raises :class:`OrbitCapExceeded` if the closure grows
+    past ``ORBIT_CAP`` words.
     """
-    check_orbit_cap(cap)
     rank = w.rank
     base, base_chain = whitehead_minimize(w) if minimized is None else minimized
     moves = _move_tables(rank)
@@ -212,7 +206,7 @@ def minimal_orbit(
     if stop is not None:
         tag = stop(base.letters)
         if tag:
-            return OrbitResult(rank, base, base_chain, parents, (base.letters, tag), False)
+            return OrbitResult(base, base_chain, parents, (base.letters, tag))
 
     # the words found, text -> letters, and their texts in the order found;
     # the loop walks ``order`` while appending to it, so it is the queue
@@ -233,20 +227,20 @@ def minimal_orbit(
                 continue
             letters = found[img] = text_letters(img)
             parents[letters] = (cur_letters, idx, text_letters(strip))
-            if len(parents) > cap:
-                raise OrbitCapExceeded(cap)
+            if len(parents) > ORBIT_CAP:
+                raise OrbitCapExceeded(ORBIT_CAP)
             if stop is not None:
                 tag = stop(letters)
                 if tag:
-                    return OrbitResult(rank, base, base_chain, parents, (letters, tag), False)
+                    return OrbitResult(base, base_chain, parents, (letters, tag))
             order.append(img)
-    return OrbitResult(rank, base, base_chain, parents, None, True)
+    return OrbitResult(base, base_chain, parents, None)
 
 
 def orbit_minimal_set(w: ReducedWord) -> tuple[ReducedWord, ...]:
     """All minimal-length orbit words reachable by length-preserving moves.
 
     Deterministically ordered by (length, letter sequence) with a < A < b < B.
-    Raises :class:`OrbitCapExceeded` past ``minimal_orbit``'s default cap.
+    Raises :class:`OrbitCapExceeded` past ``ORBIT_CAP`` words.
     """
     return tuple(minimal_orbit(w).words())

@@ -225,7 +225,7 @@ def is_gated(cert):
     return cert.note.startswith("orbit closure skipped")
 
 
-def certify_by_closure(n, s, cap):
+def certify_by_closure(n, s):
     """``certify`` as it stood before it decided from the minimized word
     alone, as an oracle for a nontrivial cyclically reduced ``s``.
 
@@ -236,8 +236,8 @@ def certify_by_closure(n, s, cap):
     with no hit holds no canonical word and answers No at minimal length 2n,
     Unknown otherwise; that Unknown carries the note of the skipped closure
     when the minimized word is longer than 2n with a one-block Whitehead
-    graph by ``whitehead_oracle``.  Raises ``OrbitCapExceeded`` past ``cap``
-    words.
+    graph by ``whitehead_oracle``.  Raises ``OrbitCapExceeded`` past
+    ``minimize.ORBIT_CAP`` words.
     """
     levels = tuple(range(1, default_max_level(n) + 1))
     if level_one_quotient(s).is_cycle():
@@ -254,7 +254,7 @@ def certify_by_closure(n, s, cap):
                 return "cycle"
         return None
 
-    orbit = minimal_orbit(s, cap=cap, stop=probe)
+    orbit = minimal_orbit(s, stop=probe)
     if orbit.hit is not None:
         raw, tag = orbit.hit
         if tag == "missing":
@@ -327,12 +327,13 @@ class TestGate:
         assert outcomes.count(True) > 1000 and outcomes.count(False) > 500
         assert 30 < outcomes[-300:].count(True) < 270
 
-    def test_certify_matches_the_closure_oracle(self):
+    def test_certify_matches_the_closure_oracle(self, monkeypatch):
         decided = {VERDICT_YES: 0, VERDICT_NO: 0, VERDICT_UNKNOWN: 0}
         ranks = set()
         for word, cap in differential_words():
+            monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", cap)
             try:
-                expect = certify_by_closure(word.rank, word, cap)
+                expect = certify_by_closure(word.rank, word)
             except OrbitCapExceeded:
                 continue
             cert = certify(word.rank, word)
@@ -405,20 +406,6 @@ class TestClassify:
 
     def test_abab_is_none(self):
         assert classify(2, w("abab")).kind is None
-
-    @pytest.mark.parametrize("text", ["abab", "aabb", "aaabbb"])
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_orbit_cap_below_one_refused_at_entry(self, monkeypatch, text, cap):
-        """Refused before minimization, also for words whose minimal length
-        would answer None without an orbit."""
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the orbit cap check")
-
-        monkeypatch.setattr("hamcirc.certifier.whitehead_minimize", no_work)
-        monkeypatch.setattr("hamcirc.certifier.minimal_orbit", no_work)
-        with pytest.raises(ValueError, match=f"^orbit cap must be at least 1, got {cap}$"):
-            classify(2, w(text), orbit_cap=cap)
 
     def test_witness_reproduces_canonical(self):
         word = w("aaabab")

@@ -367,35 +367,38 @@ class TestOtherCommands:
 
 
 class TestEnvironmentOverrides:
-    """classify --orbit-cap is the one orbit budget: certify takes none, and
-    no environment variable sets one."""
+    """The one orbit budget is the module constant minimize.ORBIT_CAP: no
+    command takes a cap, and no environment variable sets one."""
 
-    def test_flag_bounds_the_closure(self, capsys):
-        # aBAb has length 2n, so classify runs its closure, which passes 2
-        # words before it reaches abAB
-        code, out, err = run_cli(capsys, "classify", "-n", "2", "aBAb", "--orbit-cap", "2")
-        assert (code, out) == (3, "")
-        assert err == "error: orbit closure exceeded cap of 2 words\n"
-        code, out, _ = run_cli(
-            capsys, "classify", "-n", "2", "aBAb", "--orbit-cap", "100000"
-        )
+    def test_flag_bounds_the_closure(self, capsys, monkeypatch):
+        # aBAb has length 2n, so classify runs its closure, whose third word
+        # is abAB: a cap of 3 words admits it
+        monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", 3)
+        code, out, _ = run_cli(capsys, "classify", "-n", "2", "aBAb")
         assert code == 0 and out.startswith("Commutators\n")
 
-    def test_classify_cap_exceeded_is_clean_error(self, capsys):
+    def test_constant_is_read_when_classify_runs(self, capsys, monkeypatch):
+        # the closure passes 2 words before it reaches abAB
+        monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", 2)
+        code, out, err = run_cli(capsys, "classify", "-n", "2", "aBAb")
+        assert (code, out) == (3, "")
+        assert err == "error: orbit closure exceeded cap of 2 words\n"
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "classify", "-n", "2", "aBAb")
+        assert code == 0 and out.startswith("Commutators\n")
+
+    def test_classify_cap_exceeded_is_clean_error(self, capsys, monkeypatch):
         # aaaa has orbit-minimal length 4 and a four-word closure, so a cap
         # of 2 is exceeded before the (absent) canonical word can be found
-        code, _, err = run_cli(
-            capsys, "classify", "-n", "2", "aaaa", "--orbit-cap", "2"
-        )
+        monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", 2)
+        code, _, err = run_cli(capsys, "classify", "-n", "2", "aaaa")
         assert code == 3
         assert "cap" in err
 
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_orbit_cap_below_one_is_usage_error(self, capsys, cap):
-        # refused by classify itself, before it minimizes
-        code, out, err = run_cli(capsys, "classify", "-n", "2", "aabb", "--orbit-cap", cap)
+    def test_classify_has_no_cap_flag(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "-n", "2", "aBAb", "--orbit-cap", "2")
         assert (code, out) == (3, "")
-        assert err == f"error: orbit cap must be at least 1, got {cap}\n"
+        assert err == "error: unrecognized arguments: --orbit-cap 2\n"
 
     def test_certify_has_no_cap_and_the_environment_sets_none(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, "certify", "-n", "2", "aabb", "--orbit-cap", "5")

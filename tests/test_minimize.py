@@ -155,12 +155,6 @@ class TestOrbitMinimalSet:
         words = {str(x) for x in orbit_minimal_set(w("aabb"))}
         assert {"aabb", "abba", "bbaa", "baab"} <= words
 
-    def test_cap_below_one_refused(self):
-        for cap in (0, -5):
-            with pytest.raises(ValueError, match="at least 1"):
-                minimal_orbit(w("aabb"), cap=cap)
-        assert minimal_orbit(w("aabb"), cap=1, stop=lambda raw: "hit").hit is not None
-
 
 def moves_of(rank):
     """The kernel's moves, which must be the non-identity elementary set in order."""
@@ -264,9 +258,9 @@ def captured_probe(monkeypatch, n, word):
     """The stop probe that classify hands to minimal_orbit."""
     probes = []
 
-    def spy(w, cap, stop, **kwargs):
+    def spy(w, stop, **kwargs):
         probes.append(stop)
-        return minimal_orbit(w, cap=cap, stop=stop, **kwargs)
+        return minimal_orbit(w, stop=stop, **kwargs)
 
     monkeypatch.setattr(certifier, "minimal_orbit", spy)
     certifier.classify(n, word)
@@ -290,14 +284,14 @@ class TestOrbitAgainstReference:
         parents, hit, complete = reference_orbit(word, cap=10**6)
         orbit = minimal_orbit(word)
         assert list(orbit.parents.items()) == list(parents.items())
-        assert (orbit.hit, orbit.complete) == (hit, complete) == (None, True)
+        assert (orbit.hit, orbit.hit is None) == (hit, complete) == (None, True)
         assert orbit.base.letters == next(iter(parents))
         probe = captured_probe(monkeypatch, word.rank, word)
         if probe is not None:
             parents, hit, complete = reference_orbit(word, cap=10**6, stop=probe)
             orbit = minimal_orbit(word, stop=probe)
             assert list(orbit.parents.items()) == list(parents.items())
-            assert (orbit.hit, orbit.complete) == (hit, complete)
+            assert (orbit.hit, orbit.hit is None) == (hit, complete)
 
     def test_probes_reached(self, monkeypatch):
         # classify's probe runs at least once on the seeded words, and hits
@@ -309,12 +303,17 @@ class TestOrbitAgainstReference:
                 hits += minimal_orbit(word, stop=probe).hit is not None
         assert hits
 
-    def test_cap_fires_at_the_same_count(self):
+    def test_cap_fires_at_the_same_count(self, monkeypatch):
         word = w("aabab")
         size = len(reference_orbit(word, cap=10**6)[0])
         assert size > 2
-        assert len(minimal_orbit(word, cap=size).parents) == size
-        for run in (lambda: minimal_orbit(word, cap=size - 1),
+        monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", size)
+        assert len(minimal_orbit(word).parents) == size
+        monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", size - 1)
+        for run in (lambda: minimal_orbit(word),
                     lambda: reference_orbit(word, cap=size - 1)):
             with pytest.raises(OrbitCapExceeded):
                 run()
+        # a stop at the base word returns before the cap is checked
+        monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", 1)
+        assert minimal_orbit(w("aabb"), stop=lambda raw: "hit").hit is not None
