@@ -94,7 +94,7 @@ class Multigraph:
 
     def is_cycle(self) -> bool:
         """Connected, at least 3 vertices, every degree exactly 2."""
-        return _cycle_positions(self.n_vertices, self.edges) is not None
+        return cycle_positions(self) is not None
 
     def is_simple(self) -> bool:
         seen = set()
@@ -207,26 +207,33 @@ def _reach(adj: list[set[int]], start: int, seen: list[bool]) -> list[int]:
 
 
 @collector_paused
-def _cycle_positions(n: int, edges: Iterable[tuple]) -> Optional[list[int]]:
-    """Each vertex's position along ``edges`` when they form a hamiltonian
-    cycle on the n vertices, else None: at least 3 vertices, every vertex on
+def cycle_positions(g: Multigraph) -> Optional[list[int]]:
+    """Each vertex's position along the edges of g when they form a
+    hamiltonian cycle, else None: at least 3 vertices, every vertex on
     exactly two edges, and one walk from vertex 0 covers all of them (the
-    edges are disjoint cycles; it goes round 0's).  A parallel pair sends
-    the walk straight back, so it closes too early."""
-    ends: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        ends[u].append(v)
-        ends[v].append(u)
-    if n < 3 or any(len(x) != 2 for x in ends):
+    edges are disjoint cycles; it goes round 0's, starting at 0's first
+    neighbour in edge order).  Each vertex keeps the XOR of its neighbours,
+    so the walk leaves v for ``link[v] ^ prev``.  A parallel pair is a
+    component of its own, so a walk from 0 that meets it closes too early."""
+    n = len(g.labels)
+    link, deg = [0] * n, [0] * n
+    first = 0
+    for u, v, _ in g.edges:
+        link[u] ^= v
+        link[v] ^= u
+        deg[u] += 1
+        deg[v] += 1
+        if u == 0 and not first:  # u < v, so 0 is never v
+            first = v
+    if n < 3 or deg.count(2) != n:
         return None
     pos = [0] * n
-    prev, v = 0, ends[0][0]
+    prev, v = 0, first
     for i in range(1, n):
         if v == 0:
             return None
         pos[v] = i
-        a, b = ends[v]
-        prev, v = v, b if a == prev else a
+        prev, v = v, link[v] ^ prev
     return pos
 
 
@@ -400,14 +407,12 @@ def is_outerplanar(g: Multigraph, circle: Optional[Sequence[int]] = None) -> boo
     cycle is hamiltonian on block edges and no two block edges cross it.
 
     ``circle``, when given, is each vertex's position on a hamiltonian cycle of g,
-    as ``tagged_cycle_positions`` finds it, and no reduction runs.  A 2-connected
-    outerplanar graph has exactly one hamiltonian cycle, its outer face (Sysło,
-    Discrete Math. 26, 1979), so g is outerplanar iff no two of its edges cross
-    as chords of that cycle."""
+    as ``cycle_positions`` finds it on the cycle's edges, and no reduction runs.
+    A 2-connected outerplanar graph has exactly one hamiltonian cycle, its outer
+    face (Sysło, Discrete Math. 26, 1979), so g is outerplanar iff no two of its
+    edges cross as chords of that cycle."""
     if circle is not None:
-        ends = ((circle[u], circle[v]) for u, v, _ in g.edges)
-        # an edge between neighbours on the circle crosses nothing
-        return spans_nest((a, b) if a < b else (b, a) for a, b in ends if not -1 <= a - b <= 1)
+        return spans_nest(((circle[u], circle[v]) for u, v, _ in g.edges), len(circle))
     adj = _neighbour_sets(g)
     for block in _blocks(adj):
         work = {v: adj[v] & block for v in block}
@@ -434,30 +439,37 @@ def is_outerplanar(g: Multigraph, circle: Optional[Sequence[int]] = None) -> boo
         while v not in pos and nxt[v] in adj[v]:
             pos[v], v = len(pos), nxt[v]
         if len(pos) < len(block) or not spans_nest(
-            (pos[x], pos[y]) for x in block for y in adj[x] & block if pos[x] < pos[y]
+            ((pos[x], pos[y]) for x in block for y in adj[x] & block if pos[x] < pos[y]), len(block)
         ):
             return False
     return True
 
 
-def spans_nest(spans: Iterable[tuple[int, int]]) -> bool:
-    """No two spans (lo, hi), lo < hi, cross: none has lo < lo' < hi < hi'.
-    Spans that share an end, or are equal, nest.  With a cycle's vertices
-    numbered along it, the spans of its chords nest iff no two chords cross."""
+def spans_nest(spans: Iterable[tuple[int, int]], size: int) -> bool:
+    """No two spans cross: with lo, hi the smaller and the larger of a span's
+    two ends among 0..size-1, none has lo < lo' < hi < hi'.  Spans that share
+    an end, or are equal, nest, and so does a span between neighbours,
+    hi = lo + 1, which is left out.  With a cycle's vertices numbered along
+    it, the spans of its chords nest iff no two chords cross.  Each span is
+    sorted as one integer, lo * size + (size - hi): by left end, and outer
+    spans first among those with the same one."""
+    keys = []
+    for a, b in spans:
+        if a > b:
+            a, b = b, a
+        if b - a > 1:
+            keys.append(a * size + size - b)
+    keys.sort()
     ends: list[int] = []  # right ends of the open spans, innermost last
-    for lo, neg_hi in sorted((lo, -hi) for lo, hi in spans):  # by left end, outer spans first
+    for key in keys:
+        lo, hi = divmod(key, size)
+        hi = size - hi
         while ends and ends[-1] <= lo:
             ends.pop()
-        if ends and ends[-1] < -neg_hi:
+        if ends and ends[-1] < hi:
             return False
-        ends.append(-neg_hi)
+        ends.append(hi)
     return True
-
-
-def tagged_cycle_positions(g: Multigraph, tag: Optional[str]) -> Optional[list[int]]:
-    """Each vertex's position along the edges tagged ``tag`` when they form a
-    hamiltonian cycle, else None: ``is_cycle`` on their spanning subgraph."""
-    return _cycle_positions(len(g.labels), (e for e in g.edges if e[2] == tag))
 
 
 def _blocks(adj: list[set[int]]) -> list[set[int]]:

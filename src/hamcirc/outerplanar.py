@@ -10,18 +10,20 @@ because prefix classes nest: a group edge between two classes at one level
 joins two classes at every deeper one.  The standard generators' edges are
 never walked.  At every level they are the Cayley tree of A, one edge from
 each class to its parent, which the shortlex numbering of the classes
-gives by arithmetic, so ``with_tree`` reads them off it and adds them to
-the circle.  Only the checked levels are attested; nothing is claimed about
-the infinite graph beyond them.
+gives by arithmetic (``tree_parents``).  Only the checked levels are
+attested; nothing is claimed about the infinite graph beyond them.
 
-The two checks share one walk.  A 2-connected outerplanar graph has exactly
+One walk decides both checks.  A 2-connected outerplanar graph has exactly
 one hamiltonian cycle, its outer face (Sysło, "Characterizations of
 outerplanar graphs", Discrete Math. 26, 1979).  So once the s-edges form a
 hamiltonian cycle, the truncation is outerplanar iff no two of its edges
-cross as chords of that cycle, which one pass over the edges in circle order
-decides: ``is_outerplanar`` runs that pass when it is given the circle.
-Only a level whose circle is not a hamiltonian cycle (a negative control
-such as abab) runs Mitchell's reduction there.
+cross as chords of that cycle.  The s-edges are the cycle itself, and the
+other edges are the tree edges, one per class, so the chords are read off
+the walk's positions and the class numbering, and one sort of integer keys
+decides whether they nest (``tree_chords_nest``).  The full graph is never
+formed.  Only a level whose circle is not a hamiltonian cycle (a negative
+control such as abab) gets its tree edges (``with_tree``) and runs
+Mitchell's reduction.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certifier import VERDICT_YES, certify
-from .multigraph import is_outerplanar, tagged_cycle_positions
+from .multigraph import cycle_positions, is_outerplanar, spans_nest
 from .quotients import (
     build_quotient_local,
     check_quotient_budget,
     contract_level,
-    edge_tag,
+    tree_parents,
     with_tree,
 )
 from .words import ReducedWord
@@ -86,6 +88,14 @@ def tree_generators(n: int) -> list[ReducedWord]:
     return [ReducedWord((i,), n) for i in range(1, n + 1)]
 
 
+def tree_chords_nest(n: int, pos: list[int]) -> bool:
+    """Whether the tree edges of a rank-n prefix quotient, each class c >= 1
+    joined to its parent (``tree_parents``), nest as chords of a cycle on
+    its classes, with class c at position pos[c]."""
+    parents = map(pos.__getitem__, tree_parents(n, 1, len(pos)))
+    return spans_nest(zip(parents, pos[1:]), len(pos))
+
+
 def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> OuterplanarReport:
     """Check outerplanarity and the circle-cycle property per level.
 
@@ -94,28 +104,39 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
     which is how negative controls are exercised.  Only the circle
     quotient at ``max_level`` is built; the levels below are contracted
     from it, then all are checked in increasing order.  Each level first
-    walks its circle, whose vertices are all the classes, so a cycle on it
-    is hamiltonian.  Only then is the full quotient formed, with the tree
-    edges read off the class numbering (``with_tree``), so the walk's
-    memory is freed before the tree's is taken.  If the circle is a
-    hamiltonian cycle, the level is outerplanar iff its edges nest as
-    chords of that cycle (Sysło 1979), and otherwise Mitchell's reduction
-    decides.  ``is_outerplanar`` runs either, as it is given the circle or
-    None.
+    walks its circle, the quotient of s alone, whose vertices are all the
+    classes, so a cycle on it is hamiltonian.
+
+    When the walk succeeds, the level is outerplanar iff its tree edges
+    nest as chords of the circle (``tree_chords_nest``), which equals
+    ``is_outerplanar(with_tree(n, g), pos)`` on the level's circle g and
+    positions pos:
+
+    * the walk succeeded, so every s-edge joins two consecutive positions
+      of the circle or is the pair (0, N-1) that closes it, and such a span
+      nests with every span;
+    * the level's other edges are exactly its tree edges, one
+      {parent(c), c} per class c >= 1, as ``with_tree`` proves;
+    * so the whole quotient's edges nest iff its tree edges do, and by
+      Sysło's theorem it is then outerplanar iff they nest.
+
+    When the walk fails, the tree edges are added (``with_tree``) and
+    Mitchell's reduction decides (``is_outerplanar`` given no circle).
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
     check_quotient_budget(n, max_level)
     cert = certify(n, s, max_level=1)
-    tag = edge_tag(s)
     circles = [build_quotient_local(n, [s], max_level).graph]
     for level in range(max_level - 1, 0, -1):
         circles.append(contract_level(n, circles[-1], level))
     levels = []
     for level in range(1, max_level + 1):
         circle_graph = circles.pop()  # freed once checked
-        circle = tagged_cycle_positions(circle_graph, tag)
-        full = with_tree(n, circle_graph)
-        outer = is_outerplanar(full, circle)
-        levels.append(LevelReport(level, full.n_vertices, outer, circle is not None))
+        pos = cycle_positions(circle_graph)  # its edges are all s-edges
+        if pos is not None:
+            outer = tree_chords_nest(n, pos)
+        else:
+            outer = is_outerplanar(with_tree(n, circle_graph))
+        levels.append(LevelReport(level, len(circle_graph.labels), outer, pos is not None))
     return OuterplanarReport(str(s), n, cert.verdict, tuple(levels))

@@ -20,7 +20,8 @@ Both builders take the level's classes in vertex order from
 nothing is sorted per word.  ``contract_level`` derives a shallower level
 from a deeper one by the same numbering, without a rebuild, and
 ``with_tree`` adds the standard generators' edges to a level, each class's
-edge to its parent, by the same arithmetic and without a walk.
+edge to its parent, without a walk; both take each class's parent from
+``tree_parents``.
 
 The integer kernels here and in ``freeproduct`` share their tail: each
 puts a class's (class, far class, start id) triples in order with
@@ -40,7 +41,8 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Sequence
+from itertools import chain, count, islice, repeat
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .multigraph import Multigraph, collector_paused
 from .words import (
@@ -452,10 +454,10 @@ def contract_level(n: int, graph: Multigraph, level: int) -> Multigraph:
     top = quotient_level(n, graph)
     if top < level:
         raise ValueError(f"cannot contract a level-{top} quotient to level {level}")
-    size, d = count_reduced_words(n, level), 2 * n - 1
+    size = count_reduced_words(n, level)
     up = list(range(size))
-    for i in range(size, len(graph.labels)):
-        up.append(up[(i - 2) // d])
+    for p in tree_parents(n, size, len(graph.labels)):
+        up.append(up[p])
     edges = []
     for e in graph.edges:
         u, v, tag = e
@@ -472,7 +474,7 @@ def with_tree(n: int, graph: Multigraph) -> Multigraph:
     numbers it (built or contracted), with the edges of the standard
     generators A = a, b, ... added after its own: for each class c >= 1 the
     edge (parent(c), c) tagged with edge_tag of c's last letter, where
-    parent(c) is 0 for c <= 2n and (c-2)//(2n-1) beyond.
+    parent(c) is the class of c's word less that letter (``tree_parents``).
 
     These are the edges ``build_quotient_local(n, tree_generators(n) + gens,
     level)`` adds to the build on ``gens``: the labels and the edge multiset,
@@ -491,16 +493,22 @@ def with_tree(n: int, graph: Multigraph) -> Multigraph:
     """
     labels = graph.labels
     quotient_level(n, graph)
-    d, root = 2 * n - 1, 2 * n
-    tag = {x: x.lower() for x in labels[1 : root + 1]}  # one string per generator
-    tree = [(0, c, tag[labels[c]]) for c in range(1, root + 1)]
-    # the children of class p >= 1 are d*p + 2 .. d*p + d + 1
-    tree += [
+    tag = {x: x.lower() for x in labels[1 : 2 * n + 1]}  # one string per generator
+    tree = (
         (p, c, tag[labels[c][-1]])
-        for p in range(1, (len(labels) - 2) // d)
-        for c in range(d * p + 2, d * p + d + 2)
-    ]
+        for c, p in enumerate(tree_parents(n, 1, len(labels)), 1)
+    )
     return Multigraph._trusted(labels, graph.edges + tuple(tree))
+
+
+def tree_parents(n: int, start: int, stop: int) -> Iterator[int]:
+    """parent(c) for each class c in range(start, stop), 1 <= start, of a
+    rank-n prefix quotient numbered as ``build_quotient_local`` numbers it:
+    the class of c's word less its last letter, which is 0 for c <= 2n and
+    (c - 2) // (2n - 1) beyond.  In class order the parents run 0 for the
+    root's 2n children, then each class p >= 1 once per child, 2n - 1 times."""
+    runs = chain.from_iterable(map(repeat, count(1), repeat(2 * n - 1)))
+    return islice(chain(repeat(0, 2 * n), runs), start - 1, stop - 1)
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:

@@ -20,7 +20,7 @@ from hamcirc.freeproduct import (
     syllables_str,
     verify_circle_truncations,
 )
-from hamcirc.multigraph import Multigraph, tagged_cycle_positions
+from hamcirc.multigraph import Multigraph, cycle_positions
 from hamcirc.quotients import (
     COUNT_CAP,
     BudgetExceeded,
@@ -460,7 +460,7 @@ class TestVerification:
             # swap the far ends of two opposite circle edges (x0, x1) and
             # (xh, xh+1): the ab-edges close into two cycles, x1..xh and
             # xh+1..x0, and every class keeps its two circle edges
-            pos = tagged_cycle_positions(g, tag)
+            pos = cycle_positions(g.without_edges(i for i, e in enumerate(g.edges) if e[2] != tag))
             at = sorted(range(g.n_vertices), key=pos.__getitem__)
             h = len(at) // 2
             drop = [

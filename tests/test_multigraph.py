@@ -17,8 +17,9 @@ from hamcirc.multigraph import (
     has_minor,
     is_outerplanar,
     outerplanar_by_minor_search,
+    cycle_positions,
     parse_adjacency,
-    tagged_cycle_positions,
+    spans_nest,
 )
 
 
@@ -297,10 +298,15 @@ def _near_outerplanar(rng: random.Random, n: int) -> Multigraph:
 S = "s"  # the tag of the circle edges
 
 
+def _tagged(g: Multigraph, tag):
+    """The spanning subgraph of the edges tagged ``tag``."""
+    return g.without_edges(i for i, (_, _, t) in enumerate(g.edges) if t != tag)
+
+
 def _circle_verdicts(g: Multigraph):
     """(circle is a hamiltonian cycle, outerplanar) by the circle check, with
     the positions it found checked against the tagged edges."""
-    pos = tagged_cycle_positions(g, S)
+    pos = cycle_positions(_tagged(g, S))
     if pos is None:
         return False, None
     k = g.n_vertices
@@ -314,7 +320,7 @@ def _circle_verdicts(g: Multigraph):
 def _reference_verdicts(g: Multigraph):
     """(the tagged edges form a hamiltonian cycle, Mitchell's verdict), the
     cycle test spelled out from degrees and connectivity."""
-    circle = g.without_edges(i for i, (_, _, tag) in enumerate(g.edges) if tag != S)
+    circle = _tagged(g, S)
     cycle = circle.n_vertices >= 3 and set(circle.degrees()) == {2} and circle.is_connected()
     assert circle.is_cycle() == cycle
     return cycle, is_outerplanar(g)
@@ -354,7 +360,7 @@ def _tagged_circle(rng: random.Random, k: int, broken: str) -> Multigraph:
 
 
 class TestCircleOuterplanarity:
-    """``tagged_cycle_positions`` and ``is_outerplanar`` given the circle
+    """``cycle_positions`` on the tagged edges and ``is_outerplanar`` given the circle
     against the degree and connectivity test on the tagged edges, Mitchell's
     reduction and, on small graphs, the minor search."""
 
@@ -403,6 +409,8 @@ class TestCircleOuterplanarity:
             ("ab", [(0, 1), (0, 1)]),  # fewer than 3 vertices
             ("a", []),
             ("", []),
+            # 0 on a triangle, the other vertices on a second cycle
+            ("abcdefg", [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
         ],
     )
     def test_broken_circles(self, labels, circle):
@@ -413,8 +421,61 @@ class TestCircleOuterplanarity:
         assert not _reference_verdicts(g)[0]
 
     def test_untagged_cycle_is_no_circle(self):
-        assert tagged_cycle_positions(cycle_graph(5), S) is None
-        assert tagged_cycle_positions(cycle_graph(5), None) is not None
+        assert _circle_verdicts(cycle_graph(5)) == (False, None)
+        assert cycle_positions(_tagged(cycle_graph(5), None)) is not None
+
+    def test_walk_starts_at_the_first_neighbour_of_0(self):
+        g = Multigraph(list("abcde"), [(2, 3), (0, 4), (1, 2), (0, 1), (3, 4)])
+        assert cycle_positions(g) == [0, 4, 3, 2, 1]
+        assert cycle_positions(g.without_edges([0])) is None
+
+
+def _tuple_spans_nest(spans):
+    """The tuple algorithm that ``spans_nest`` replaced: sort (lo, -hi),
+    then keep the right ends of the open spans on a stack."""
+    ends = []
+    for lo, neg_hi in sorted((lo, -hi) for lo, hi in spans):
+        while ends and ends[-1] <= lo:
+            ends.pop()
+        if ends and ends[-1] < -neg_hi:
+            return False
+        ends.append(-neg_hi)
+    return True
+
+
+class TestSpansNest:
+    """``spans_nest``, which sorts each span as one integer key, against the
+    tuple algorithm, on spans given either way round."""
+
+    @pytest.mark.parametrize(
+        "size, spans, nest",
+        [
+            (4, [(0, 2), (1, 3)], False),  # crossing
+            (8, [(1, 6), (2, 5), (5, 7)], False),  # crossing after a nested pair
+            (8, [(0, 7), (1, 6), (2, 5), (3, 4)], True),  # nested
+            (6, [(0, 2), (2, 4), (0, 4), (4, 5), (1, 2)], True),  # shared ends
+            (6, [(1, 4), (1, 4), (2, 3), (2, 3)], True),  # equal
+            (6, [(0, 5), (1, 3), (3, 5), (0, 3)], True),  # the wrap span (0, N-1)
+            (6, [(0, 5), (1, 3), (2, 4)], False),  # the wrap span beside a crossing
+            (3, [(0, 2)], True),
+            (3, [], True),
+        ],
+    )
+    def test_hand_built(self, size, spans, nest):
+        assert _tuple_spans_nest(spans) == nest
+        assert spans_nest(spans, size) == nest
+        assert spans_nest([(b, a) for a, b in reversed(spans)], size) == nest
+
+    def test_random_spans(self):
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(500):
+            size = rng.randrange(2, 12)
+            spans = [tuple(sorted(rng.sample(range(size), 2))) for _ in range(rng.randrange(5))]
+            want = _tuple_spans_nest(spans)
+            assert spans_nest(spans, size) == want, (size, spans)
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestDotExport:
@@ -595,8 +656,8 @@ class TestLazyAdjacency:
             is_cycle = _reference_cycle(g)
             assert g.is_cycle() == is_cycle
             for tag in (None, "p", "q"):
-                tagged = g.without_edges(i for i, (_, _, t) in enumerate(g.edges) if t != tag)
-                assert (tagged_cycle_positions(g, tag) is not None) == _reference_cycle(tagged)
+                tagged = _tagged(g, tag)
+                assert (cycle_positions(tagged) is not None) == _reference_cycle(tagged)
             cycles += is_cycle
             non_cycles += set(g.degrees()) == {2} and not is_cycle
         assert cycles >= 10 and non_cycles >= 10

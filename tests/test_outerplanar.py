@@ -12,9 +12,15 @@ import hamcirc
 from hamcirc import multigraph, outerplanar, quotients
 from hamcirc.certifier import level_one_quotient
 from hamcirc.cli import main
-from hamcirc.multigraph import is_outerplanar
-from hamcirc.outerplanar import tree_generators, verify_outerplanar_quotient
-from hamcirc.quotients import BudgetExceeded, build_quotient_local, generator_subgraph
+from hamcirc.multigraph import cycle_positions, is_outerplanar
+from hamcirc.outerplanar import tree_chords_nest, tree_generators, verify_outerplanar_quotient
+from hamcirc.quotients import (
+    BudgetExceeded,
+    build_quotient_local,
+    contract_level,
+    generator_subgraph,
+    with_tree,
+)
 from hamcirc.words import ReducedWord, count_reduced_words
 
 
@@ -251,8 +257,10 @@ def test_mitchell_runs_only_where_the_circle_fails(capsys, monkeypatch, word, le
     assert main(argv + ["--json"]) == code
     text, warning = capsys.readouterr()
     assert json.loads(text) == {"word": word, "levels": levels} and warning == err
+    # a level whose circle walk succeeds checks its tree chords off the walk;
+    # only the others form the full quotient and run Mitchell's reduction
     failed = [lv["vertices"] for lv in levels if not lv["circle_is_ham_cycle"]]
-    assert [g.n_vertices for g, _ in checks] == [lv["vertices"] for lv in levels] * 2
+    assert [g.n_vertices for g, in checks] == failed * 2
     assert [len(adj) for adj, in mitchell] == failed * 2
     assert subgraph == []
 
@@ -271,3 +279,63 @@ def test_standard_generators_are_never_walked(monkeypatch, n, text, level, code,
     calls = _spy(monkeypatch, quotients.build_quotient_local)
     assert main(["outerplanar", "-n", str(n), "-s", text, "-l", str(level)]) == code
     assert calls == [(n, [w(text, n)], lv) for lv in builds]
+
+
+def _walked_levels(n, text, top):
+    """(level, circle quotient, its walk's positions) for levels top..1."""
+    circle = build_quotient_local(n, [w(text, n)], top).graph
+    for level in range(top, 0, -1):
+        g = circle if level == top else contract_level(n, circle, level)
+        yield level, g, cycle_positions(g)
+
+
+@pytest.mark.parametrize(
+    "n, text, top",
+    [
+        (2, "aabb", 6),
+        (2, "abAB", 6),
+        (2, "abaB", 6),
+        (3, "aabbcc", 4),
+        (3, "abABcc", 4),
+        (4, "aabbccdd", 3),
+    ],
+)
+def test_tree_chords_match_the_full_quotient_checks(n, text, top):
+    # on a real walk, the tree chords alone decide what the circle check
+    # and Mitchell's reduction decide on the whole quotient
+    for level, g, pos in _walked_levels(n, text, top):
+        assert pos is not None, (text, level)
+        full = with_tree(n, g)
+        assert tree_chords_nest(n, pos) == is_outerplanar(full, pos) == is_outerplanar(full), (text, level)
+
+
+def _tree_spans_cross(labels, pos):
+    """Whether two tree spans cross, pair by pair: the tree edge of a class
+    joins it to the class of its label less the last letter."""
+    index = {label: i for i, label in enumerate(labels)}
+    spans = [
+        tuple(sorted((pos[index[label[:-1] or "1"]], pos[c])))
+        for c, label in enumerate(labels[1:], 1)
+    ]
+    return any(a < c < b < d for a, b in spans for c, d in spans)
+
+
+@pytest.mark.parametrize("n, text, top", [(2, "aabb", 4), (2, "abAB", 4), (3, "abABcc", 3)])
+def test_tree_chords_after_a_swap(n, text, top):
+    # a real walk with two non-adjacent positions swapped is no walk, and
+    # the tree chords are checked against the pairwise reference
+    rng = random.Random(top)
+    seen = set()
+    for level, g, pos in _walked_levels(n, text, top):
+        size = len(pos)
+        assert not _tree_spans_cross(g.labels, pos)
+        for _ in range(8):
+            u, v = rng.sample(range(size), 2)
+            if abs(pos[u] - pos[v]) in (1, size - 1):
+                continue
+            swapped = list(pos)
+            swapped[u], swapped[v] = pos[v], pos[u]
+            want = not _tree_spans_cross(g.labels, swapped)
+            assert tree_chords_nest(n, swapped) == want, (text, level, u, v)
+            seen.add(want)
+    assert seen == {True, False}  # some swaps make the chords cross, some do not

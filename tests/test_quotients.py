@@ -18,6 +18,7 @@ from hamcirc.quotients import (
     generator_subgraph,
     quotients_equal,
     symmetric_closure,
+    tree_parents,
     with_tree,
 )
 from hamcirc.words import RankError, ReducedWord, count_reduced_words, reduced_words
@@ -403,6 +404,17 @@ class TestWithTree:
                     got = with_tree(n, graph)
                     assert got.labels == full.labels, (str(s), level)
                     assert Counter(got.edges) == want, (str(s), level)
+
+    @pytest.mark.parametrize("n, level", [(1, 4), (2, 4), (3, 3), (4, 2)])
+    def test_parents_are_the_prefixes(self, n, level):
+        # parent(c) is the class of c's word less its last letter, on every
+        # range of classes, whatever the range's start and stop
+        index = class_index(n, level)
+        want = [index[raw[:-1]] for raw in list(index)[1:]]
+        size = len(index)
+        assert list(tree_parents(n, 1, size)) == want
+        for start, stop in [(1, 1), (2, 2 * n + 3), (2 * n, size), (size // 2, size), (size - 1, size)]:
+            assert list(tree_parents(n, start, stop)) == want[start - 1 : stop - 1], (start, stop)
 
     def test_refuses_what_is_no_quotient(self):
         level3 = build_quotient_local(2, [w("aabb")], 3).graph
