@@ -11,13 +11,13 @@ from hamcirc.multigraph import (
     complete_graph,
     cubic_cycles_through_edge,
     cycle_graph,
+    cycle_positions,
     enumerate_hamiltonian_cycles,
     find_cut_separating_pair,
     generalized_petersen,
     has_minor,
     is_outerplanar,
     outerplanar_by_minor_search,
-    cycle_positions,
     parse_adjacency,
     spans_nest,
 )
@@ -360,9 +360,9 @@ def _tagged_circle(rng: random.Random, k: int, broken: str) -> Multigraph:
 
 
 class TestCircleOuterplanarity:
-    """``cycle_positions`` on the tagged edges and ``is_outerplanar`` given the circle
-    against the degree and connectivity test on the tagged edges, Mitchell's
-    reduction and, on small graphs, the minor search."""
+    """``cycle_positions`` on the tagged edges and ``is_outerplanar`` given
+    the circle against the degree and connectivity test on the tagged edges,
+    Mitchell's reduction and, on small graphs, the minor search."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_on_random_circles(self, seed):
