@@ -400,19 +400,26 @@ def find_cut_separating_pair(
     return EdgeCut.from_side(g, best[1])
 
 
-def is_outerplanar(g: Multigraph, circle: Optional[Sequence[int]] = None) -> bool:
+def is_outerplanar(
+    g: Multigraph,
+    circle: Optional[Sequence[int]] = None,
+    chords: Optional[Iterable[tuple[int, int]]] = None,
+) -> bool:
     """No K4 and no K2,3 minor.  Mitchell's reduction (IPL 9, 1979) on each block
     peels degree-2 vertices down to a triangle, joining their two neighbours, then
     puts each back between them on the rebuilt cycle.  A Yes is a certificate: that
     cycle is hamiltonian on block edges and no two block edges cross it.
 
-    ``circle``, when given, is each vertex's position on a hamiltonian cycle of g,
-    as ``cycle_positions`` finds it on the cycle's edges, and no reduction runs.
+    ``circle`` and ``chords`` are given together or not at all.  ``circle`` is each
+    vertex's position on the hamiltonian cycle that g's own edges form, as
+    ``cycle_positions(g)`` finds it, ``chords`` are further edges, pairs of
+    vertices, and the graph decided is g with the chords added; no reduction runs.
     A 2-connected outerplanar graph has exactly one hamiltonian cycle, its outer
-    face (Sysło, Discrete Math. 26, 1979), so g is outerplanar iff no two of its
-    edges cross as chords of that cycle."""
+    face (Sysło, Discrete Math. 26, 1979), so that graph is outerplanar iff no two
+    of its edges cross as chords of the cycle.  g's own edges join neighbours on
+    the cycle or close it, and never cross, so only the chords are checked."""
     if circle is not None:
-        return spans_nest(((circle[u], circle[v]) for u, v, _ in g.edges), len(circle))
+        return spans_nest(chords, circle)
     adj = _neighbour_sets(g)
     for block in _blocks(adj):
         work = {v: adj[v] & block for v in block}
@@ -439,28 +446,30 @@ def is_outerplanar(g: Multigraph, circle: Optional[Sequence[int]] = None) -> boo
         while v not in pos and nxt[v] in adj[v]:
             pos[v], v = len(pos), nxt[v]
         if len(pos) < len(block) or not spans_nest(
-            ((pos[x], pos[y]) for x in block for y in adj[x] & block if pos[x] < pos[y]), len(block)
+            ((x, y) for x in block for y in adj[x] & block if x < y), pos
         ):
             return False
     return True
 
 
-def spans_nest(spans: Iterable[tuple[int, int]], size: int) -> bool:
-    """No two spans cross: with lo, hi the smaller and the larger of a span's
-    two ends among 0..size-1, none has lo < lo' < hi < hi'.  Spans that share
-    an end, or are equal, nest, and so does a span between neighbours,
-    hi = lo + 1, which is left out.  With a cycle's vertices numbered along
-    it, the spans of its chords nest iff no two chords cross.  Each span is
-    sorted as one integer, lo * size + (size - hi): by left end, and outer
-    spans first among those with the same one."""
+def spans_nest(chords: Iterable[tuple[int, int]], pos: Sequence[int] | dict[int, int]) -> bool:
+    """No two chords cross on a cycle that puts vertex v at position pos[v],
+    a permutation of 0..size-1: with lo, hi the smaller and the larger of a
+    chord's two positions, none has lo < lo' < hi < hi'.  Chords that share
+    an end, or are equal, nest, and so does a chord between neighbours,
+    hi = lo + 1, which is left out.  Each chord is sorted as one integer,
+    lo * size + (size - hi): by left end, and outer chords first among those
+    with the same one."""
+    size = len(pos)
     keys = []
-    for a, b in spans:
+    for u, v in chords:
+        a, b = pos[u], pos[v]
         if a > b:
             a, b = b, a
         if b - a > 1:
             keys.append(a * size + size - b)
     keys.sort()
-    ends: list[int] = []  # right ends of the open spans, innermost last
+    ends: list[int] = []  # right ends of the open chords, innermost last
     for key in keys:
         lo, hi = divmod(key, size)
         hi = size - hi

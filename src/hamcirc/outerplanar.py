@@ -20,10 +20,10 @@ hamiltonian cycle, the truncation is outerplanar iff no two of its edges
 cross as chords of that cycle.  The s-edges are the cycle itself, and the
 other edges are the tree edges, one per class, so the chords are read off
 the walk's positions and the class numbering, and one sort of integer keys
-decides whether they nest (``tree_chords_nest``).  The full graph is never
-formed.  Only a level whose circle is not a hamiltonian cycle (a negative
-control such as abab) gets its tree edges (``with_tree``) and runs
-Mitchell's reduction.
+decides whether they nest (``is_outerplanar`` given the circle and the
+tree edges as its chords).  The full graph is never formed.  Only a level
+whose circle is not a hamiltonian cycle (a negative control such as abab)
+gets its tree edges (``with_tree``) and runs Mitchell's reduction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certifier import VERDICT_YES, certify
-from .multigraph import cycle_positions, is_outerplanar, spans_nest
+from .multigraph import cycle_positions, is_outerplanar
 from .quotients import (
     build_quotient_local,
     check_quotient_budget,
@@ -88,14 +88,6 @@ def tree_generators(n: int) -> list[ReducedWord]:
     return [ReducedWord((i,), n) for i in range(1, n + 1)]
 
 
-def tree_chords_nest(n: int, pos: list[int]) -> bool:
-    """Whether the tree edges of a rank-n prefix quotient, each class c >= 1
-    joined to its parent (``tree_parents``), nest as chords of a cycle on
-    its classes, with class c at position pos[c]."""
-    parents = map(pos.__getitem__, tree_parents(n, 1, len(pos)))
-    return spans_nest(zip(parents, pos[1:]), len(pos))
-
-
 def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> OuterplanarReport:
     """Check outerplanarity and the circle-cycle property per level.
 
@@ -108,13 +100,13 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
     classes, so a cycle on it is hamiltonian.
 
     When the walk succeeds, the level is outerplanar iff its tree edges
-    nest as chords of the circle (``tree_chords_nest``), which equals
-    ``is_outerplanar(with_tree(n, g), pos)`` on the level's circle g and
-    positions pos:
+    nest as chords of the circle, so ``is_outerplanar(g, pos, tree)`` on the
+    level's circle g, its positions pos and the pairs (parent(c), c) for
+    c >= 1 (``tree_parents``) decides the whole level, ``with_tree(n, g)``:
 
-    * the walk succeeded, so every s-edge joins two consecutive positions
-      of the circle or is the pair (0, N-1) that closes it, and such a span
-      nests with every span;
+    * the walk succeeded, so g's edges, the s-edges, are the circle: each
+      joins two consecutive positions or is the pair (0, N-1) that closes
+      it, and such a chord crosses no chord;
     * the level's other edges are exactly its tree edges, one
       {parent(c), c} per class c >= 1, as ``with_tree`` proves;
     * so the whole quotient's edges nest iff its tree edges do, and by
@@ -135,7 +127,8 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
         circle_graph = circles.pop()  # freed once checked
         pos = cycle_positions(circle_graph)  # its edges are all s-edges
         if pos is not None:
-            outer = tree_chords_nest(n, pos)
+            tree = zip(tree_parents(n, 1, len(pos)), range(1, len(pos)))
+            outer = is_outerplanar(circle_graph, pos, tree)
         else:
             outer = is_outerplanar(with_tree(n, circle_graph))
         levels.append(LevelReport(level, len(circle_graph.labels), outer, pos is not None))

@@ -41,7 +41,8 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat
+from itertools import chain, repeat
+from operator import floordiv
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .multigraph import Multigraph, collector_paused
@@ -504,11 +505,11 @@ def with_tree(n: int, graph: Multigraph) -> Multigraph:
 def tree_parents(n: int, start: int, stop: int) -> Iterator[int]:
     """parent(c) for each class c in range(start, stop), 1 <= start, of a
     rank-n prefix quotient numbered as ``build_quotient_local`` numbers it:
-    the class of c's word less its last letter, which is 0 for c <= 2n and
-    (c - 2) // (2n - 1) beyond.  In class order the parents run 0 for the
-    root's 2n children, then each class p >= 1 once per child, 2n - 1 times."""
-    runs = chain.from_iterable(map(repeat, count(1), repeat(2 * n - 1)))
-    return islice(chain(repeat(0, 2 * n), runs), start - 1, stop - 1)
+    the class of c's word less its last letter, which is 0 for the root's
+    2n children, c <= 2n, and (c - 2) // (2n - 1) beyond."""
+    root = min(stop, 2 * n + 1)  # the first class past the root's children
+    deeper = range(max(start, root) - 2, stop - 2)
+    return chain(repeat(0, max(root - start, 0)), map(floordiv, deeper, repeat(2 * n - 1)))
 
 
 def quotients_equal(a: QuotientGraph, b: QuotientGraph) -> bool:

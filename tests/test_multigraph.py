@@ -314,7 +314,8 @@ def _circle_verdicts(g: Multigraph):
     assert sorted(pos) == list(range(k))
     for i in range(k):
         assert any(g.edges[e][2] == S for e in g.edges_between(at[i], at[(i + 1) % k]))
-    return True, is_outerplanar(g, pos)
+    chords = [(u, v) for u, v, t in g.edges if t != S]
+    return True, is_outerplanar(_tagged(g, S), pos, chords)
 
 
 def _reference_verdicts(g: Multigraph):
@@ -361,7 +362,7 @@ def _tagged_circle(rng: random.Random, k: int, broken: str) -> Multigraph:
 
 class TestCircleOuterplanarity:
     """``cycle_positions`` on the tagged edges and ``is_outerplanar`` given
-    the circle against the degree and connectivity test on the tagged edges,
+    the circle and the other edges as chords against the degree and connectivity test on the tagged edges,
     Mitchell's reduction and, on small graphs, the minor search."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -443,9 +444,18 @@ def _tuple_spans_nest(spans):
     return True
 
 
+def _positions(at):
+    """Each vertex's position, given the vertex at each position."""
+    pos = [0] * len(at)
+    for i, v in enumerate(at):
+        pos[v] = i
+    return pos
+
+
 class TestSpansNest:
     """``spans_nest``, which sorts each span as one integer key, against the
-    tuple algorithm, on spans given either way round."""
+    tuple algorithm, on spans given either way round: positions are vertex
+    ids, and then under a random relabelling of the cycle."""
 
     @pytest.mark.parametrize(
         "size, spans, nest",
@@ -463,8 +473,10 @@ class TestSpansNest:
     )
     def test_hand_built(self, size, spans, nest):
         assert _tuple_spans_nest(spans) == nest
-        assert spans_nest(spans, size) == nest
-        assert spans_nest([(b, a) for a, b in reversed(spans)], size) == nest
+        assert spans_nest(spans, range(size)) == nest
+        assert spans_nest([(b, a) for a, b in reversed(spans)], range(size)) == nest
+        at = random.Random(size).sample(range(size), size)  # the vertex at each position
+        assert spans_nest([(at[a], at[b]) for a, b in spans], _positions(at)) == nest
 
     def test_random_spans(self):
         rng = random.Random(7)
@@ -473,7 +485,9 @@ class TestSpansNest:
             size = rng.randrange(2, 12)
             spans = [tuple(sorted(rng.sample(range(size), 2))) for _ in range(rng.randrange(5))]
             want = _tuple_spans_nest(spans)
-            assert spans_nest(spans, size) == want, (size, spans)
+            assert spans_nest(spans, range(size)) == want, (size, spans)
+            at = rng.sample(range(size), size)
+            assert spans_nest([(at[a], at[b]) for a, b in spans], _positions(at)) == want
             seen.add(want)
         assert seen == {True, False}
 

@@ -12,13 +12,14 @@ import hamcirc
 from hamcirc import multigraph, outerplanar, quotients
 from hamcirc.certifier import level_one_quotient
 from hamcirc.cli import main
-from hamcirc.multigraph import cycle_positions, is_outerplanar
-from hamcirc.outerplanar import tree_chords_nest, tree_generators, verify_outerplanar_quotient
+from hamcirc.multigraph import cycle_positions, is_outerplanar, spans_nest
+from hamcirc.outerplanar import tree_generators, verify_outerplanar_quotient
 from hamcirc.quotients import (
     BudgetExceeded,
     build_quotient_local,
     contract_level,
     generator_subgraph,
+    tree_parents,
     with_tree,
 )
 from hamcirc.words import ReducedWord, count_reduced_words
@@ -257,10 +258,12 @@ def test_mitchell_runs_only_where_the_circle_fails(capsys, monkeypatch, word, le
     assert main(argv + ["--json"]) == code
     text, warning = capsys.readouterr()
     assert json.loads(text) == {"word": word, "levels": levels} and warning == err
-    # a level whose circle walk succeeds checks its tree chords off the walk;
-    # only the others form the full quotient and run Mitchell's reduction
-    failed = [lv["vertices"] for lv in levels if not lv["circle_is_ham_cycle"]]
-    assert [g.n_vertices for g, in checks] == failed * 2
+    # every level is checked once; one whose circle walk succeeds is given
+    # the walk and its tree chords, and only the others form the full
+    # quotient (given no circle) and run Mitchell's reduction
+    walked = [(lv["vertices"], lv["circle_is_ham_cycle"]) for lv in levels]
+    assert [(g.n_vertices, bool(rest)) for g, *rest in checks] == walked * 2
+    failed = [v for v, circle in walked if not circle]
     assert [len(adj) for adj, in mitchell] == failed * 2
     assert subgraph == []
 
@@ -279,6 +282,11 @@ def test_standard_generators_are_never_walked(monkeypatch, n, text, level, code,
     calls = _spy(monkeypatch, quotients.build_quotient_local)
     assert main(["outerplanar", "-n", str(n), "-s", text, "-l", str(level)]) == code
     assert calls == [(n, [w(text, n)], lv) for lv in builds]
+
+
+def _tree_edges(n, size):
+    """The pairs (parent(c), c) for the classes c >= 1 of a prefix quotient."""
+    return list(zip(tree_parents(n, 1, size), range(1, size)))
 
 
 def _walked_levels(n, text, top):
@@ -301,12 +309,14 @@ def _walked_levels(n, text, top):
     ],
 )
 def test_tree_chords_match_the_full_quotient_checks(n, text, top):
-    # on a real walk, the tree chords alone decide what the circle check
-    # and Mitchell's reduction decide on the whole quotient
+    # on a real walk, the tree chords alone decide what the chord check of
+    # every edge and Mitchell's reduction decide on the whole quotient
     for level, g, pos in _walked_levels(n, text, top):
         assert pos is not None, (text, level)
         full = with_tree(n, g)
-        assert tree_chords_nest(n, pos) == is_outerplanar(full, pos) == is_outerplanar(full), (text, level)
+        every_edge = spans_nest([(u, v) for u, v, _ in full.edges], pos)
+        outer = is_outerplanar(g, pos, _tree_edges(n, len(pos)))
+        assert outer == every_edge == is_outerplanar(full), (text, level)
 
 
 def _tree_spans_cross(labels, pos):
@@ -336,6 +346,6 @@ def test_tree_chords_after_a_swap(n, text, top):
             swapped = list(pos)
             swapped[u], swapped[v] = pos[v], pos[u]
             want = not _tree_spans_cross(g.labels, swapped)
-            assert tree_chords_nest(n, swapped) == want, (text, level, u, v)
+            assert spans_nest(_tree_edges(n, size), swapped) == want, (text, level, u, v)
             seen.add(want)
     assert seen == {True, False}  # some swaps make the chords cross, some do not
