@@ -20,10 +20,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .quotients import check_budget
 from .words import (
     RankError,
     ReducedWord,
+    check_budget,
     invert_letters,
     letter_key,
 )
@@ -106,18 +106,24 @@ _MOVE_RE = re.compile(r"^(perm|inv|mul)\((.*)\)$")
 
 
 def parse_move(text: str) -> Move:
+    """The move whose ``str`` is ``text``, surrounding whitespace aside;
+    any other text is refused with ``ValueError``."""
     m = _MOVE_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse move {text!r}")
     kind, body = m.groups()
-    parts = [p.strip() for p in body.split(",")] if body else []
+    parts = body.split(",") if body else []
     if kind == "perm":
-        return Perm(tuple(int(p) for p in parts))
-    if kind == "inv":
+        move = Perm(tuple(int(p) for p in parts))
+    elif kind == "inv":
         (g,) = parts
-        return Inv(int(g))
-    target, side, gen, sign = parts
-    return Mul(int(target), side, int(gen) * (1 if sign == "+1" else -1))
+        move = Inv(int(g))
+    else:
+        target, side, gen, sign = parts
+        move = Mul(int(target), side, int(gen) * (1 if sign == "+1" else -1))
+    if str(move) != text.strip():
+        raise ValueError(f"cannot parse move {text!r}")
+    return move
 
 
 def _apply_table(table: dict[int, tuple[int, ...]], letters: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,6 +12,9 @@ The quotient command uses the per-class synthesis; the enumeration builder
 is the library-level oracle it is tested against.  A level over 500,000
 quotient classes (quotients.QUOTIENT_BUDGET) exits 3, and so does a word
 that needs minimization at rank 8 or more (automorphisms.MOVE_BUDGET).
+Every such refusal is a words.BudgetExceeded.  The outerplanar command
+sizes its top level, then certifies the word, warning when it is not a
+Yes, and then runs the checks.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ from .certifier import (
 )
 from .finite import build_finite_cayley, parse_spec
 from .freeproduct import verify_circle_truncations
-from .minimize import OrbitCapExceeded
 from .multigraph import check_enumeration_size, enumerate_hamiltonian_cycles
 from .outerplanar import tree_generators, verify_outerplanar_quotient
-from .quotients import BudgetExceeded, build_quotient_local, edge_tag
-from .words import ReducedWord
+from .quotients import build_quotient_local, check_quotient_budget, edge_tag
+from .words import BudgetExceeded, ReducedWord
 from .automorphisms import chain_moves
 
 EXIT_USAGE = 3
@@ -201,11 +203,12 @@ def _cmd_outerplanar(args) -> int:
     if args.level < 1:
         raise UsageError("level must be at least 1")
     word = ReducedWord.parse(args.word, args.rank)
+    check_quotient_budget(args.rank, args.level)  # sized before certify runs
+    verdict = certify(args.rank, word, max_level=1).verdict
     report = verify_outerplanar_quotient(args.rank, word, args.level)
-    if not report.precondition_ok:
+    if verdict != VERDICT_YES:
         print(
-            f"warning: certifier verdict is {report.verdict}, not Yes; "
-            "checks run anyway",
+            f"warning: certifier verdict is {verdict}, not Yes; checks run anyway",
             file=sys.stderr,
         )
     if args.json:
@@ -240,7 +243,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, OrbitCapExceeded, BudgetExceeded) as exc:
+    except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a failed check or any other fault of the code

@@ -34,15 +34,14 @@ from typing import Iterable, Iterator, Optional
 
 from .multigraph import Multigraph, collector_paused
 from .quotients import (
-    COUNT_CAP,
     QuotientGraph,
     assemble,
-    check_budget,
     edge_tag,
     generator_subgraph,
     order_class,
     order_pair,
 )
+from .words import COUNT_CAP, check_budget
 
 CLASS_BUDGET = 100_000  # classes of one truncation
 

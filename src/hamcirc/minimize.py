@@ -50,6 +50,7 @@ from .automorphisms import (
     elementary_automorphisms,
 )
 from .words import (
+    BudgetExceeded,
     ReducedWord,
     cyclic_reduce_letters,
     letter_str,
@@ -61,7 +62,7 @@ from .words import (
 ORBIT_CAP = 100_000  # words of one orbit closure, counted as it grows
 
 
-class OrbitCapExceeded(RuntimeError):
+class OrbitCapExceeded(BudgetExceeded):
     def __init__(self, cap: int):
         super().__init__(f"orbit closure exceeded cap of {cap} words")
         self.cap = cap

@@ -133,10 +133,15 @@ class Multigraph:
 
     def to_dot(self, highlight: Iterable[int] = ()) -> str:
         """DOT text, no graph name, ``highlight`` edges bold: each label and
-        tag is escaped once (a label without a quote is used as it is), and
-        an edge line takes its attribute text from a table by tag."""
+        tag is escaped once, backslashes and then quotes (a label with
+        neither is used as it is), and an edge line takes its attribute
+        text from a table by tag."""
+        def esc(s: str) -> str:
+            if '"' in s or "\\" in s:
+                return s.replace("\\", "\\\\").replace('"', '\\"')
+            return s
+
         hi = set(highlight)
-        esc = lambda s: s.replace('"', '\\"') if '"' in s else s
         names = [esc(label) for label in self.labels]
         tags = {tag for _, _, tag in self.edges}
         plain = {tag: f' [label="{esc(tag)}"]' if tag else "" for tag in tags}

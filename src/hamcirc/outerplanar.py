@@ -11,7 +11,8 @@ joins two classes at every deeper one.  The standard generators' edges are
 never walked.  At every level they are the Cayley tree of A, one edge from
 each class to its parent, which the shortlex numbering of the classes
 gives by arithmetic (``tree_parents``).  Only the checked levels are
-attested; nothing is claimed about the infinite graph beyond them.
+attested; nothing is claimed about the infinite graph beyond them.  The
+checks run on any word; the ``outerplanar`` command certifies s first.
 
 One walk decides both checks.  A 2-connected outerplanar graph has exactly
 one hamiltonian cycle, its outer face (Sysło, "Characterizations of
@@ -30,11 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certifier import VERDICT_YES, certify
 from .multigraph import cycle_positions, is_outerplanar
 from .quotients import (
     build_quotient_local,
-    check_quotient_budget,
     contract_level,
     tree_parents,
     with_tree,
@@ -58,12 +57,7 @@ class LevelReport:
 class OuterplanarReport:
     word: str
     rank: int
-    verdict: str
     levels: tuple[LevelReport, ...]
-
-    @property
-    def precondition_ok(self) -> bool:
-        return self.verdict == VERDICT_YES
 
     @property
     def passed(self) -> bool:
@@ -91,9 +85,9 @@ def tree_generators(n: int) -> list[ReducedWord]:
 def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> OuterplanarReport:
     """Check outerplanarity and the circle-cycle property per level.
 
-    The certifier verdict for s is recorded; when it is not Yes the checks
-    still run (callers report the violated precondition rather than skip),
-    which is how negative controls are exercised.  Only the circle
+    The checks run whatever the certifier says of s, which is how
+    negative controls are exercised; whether s is a Yes, the precondition
+    of the property, is the caller's to ask ``certify``.  Only the circle
     quotient at ``max_level`` is built; the levels below are contracted
     from it, then all are checked in increasing order.  Each level first
     walks its circle, the quotient of s alone, whose vertices are all the
@@ -117,8 +111,6 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    check_quotient_budget(n, max_level)
-    cert = certify(n, s, max_level=1)
     circles = [build_quotient_local(n, [s], max_level).graph]
     for level in range(max_level - 1, 0, -1):
         circles.append(contract_level(n, circles[-1], level))
@@ -132,4 +124,4 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
         else:
             outer = is_outerplanar(with_tree(n, circle_graph))
         levels.append(LevelReport(level, len(circle_graph.labels), outer, pos is not None))
-    return OuterplanarReport(str(s), n, cert.verdict, tuple(levels))
+    return OuterplanarReport(str(s), n, tuple(levels))

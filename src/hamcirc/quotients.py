@@ -29,11 +29,11 @@ puts a class's (class, far class, start id) triples in order with
 pairs behind it (here the shortlex positions of their ends, with no group
 word formed; a truncation forms the pairs of its parallel edges), and
 ``assemble`` builds the ``QuotientGraph``, whose group pairs are derived
-only when asked for.  Every size is checked by ``check_budget`` against a
-count that stops at COUNT_CAP (defined in ``words``), before any word or
-class is generated, and refused with ``BudgetExceeded``.  Every budget is
-a module constant, read when the check runs.  Builders run with the
-cyclic garbage collector held off (``collector_paused``).
+only when asked for.  Every size is checked by ``words.check_budget``
+against a count that stops at ``words.COUNT_CAP``, before any word or
+class is generated, and refused with ``words.BudgetExceeded``.  Every
+budget is a module constant, read when the check runs.  Builders run
+with the cyclic garbage collector held off (``collector_paused``).
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from .multigraph import Multigraph, collector_paused
 from .words import (
     _DIGIT,
-    COUNT_CAP,
     RankError,
     ReducedWord,
+    check_budget,
     concat_letters,
     count_reduced_words,
     invert_letters,
@@ -63,10 +63,6 @@ from .words import (
 
 ENUM_BUDGET = 5_000_000  # words the enumeration oracle may generate
 QUOTIENT_BUDGET = 500_000  # classes of one prefix quotient
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -115,14 +111,6 @@ def generator_subgraph(graph: Multigraph, g) -> Multigraph:
     Its edges are the very tuples of ``graph``, filtered by tag."""
     tag = edge_tag(g)
     return Multigraph._trusted(graph.labels, [e for e in graph.edges if e[2] == tag])
-
-
-def check_budget(count: int, budget: int, what: str = "classes") -> None:
-    """Refuse a count of more than ``budget``, or past COUNT_CAP, where
-    the size counts stop (shown as "more than COUNT_CAP")."""
-    if count > min(budget, COUNT_CAP):
-        shown = f"more than {COUNT_CAP}" if count > COUNT_CAP else count
-        raise BudgetExceeded(f"{shown} {what} exceeds {budget}")
 
 
 def check_quotient_budget(n: int, level: int) -> None:

@@ -5,6 +5,8 @@ inverse (1-based, rank at most 26).  Words are tuples of letters with no
 adjacent cancelling pair.  The text form writes generator i as the i-th
 lowercase ASCII letter and its inverse as the corresponding uppercase
 letter, so ``"abA"`` is a1*a2*a1^-1.  The empty string is the identity.
+Size counts stop at COUNT_CAP, and ``check_budget`` refuses a count over
+its budget with ``BudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,18 @@ class WordSyntaxError(ValueError):
 
 class RankError(ValueError):
     """A letter outside the ambient rank, or an operation mixing ranks."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A size over its budget, or an orbit closure past its cap."""
+
+
+def check_budget(count: int, budget: int, what: str = "classes") -> None:
+    """Refuse a count of more than ``budget``, or past COUNT_CAP, where
+    the size counts stop (shown as "more than COUNT_CAP")."""
+    if count > min(budget, COUNT_CAP):
+        shown = f"more than {COUNT_CAP}" if count > COUNT_CAP else count
+        raise BudgetExceeded(f"{shown} {what} exceeds {budget}")
 
 
 def reduce_letters(letters: Iterable[int], rank: int) -> tuple[int, ...]:

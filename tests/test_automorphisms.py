@@ -17,8 +17,7 @@ from hamcirc.automorphisms import (
     permutation_automorphisms,
     sign_automorphisms,
 )
-from hamcirc.quotients import COUNT_CAP, BudgetExceeded
-from hamcirc.words import ReducedWord
+from hamcirc.words import COUNT_CAP, BudgetExceeded, ReducedWord
 
 
 def w(text, rank):
@@ -35,6 +34,33 @@ class TestMoves:
     def test_parse_round_trip(self):
         for text in ("perm(2,1)", "inv(3)", "mul(2,left,1,+1)", "mul(1,right,3,-1)"):
             assert str(parse_move(text)) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mul(2,left,1,1)",  # each of these four once parsed as mul(2,left,1,-1)
+            "mul(2,left,1,+2)",
+            "mul(2,left,1,banana)",
+            "mul(2,left,-1,+1)",
+            "mul(2, left, 1, +1)",
+            "mul(+2,left,1,+1)",
+            "mul(2,left,01,+1)",
+            "perm(02,1)",
+            "perm(2,+1)",
+            "inv(+1)",
+            "inv( 1)",
+            "inv(1,)",
+            "mul(2,up,1,+1)",
+            "mul(2,left,1)",
+            "id",
+        ],
+    )
+    def test_parse_refuses_text_printed_otherwise(self, text):
+        with pytest.raises(ValueError):
+            parse_move(text)
+
+    def test_parse_ignores_surrounding_whitespace(self):
+        assert str(parse_move("  mul(2,left,1,-1)\n")) == "mul(2,left,1,-1)"
 
     def test_serialized_witness_chains_replay(self):
         # every emitted move string parses back to an equivalent move

@@ -12,6 +12,7 @@ import pytest
 
 import hamcirc.certifier as certifier
 from census_golden import census_words, load
+from hamcirc.automorphisms import parse_move
 from hamcirc.cli import main
 from hamcirc.minimize import minimal_orbit
 from hamcirc.words import ReducedWord
@@ -94,3 +95,16 @@ def test_sample_replays_through_the_cli(sample, capsys):
             if (code, got) != (expected_code, line[command]):
                 mismatches.append((command, n, word, code, got, line[command]))
     assert not mismatches
+
+
+def test_sample_witness_moves_round_trip(sample):
+    # the golden's witnesses are chain_moves output, as the CLI replay above
+    # checks; each move string must parse to the move that prints it
+    texts = {
+        text
+        for line in sample
+        for command in ("certify", "classify")
+        for text in line[command]["witness"] or ()
+    }
+    assert len(texts) > 10
+    assert all(str(parse_move(text)) == text for text in texts)

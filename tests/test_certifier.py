@@ -26,8 +26,14 @@ from hamcirc.certifier import (
 )
 from hamcirc.minimize import OrbitCapExceeded, minimal_orbit, whitehead_minimize
 from hamcirc.multigraph import Multigraph
-from hamcirc.quotients import BudgetExceeded, build_quotient_local
-from hamcirc.words import ReducedWord, cyclic_reduce_letters, letter_str, reduced_words
+from hamcirc.quotients import build_quotient_local
+from hamcirc.words import (
+    BudgetExceeded,
+    ReducedWord,
+    cyclic_reduce_letters,
+    letter_str,
+    reduced_words,
+)
 
 
 def w(text, rank=2):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from hamcirc.cli import main
-from hamcirc.quotients import COUNT_CAP
+from hamcirc.words import COUNT_CAP
 from hamcirc.words import ReducedWord
 
 

@@ -22,14 +22,13 @@ from hamcirc.freeproduct import (
 )
 from hamcirc.multigraph import Multigraph, cycle_positions
 from hamcirc.quotients import (
-    COUNT_CAP,
-    BudgetExceeded,
     QuotientGraph,
     edge_tag,
     generator_subgraph,
     order_pair,
     project,
 )
+from hamcirc.words import COUNT_CAP, BudgetExceeded
 
 
 def fp(text, m=3, n=2):

@@ -15,6 +15,7 @@ from hamcirc.minimize import (
     whitehead_minimize,
 )
 from hamcirc.words import (
+    BudgetExceeded,
     ReducedWord,
     cyclic_reduce_letters,
     letters_str,
@@ -312,8 +313,10 @@ class TestOrbitAgainstReference:
         monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", size - 1)
         for run in (lambda: minimal_orbit(word),
                     lambda: reference_orbit(word, cap=size - 1)):
-            with pytest.raises(OrbitCapExceeded):
+            with pytest.raises(OrbitCapExceeded) as exc:
                 run()
+            # a budget refusal like every other, so the CLI exits 3 on it
+            assert isinstance(exc.value, BudgetExceeded) and exc.value.cap == size - 1
         # a stop at the base word returns before the cap is checked
         monkeypatch.setattr("hamcirc.minimize.ORBIT_CAP", 1)
         assert minimal_orbit(w("aabb"), stop=lambda raw: "hit").hit is not None

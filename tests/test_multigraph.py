@@ -548,6 +548,23 @@ class TestDotExport:
         g = Multigraph(labels, edges)
         assert g.to_dot(highlight=highlight) == self.reference_dot(g, highlight)
 
+    def test_escapes_backslashes_and_quotes(self):
+        # a label ending in a backslash must not escape its closing quote
+        labels = ["a\\", 'q"', 'b\\"c', "p"]
+        g = Multigraph(labels, [(0, 1, "t\\"), (2, 3, '\\"'), (0, 3, 'x"')])
+        assert g.to_dot(highlight=[1]).splitlines() == [
+            "graph {",
+            r'  "a\\";',
+            r'  "q\"";',
+            r'  "b\\\"c";',
+            r'  "p";',
+            r'  "a\\" -- "q\"" [label="t\\"];',
+            r'  "b\\\"c" -- "p" [label="\\\"", penwidth=2.5];',
+            r'  "a\\" -- "p" [label="x\""];',
+            "}",
+        ]
+        assert parse_adjacency("a\\ b").to_dot().splitlines()[1] == r'  "a\\";'
+
     def test_matches_reference_on_quotient(self):
         from hamcirc.quotients import build_quotient_local
         from hamcirc.words import ReducedWord

@@ -10,12 +10,11 @@ import pytest
 
 import hamcirc
 from hamcirc import multigraph, outerplanar, quotients
-from hamcirc.certifier import level_one_quotient
+from hamcirc.certifier import certify, level_one_quotient
 from hamcirc.cli import main
 from hamcirc.multigraph import cycle_positions, is_outerplanar, spans_nest
 from hamcirc.outerplanar import tree_generators, verify_outerplanar_quotient
 from hamcirc.quotients import (
-    BudgetExceeded,
     build_quotient_local,
     contract_level,
     generator_subgraph,
@@ -32,7 +31,8 @@ def w(text, rank=2):
 class TestCertifiedWords:
     def test_squares_levels(self):
         report = verify_outerplanar_quotient(2, w("aabb"), 3)
-        assert report.precondition_ok and report.passed
+        assert certify(2, w("aabb"), max_level=1).verdict == "Yes"
+        assert report.passed
         assert [lv.vertices for lv in report.levels] == [
             count_reduced_words(2, 1),
             count_reduced_words(2, 2),
@@ -69,8 +69,7 @@ class TestCertifiedWords:
 class TestNegativeControl:
     def test_abab_fails_circle_subcheck(self):
         report = verify_outerplanar_quotient(2, w("abab"), 2)
-        assert not report.precondition_ok
-        assert report.verdict == "No"
+        assert certify(2, w("abab"), max_level=1).verdict == "No"  # the precondition fails
         level2 = report.levels[1]
         assert not level2.circle_is_ham_cycle
         assert not report.passed
@@ -90,13 +89,14 @@ class TestReportShape:
         with pytest.raises(ValueError):
             verify_outerplanar_quotient(2, w("aabb"), 0)
 
-    def test_budget_checked_before_certify(self, monkeypatch):
+    def test_budget_checked_before_certify(self, monkeypatch, capsys):
+        # the outerplanar command sizes its top level before it certifies
         def no_certify(*args, **kwargs):
             raise AssertionError("certify ran before the budget check")
 
-        monkeypatch.setattr("hamcirc.outerplanar.certify", no_certify)
-        with pytest.raises(BudgetExceeded, match="^1062881 classes"):
-            verify_outerplanar_quotient(2, w("aabb"), 12)
+        monkeypatch.setattr("hamcirc.cli.certify", no_certify)
+        code = main(["outerplanar", "-n", "2", "-s", "aabb", "-l", "12"])
+        assert (code, capsys.readouterr().err) == (3, "error: 1062881 classes exceeds 500000\n")
 
 
 @pytest.mark.parametrize("n, text, level", [(2, "abAB", 5), (3, "aabbcc", 3)])
@@ -113,10 +113,11 @@ def test_yes_word_never_builds_adjacency(monkeypatch, n, text, level):
     def no_adjacency(*args):
         raise AssertionError("a per-vertex adjacency was built")
 
+    assert certify(n, w(text, n), max_level=1).verdict == "Yes"
     monkeypatch.setattr("hamcirc.outerplanar.build_quotient_local", recording)
     monkeypatch.setattr("hamcirc.multigraph._neighbour_sets", no_adjacency)
     report = verify_outerplanar_quotient(n, w(text, n), level)
-    assert report.precondition_ok and report.passed
+    assert report.passed
     assert [lv.level for lv in report.levels] == list(range(1, level + 1))
     # one build, at the top level; every shallower level is contracted from it
     assert [g.n_vertices for g in built] == [count_reduced_words(n, level)]

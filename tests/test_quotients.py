@@ -9,9 +9,7 @@ from hamcirc.certifier import level_one_quotient
 from hamcirc.multigraph import Multigraph
 from hamcirc.outerplanar import tree_generators
 from hamcirc.quotients import (
-    COUNT_CAP,
     ENUM_BUDGET,
-    BudgetExceeded,
     build_quotient_enum,
     build_quotient_local,
     contract_level,
@@ -21,7 +19,14 @@ from hamcirc.quotients import (
     tree_parents,
     with_tree,
 )
-from hamcirc.words import RankError, ReducedWord, count_reduced_words, reduced_words
+from hamcirc.words import (
+    COUNT_CAP,
+    BudgetExceeded,
+    RankError,
+    ReducedWord,
+    count_reduced_words,
+    reduced_words,
+)
 
 
 def w(text, rank=2):
