@@ -7,8 +7,10 @@ its unique hamiltonian circle is the subgraph on (ab)^{+-1} alone.  The
 circle cannot be built whole, so it is verified on finite truncations:
 words are identified when they agree up to and including their r-th
 b-syllable, and the circle's truncation must be a single cycle for every
-checked depth.  The circle is the (ab)-edge subgraph of the one full
-truncation built at each depth.
+checked depth.  The depths are built deepest first.  The deepest circle
+is the (ab)-edge subgraph of the full truncation built there; a depth
+below a connected one is a contraction of it, so it is connected too, and
+only its circle is built.
 
 A truncation is built by an integer kernel.  Its classes are numbered in
 syllable_key order of their representatives, one syllable length at a
@@ -418,28 +420,33 @@ class TruncationReport:
 
 def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
     """Check that the circle's truncation is a single cycle for r <= r_max,
-    and that it spans the connected full-generating-set truncation.  At
-    each depth the circle is ``generator_subgraph`` of the one truncation
-    on {a, ab} built there; it spans when every class lies on a circle
-    edge (no degree is 0), and the full truncation's connectivity is
-    checked on its own, not inferred from the circle.  The deepest depth
-    is sized against CLASS_BUDGET before depth 1 is built."""
+    and that it spans the connected full-generating-set truncation.  The
+    depths are checked deepest first.  The deepest one builds the
+    truncation on {a, ab}, checks its connectivity and takes its circle as
+    ``generator_subgraph``.  Classes nest across depths, so depth r is a
+    contraction of depth r + 1, and a contraction of a connected graph is
+    connected: below a connected depth only the circle is built, on ab
+    alone, which gives the same labels and edges.  A depth below one that
+    is not connected builds {a, ab} and checks again.  The circle spans
+    when every class lies on a circle edge (no degree is 0).  The deepest
+    depth is sized against CLASS_BUDGET before any depth is built."""
     if m < 3 or n < 2:
         raise ValueError("family needs m >= 3 and n >= 2")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     check_budget(count_truncation_classes(m, n, r_max), CLASS_BUDGET)
     ab = gen_ab(m, n)
-    depths = tuple(range(1, r_max + 1))
-    rows = []
-    for r in depths:
-        full = build_truncation(m, n, [gen_a(m, n), ab], r).graph
-        circle = generator_subgraph(full, ab)
-        rows.append(
-            (full.n_vertices, circle.is_cycle(), full.is_connected(), all(circle.degrees()))
-        )
-    counts, cyc, conn, span = zip(*rows)
-    return TruncationReport(m, n, depths, counts, cyc, conn, span, circle)
+    rows, connected, deepest = [], False, None
+    for r in range(r_max, 0, -1):
+        if connected:  # a contraction of the connected depth r + 1
+            circle = build_truncation(m, n, [ab], r).graph
+        else:
+            full = build_truncation(m, n, [gen_a(m, n), ab], r).graph
+            circle, connected = generator_subgraph(full, ab), full.is_connected()
+        deepest = deepest or circle
+        rows.append((circle.n_vertices, circle.is_cycle(), connected, all(circle.degrees())))
+    counts, cyc, conn, span = zip(*reversed(rows))
+    return TruncationReport(m, n, tuple(range(1, r_max + 1)), counts, cyc, conn, span, deepest)
 
 
 def disconnecting_pair_disconnects(m: int, n: int, depth: int) -> bool:

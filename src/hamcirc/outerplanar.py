@@ -3,16 +3,20 @@
 When the certifier answers Yes for a word s, every truncation
 Cay(F_n; A u s^{+-1}) / level-L must be outerplanar (no K4 or K2,3 minor)
 and must contain the circle's truncation as a hamiltonian cycle.  Only the
-circle is built, and only at the top level: the quotient of s alone.  Each
-shallower level is contracted from the level above it (``contract_level``),
-which gives the same classes and the same edge multiset as a rebuild,
-because prefix classes nest: a group edge between two classes at one level
-joins two classes at every deeper one.  The standard generators' edges are
-never walked.  At every level they are the Cayley tree of A, one edge from
-each class to its parent, which the shortlex numbering of the classes
-gives by arithmetic (``tree_parents``).  Only the checked levels are
-attested; nothing is claimed about the infinite graph beyond them.  The
-checks run on any word; the ``outerplanar`` command certifies s first.
+circle is built, and only at the top level: the quotient of s alone.  The
+levels are checked from the top down, and the first level that passes
+settles every shallower one, which is a minor of it (the proof is in
+``verify_outerplanar_quotient``).  Only a level below a failing one is
+contracted from the level above it (``contract_level``), which gives the
+same classes and the same edge multiset as a rebuild, because prefix
+classes nest: a group edge between two classes at one level joins two
+classes at every deeper one.  The standard generators' edges are never
+walked.  At every level they are the Cayley tree of A, one edge from each
+class to its parent, which the shortlex numbering of the classes gives by
+arithmetic (``tree_parents``).  Only the checked levels and those below
+them are attested; nothing is claimed about the infinite graph beyond
+them.  The checks run on any word; the ``outerplanar`` command certifies s
+first.
 
 One walk decides both checks.  A 2-connected outerplanar graph has exactly
 one hamiltonian cycle, its outer face (Sysło, "Characterizations of
@@ -38,7 +42,7 @@ from .quotients import (
     tree_parents,
     with_tree,
 )
-from .words import ReducedWord
+from .words import ReducedWord, count_reduced_words
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,12 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
     The checks run whatever the certifier says of s, which is how
     negative controls are exercised; whether s is a Yes, the precondition
     of the property, is the caller's to ask ``certify``.  Only the circle
-    quotient at ``max_level`` is built; the levels below are contracted
-    from it, then all are checked in increasing order.  Each level first
-    walks its circle, the quotient of s alone, whose vertices are all the
-    classes, so a cycle on it is hamiltonian.
+    quotient at ``max_level`` is built.  Levels are checked from the top
+    down, each walking its circle, the quotient of s alone, whose vertices
+    are all the classes, so a cycle on it is hamiltonian.  A level below a
+    failing one is contracted from it; once a level passes, every
+    shallower level l is reported passing with its count_reduced_words(n, l)
+    classes, unbuilt.  The reports are returned in increasing level order.
 
     When the walk succeeds, the level is outerplanar iff its tree edges
     nest as chords of the circle, so ``is_outerplanar(g, pos, tree)`` on the
@@ -108,15 +114,33 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
 
     When the walk fails, the tree edges are added (``with_tree``) and
     Mitchell's reduction decides (``is_outerplanar`` given no circle).
+
+    A passing level L settles every level l < L:
+
+    1. Level l with its tree edges is a minor of level L with its tree
+       edges.  A level-l class of length l, the words that extend its
+       word w, is at level L the cone of w: the subtree of tree edges
+       below w, so it is connected.  A shorter class is one class at
+       both levels.  Contracting every cone and dropping loops gives
+       level l (``contract_level``), and outerplanarity is closed under
+       minors (no K4 or K2,3 minor), so level l is outerplanar.
+    2. Every cone is a contiguous arc of the level-L circle.  Otherwise
+       the cone and the rest of the tree, which the tree edges also
+       connect, hold interleaved positions x < u < y < v, and a tree
+       path from x to y inside the cone and one from u to v outside it
+       would meet in the disc bounded by the circle; as they share no
+       vertex, two of their chords would cross.  So contracting the arcs
+       leaves one s-edge between each two neighbouring arcs and turns
+       the rest into loops: level l's circle is a cycle through its
+       count_reduced_words(n, l) >= 3 classes, a hamiltonian cycle.
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    circles = [build_quotient_local(n, [s], max_level).graph]
-    for level in range(max_level - 1, 0, -1):
-        circles.append(contract_level(n, circles[-1], level))
+    circle_graph = build_quotient_local(n, [s], max_level).graph
     levels = []
-    for level in range(1, max_level + 1):
-        circle_graph = circles.pop()  # freed once checked
+    for level in range(max_level, 0, -1):
+        if level < max_level:  # the level above failed
+            circle_graph = contract_level(n, circle_graph, level)
         pos = cycle_positions(circle_graph)  # its edges are all s-edges
         if pos is not None:
             tree = zip(tree_parents(n, 1, len(pos)), range(1, len(pos)))
@@ -124,4 +148,8 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
         else:
             outer = is_outerplanar(with_tree(n, circle_graph))
         levels.append(LevelReport(level, len(circle_graph.labels), outer, pos is not None))
-    return OuterplanarReport(str(s), n, tuple(levels))
+        if levels[-1].passed:
+            shallower = range(level - 1, 0, -1)
+            levels += (LevelReport(l, count_reduced_words(n, l), True, True) for l in shallower)
+            break
+    return OuterplanarReport(str(s), n, tuple(reversed(levels)))

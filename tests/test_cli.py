@@ -354,7 +354,7 @@ class TestOtherCommands:
         monkeypatch.setattr(outerplanar, "build_quotient_local", counting)
         code, out, _ = run_cli(capsys, "outerplanar", "-n", "2", "-s", "aabb", "-l", "3")
         assert code == 0
-        assert out.count("outerplanar: yes") == 3  # every level is checked
+        assert out.count("outerplanar: yes") == 3  # every level is reported
         # one full quotient, at the top level; the shallower ones are its contractions
         assert [args[2] for args in calls] == [3]
 

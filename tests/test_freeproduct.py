@@ -429,18 +429,28 @@ class TestVerification:
 
     def _fields_with(self, monkeypatch, change, m=3, n=2, r_max=3):
         """The per-depth fields of a report whose truncations went through
-        ``change``, checked against the reference on each changed graph."""
+        ``change``, checked against the reference on each changed graph.
+        Depths are built deepest first; one below a connected depth builds
+        ab alone and takes its connectivity from the deeper depth."""
         real, built = build_truncation, []
+        tag = edge_tag(gen_ab(m, n))
 
         def changed(m, n, gens, depth):
             q = real(m, n, gens, depth)
-            built.append(change(q.graph, edge_tag(gens[1])))
-            return dataclasses.replace(q, graph=built[-1])
+            built.append((depth, len(gens), change(q.graph, tag)))
+            return dataclasses.replace(q, graph=built[-1][-1])
 
         monkeypatch.setattr("hamcirc.freeproduct.build_truncation", changed)
         report = verify_circle_truncations(m, n, r_max)
         fields = list(zip(report.circle_is_cycle, report.full_connected, report.circle_spans_full))
-        assert fields == [self._reference(g, edge_tag(gen_ab(m, n))) for g in built]
+        assert [depth for depth, _, _ in built] == list(range(r_max, 0, -1))
+        want, connected = [], False
+        for _, n_gens, g in built:
+            assert n_gens == (1 if connected else 2)
+            cyc, conn, span = self._reference(g, tag)
+            connected = connected or conn
+            want.append((cyc, connected, span))
+        assert fields == want[::-1]
         assert not report.passed
         return fields
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -180,12 +181,43 @@ def _random_cyclic_words(rng, n, count, circle):
     return words
 
 
-@pytest.mark.parametrize("n, top", [(2, 5), (3, 3)])
-def test_levels_match_cycle_and_mitchell_checks(n, top):
+def _sampled_words(rng, n):
+    return _random_cyclic_words(rng, n, 12, True) + _random_cyclic_words(rng, n, 12, False)
+
+
+def _every_circle_word(n):
+    """Every cyclically reduced word of length 2n whose level-1 circle
+    quotient is a cycle: 40 at rank 2, 1968 at rank 3."""
+    letters = [x for k in range(1, n + 1) for x in (k, -k)]
+    words = (ReducedWord.from_letters(t, n) for t in itertools.product(letters, repeat=2 * n))
+    return [
+        w for w in words if len(w.cyclic_reduction()) == 2 * n and level_one_quotient(w).is_cycle()
+    ]
+
+
+# no quotient seen has a hamiltonian circle and a crossing; test_multigraph makes them
+MIXED = {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "n, top, pick, kinds",
+    [
+        pytest.param(2, 5, _sampled_words, MIXED, id="2-5"),
+        pytest.param(3, 3, _sampled_words, MIXED, id="3-3"),
+        # every level below a passing top is inferred, not checked
+        pytest.param(2, 6, lambda rng, n: _every_circle_word(n), {(True, True)}, id="2-6-circle"),
+        pytest.param(
+            3, 4, lambda rng, n: rng.sample(_every_circle_word(n), 24), {(True, True)},
+            id="3-4-circle",
+        ),
+    ],
+)
+def test_levels_match_cycle_and_mitchell_checks(n, top, pick, kinds):
     # each level against the checks the circle walk replaced: the cycle test
     # on the s-edge subgraph and Mitchell's reduction on the whole quotient
     rng = random.Random(n)
-    words = _random_cyclic_words(rng, n, 12, True) + _random_cyclic_words(rng, n, 12, False)
+    words = pick(rng, n)
+    assert len(words) >= 20
     seen = set()
     for s in words:
         report = verify_outerplanar_quotient(n, s, top)
@@ -197,8 +229,7 @@ def test_levels_match_cycle_and_mitchell_checks(n, top):
                 lv.level, full.n_vertices, is_outerplanar(full), cycle
             ), (str(s), lv.level)
             seen.add((lv.circle_is_ham_cycle, lv.outerplanar))
-    # no quotient seen has a hamiltonian circle and a crossing; test_multigraph makes them
-    assert seen == {(True, True), (False, True), (False, False)}
+    assert seen == kinds
 
 
 def _spy(monkeypatch, fn):
@@ -253,20 +284,42 @@ def test_mitchell_runs_only_where_the_circle_fails(capsys, monkeypatch, word, le
     checks = _spy(monkeypatch, multigraph.is_outerplanar)
     mitchell = _spy(monkeypatch, multigraph._blocks)  # the reduction's first step
     subgraph = _spy(monkeypatch, quotients.generator_subgraph)
+    contracted = _spy(monkeypatch, quotients.contract_level)
     argv = ["outerplanar", "-n", "2", "-s", word, "-l", level]
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
     assert main(argv + ["--json"]) == code
     text, warning = capsys.readouterr()
     assert json.loads(text) == {"word": word, "levels": levels} and warning == err
-    # every level is checked once; one whose circle walk succeeds is given
-    # the walk and its tree chords, and only the others form the full
-    # quotient (given no circle) and run Mitchell's reduction
-    walked = [(lv["vertices"], lv["circle_is_ham_cycle"]) for lv in levels]
+    # levels are checked from the top down until one passes, which settles
+    # the shallower ones; a level whose circle walk succeeds is given the
+    # walk and its tree chords, and only the others form the full quotient
+    # (given no circle) and run Mitchell's reduction
+    walked = {"aabb": [(161, True)], "abab": [(53, False), (17, False), (5, False)]}[word]
     assert [(g.n_vertices, bool(rest)) for g, *rest in checks] == walked * 2
     failed = [v for v, circle in walked if not circle]
     assert [len(adj) for adj, in mitchell] == failed * 2
+    below_top = {"aabb": [], "abab": [2, 1]}[word]  # contracted from the failing level above
+    assert [lv for _, _, lv in contracted] == below_top * 2
     assert subgraph == []
+
+
+def test_a_walked_level_with_crossing_chords_settles_nothing_below(monkeypatch):
+    # no real quotient has a hamiltonian circle and a crossing, so one is
+    # faked at the top: only a level that passes both checks settles the
+    # shallower ones, and the level below this one is contracted and checked
+    checked = []
+
+    def crossing_at_the_top(g, *rest):
+        checked.append(g.n_vertices)
+        return is_outerplanar(g, *rest) and g.n_vertices != 53
+
+    monkeypatch.setattr(outerplanar, "is_outerplanar", crossing_at_the_top)
+    report = verify_outerplanar_quotient(2, w("aabb"), 3)
+    assert [(lv.outerplanar, lv.circle_is_ham_cycle) for lv in report.levels] == [
+        (True, True), (True, True), (False, True)
+    ]
+    assert checked == [53, 17]
 
 
 @pytest.mark.parametrize(
