@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from .certifier import (
     VERDICT_NO,
@@ -40,6 +41,7 @@ from .automorphisms import chain_moves
 
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+WRITE_SLICE = 1 << 18  # characters of DOT text encoded and written at a time
 
 
 class UsageError(Exception):
@@ -53,6 +55,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=False))
+
+
+def _write_dot(path: str, graph, highlight: Iterable[int] = ()) -> None:
+    """Write ``graph.to_dot(highlight)`` to ``path``, opened first, in
+    slices of WRITE_SLICE characters, so the text is never encoded whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        text = graph.to_dot(highlight=highlight)
+        for lo in range(0, len(text), WRITE_SLICE):
+            fh.write(text[lo : lo + WRITE_SLICE])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,15 +139,12 @@ def _cmd_quotient(args) -> int:
     words = [ReducedWord.parse(w, n) for w in args.word]
     gens = tree_generators(n) + words if args.with_tree else words
     q = build_quotient_local(n, gens, args.level)
-    highlight = []
-    if args.with_tree:
-        marks = {edge_tag(w) for w in words}
-        highlight = [
-            i for i, (_, _, tag) in enumerate(q.graph.edges) if tag in marks
-        ]
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(q.graph.to_dot(highlight=highlight))
+        highlight = ()
+        if args.with_tree:  # the s-edges, bold among the tree edges
+            marks = {edge_tag(w) for w in words}
+            highlight = (i for i, (_, _, tag) in enumerate(q.graph.edges) if tag in marks)
+        _write_dot(args.dot, q.graph, highlight)
     doc = {
         "rank": n,
         "level": args.level,
@@ -160,8 +168,7 @@ def _cmd_cycletree(args) -> int:
         raise UsageError("depth must be at least 1")
     report = verify_circle_truncations(args.m, args.n, args.depth)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(report.deepest_circle.to_dot())
+        _write_dot(args.dot, report.deepest_circle)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -190,8 +197,7 @@ def _cmd_finite(args) -> int:
     count = len(enumerate_hamiltonian_cycles(graph))
     unique = count == 1
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph.to_dot())
+        _write_dot(args.dot, graph)
     if args.json:
         _emit_json({"spec": str(spec), "hamiltonian_cycles": count, "unique": unique})
     else:

@@ -30,6 +30,7 @@ depth.  The class count is sized in closed form before any class is built.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import Iterable, Iterator, Optional
@@ -365,8 +366,13 @@ def build_truncation(
             order_class(found, pair_key)
         out += found
 
+    # each triple becomes the graph's (class, far end, tag) tuple in place,
+    # so no second list of edges is built
     tags = [tag for _, _, tag in starts]
-    return assemble(("1", *texts[1:]), depth, sym, out, tags, pair)
+    sids = array("I", [sid for _, _, sid in out])
+    for i, (x, y, sid) in enumerate(out):
+        out[i] = (x, y, tags[sid])
+    return assemble(("1", *texts[1:]), depth, sym, out, sids, pair)
 
 
 def gen_a(m: int, n: int) -> FPWord:

@@ -20,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+DOT_CHUNK = 4096  # lines ``to_dot`` joins at a time
+
 
 class Multigraph:
     __slots__ = ("labels", "edges")
@@ -93,8 +95,18 @@ class Multigraph:
         return n <= 1 or len(_reach(_neighbour_sets(self), 0, [False] * n)) == n
 
     def is_cycle(self) -> bool:
-        """Connected, at least 3 vertices, every degree exactly 2."""
-        return cycle_positions(self) is not None
+        """Connected, at least 3 vertices, every degree exactly 2: the walk
+        of ``cycle_positions``, which records no position."""
+        links = _xor_links(self)
+        if links is None:
+            return False
+        link, v = links
+        prev = 0
+        for _ in range(1, len(link)):
+            if v == 0:
+                return False
+            prev, v = v, link[v] ^ prev
+        return True
 
     def is_simple(self) -> bool:
         seen = set()
@@ -135,7 +147,9 @@ class Multigraph:
         """DOT text, no graph name, ``highlight`` edges bold: each label and
         tag is escaped once, backslashes and then quotes (a label with
         neither is used as it is), and an edge line takes its attribute
-        text from a table by tag."""
+        text from a table by tag.  The text grows by DOT_CHUNK lines at a
+        time, so no list of every line and no second copy of the whole
+        text is ever held."""
         def esc(s: str) -> str:
             if '"' in s or "\\" in s:
                 return s.replace("\\", "\\\\").replace('"', '\\"')
@@ -143,20 +157,23 @@ class Multigraph:
 
         hi = set(highlight)
         names = [esc(label) for label in self.labels]
-        tags = {tag for _, _, tag in self.edges}
+        edges = self.edges
+        tags = {tag for _, _, tag in edges}
         plain = {tag: f' [label="{esc(tag)}"]' if tag else "" for tag in tags}
         bold = {
             tag: f' [label="{esc(tag)}", penwidth=2.5]' if tag else " [penwidth=2.5]"
             for tag in tags
         }
-        lines = ["graph {"]
-        lines += [f'  "{label}";' for label in names]
-        lines += [
-            f'  "{names[u]}" -- "{names[v]}"{(bold if i in hi else plain)[tag]};'
-            for i, (u, v, tag) in enumerate(self.edges)
-        ]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        text = "graph {\n"
+        for lo in range(0, len(names), DOT_CHUNK):
+            text += "".join([f'  "{label}";\n' for label in names[lo : lo + DOT_CHUNK]])
+        for lo in range(0, len(edges), DOT_CHUNK):
+            text += "".join([
+                f'  "{names[u]}" -- "{names[v]}"{(bold if i in hi else plain)[tag]};\n'
+                for i, (u, v, tag) in enumerate(edges[lo : lo + DOT_CHUNK], lo)
+            ])
+        text += "}\n"
+        return text
 
 
 def collector_paused(build: Callable) -> Callable:
@@ -212,14 +229,11 @@ def _reach(adj: list[set[int]], start: int, seen: list[bool]) -> list[int]:
 
 
 @collector_paused
-def cycle_positions(g: Multigraph) -> Optional[list[int]]:
-    """Each vertex's position along the edges of g when they form a
-    hamiltonian cycle, else None: at least 3 vertices, every vertex on
-    exactly two edges, and one walk from vertex 0 covers all of them (the
-    edges are disjoint cycles; it goes round 0's, starting at 0's first
-    neighbour in edge order).  Each vertex keeps the XOR of its neighbours,
-    so the walk leaves v for ``link[v] ^ prev``.  A parallel pair is a
-    component of its own, so a walk from 0 that meets it closes too early."""
+def _xor_links(g: Multigraph) -> Optional[tuple[list[int], int]]:
+    """Each vertex's XOR of its neighbours, and 0's first neighbour in edge
+    order, from one pass over the edges; None unless g has at least 3
+    vertices, each on exactly two edges.  A walk that leaves v, reached
+    from prev, for ``link[v] ^ prev`` goes round v's cycle."""
     n = len(g.labels)
     link, deg = [0] * n, [0] * n
     first = 0
@@ -232,9 +246,25 @@ def cycle_positions(g: Multigraph) -> Optional[list[int]]:
             first = v
     if n < 3 or deg.count(2) != n:
         return None
-    pos = [0] * n
-    prev, v = 0, first
-    for i in range(1, n):
+    return link, first
+
+
+def cycle_positions(g: Multigraph) -> Optional[list[int]]:
+    """Each vertex's position along the edges of g when they form a
+    hamiltonian cycle, else None: at least 3 vertices, every vertex on
+    exactly two edges, and one walk from vertex 0 covers all of them (the
+    edges are disjoint cycles; it goes round 0's, starting at 0's first
+    neighbour in edge order), by the XOR links of ``_xor_links``.  A
+    parallel pair is a component of its own, so a walk from 0 that meets
+    it closes too early.  ``Multigraph.is_cycle`` is the same walk without
+    the positions."""
+    links = _xor_links(g)
+    if links is None:
+        return None
+    link, v = links
+    pos = [0] * len(link)
+    prev = 0
+    for i in range(1, len(link)):
         if v == 0:
             return None
         pos[v] = i

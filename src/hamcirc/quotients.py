@@ -176,24 +176,25 @@ def order_class(found: list, key: Callable) -> None:
 
 
 def assemble(
-    labels: tuple, level: int, gens: tuple, out: list, tags: list, pair: Callable
+    labels: tuple, level: int, gens: tuple, edges: list, sids: array, pair: Callable
 ) -> QuotientGraph:
-    """The record of a kernel build, from its edges as (class, far class,
-    start id) triples in the order of ``project``; ``tags`` and
-    ``pair(class, start id)`` give each start's tag and the group pair
-    behind an edge.
+    """The record of a kernel build, from its edges, (class, far class, tag)
+    tuples in the order of ``project``, and the start id of each;
+    ``pair(class, start id)`` gives the group pair behind an edge.
 
     A kernel walks each generator from both ends of every group edge that
     leaves a class, so each edge between two classes is met once from each
     of them (from the other end, t^-1 reads it backwards), and none is a
     loop.  Keeping only the edges to larger classes keeps each edge once,
     and taking the classes in order, each one's edges put in order by
-    ``order_class``, emits them in the order of ``project``.  ``pair`` is
-    called only when a group pair is asked for (``pair_of``, or
-    ``edge_pairs`` on first access), from the edge's class and start id.
+    ``order_class``, emits them in the order of ``project``.  The list is
+    the graph's own, with no second list of edges beside it: the F_n kernel
+    makes each tuple once, and the truncation kernel turns its triples into
+    tuples in place.  ``pair`` is called only when a group pair is asked
+    for (``pair_of``, or ``edge_pairs`` on first access), from the edge's
+    class and start id.
     """
-    graph = Multigraph._trusted(labels, [(u, v, tags[sid]) for u, v, sid in out])
-    sids = array("I", [sid for _, _, sid in out])
+    graph = Multigraph._trusted(labels, edges)
     edges = graph.edges
     return QuotientGraph(graph, level, gens, lambda i: pair(edges[i][0], sids[i]))
 
@@ -320,11 +321,13 @@ def build_quotient_local(
             starts.append((invert_letters(t[:j]), t, tag))
             spans.append(([x ^ 1 for x in reversed(digits[:j])], digits[j:]))
 
+    tags = [tag for _, _, tag in starts]
+
     def plan(walks: list, qs: int, qv: int, full: bool) -> tuple:
         """The walks of a class with last digit qv from its start, the class
         itself or (for a full class) its parent, whose last digit is qs.
-        Returns the (pw, off, sid) of the walks that extend the start and
-        keep their edge, the (cancelling digits, len, sid, rows) of those
+        Returns the (pw, off, sid, tag) of the walks that extend the start
+        and keep their edge, the (cancelling digits, len, sid, rows) of those
         that cancel, and whether the class's edges need sorting."""
         direct, climbing = [], []
         for digits, sid, rows in walks:
@@ -332,11 +335,11 @@ def build_quotient_local(
                 pw, row = rows[0]
                 # a short class's far end is deeper; a full class's is a sibling
                 if not full or row[qs] > step[qs][qv]:
-                    direct.append((pw, row[qs], sid))
+                    direct.append((pw, row[qs], sid, tags[sid]))
             else:
                 climbing.append(([x ^ 1 for x in digits], len(digits), sid, rows))
         direct.sort()
-        parallel = len({(pw, off) for pw, off, _ in direct}) < len(direct)
+        parallel = len({(pw, off) for pw, off, _, _ in direct}) < len(direct)
         return direct, climbing, parallel or bool(climbing)
 
     width = root + 1  # last digits, the root's included
@@ -358,7 +361,8 @@ def build_quotient_local(
         lo = hi
 
     labels = ("1", *texts[1:])
-    out: list[tuple[int, int, int]] = []  # (v, far end, sid) per kept edge
+    edges: list[tuple[int, int, str]] = []  # (v, far end, tag) per kept edge
+    sids = array("I")  # the start id of each
 
     def ids(c: int, sid: int) -> tuple[int, int]:
         """The positions, smaller first, of the two ends of the group edge
@@ -384,13 +388,19 @@ def build_quotient_local(
         u = (text_letters(labels[c]) if c else ()) + pre
         return order_pair(u, concat_letters(u, t), word_key)
 
+    add_edge, add_sid = edges.append, sids.append
     for lo, hi, plans, full in segments:
         for v in range(lo, hi):
             start = ((v - 2) // d if v > root else 0) if full else v
             direct, climbing, unordered = plans[last[start] * width + last[v]]
-            first = len(out)
-            for pw, off, sid in direct:
-                out.append((v, pw * start + off, sid))
+            if not unordered:  # no climbing walk, no parallel pair: in order
+                for pw, off, sid, tag in direct:
+                    add_edge((v, pw * start + off, tag))
+                    add_sid(sid)
+                continue
+            found = []
+            for pw, off, sid, _ in direct:
+                found.append((v, pw * start + off, sid))
             for inv, m, sid, rows in climbing:
                 node = (start - 2) // d if start > root else 0
                 q, k = last[node], 1
@@ -401,14 +411,14 @@ def build_quotient_local(
                 pw, row = rows[k]
                 far = pw * node + row[q]
                 if far > v:
-                    out.append((v, far, sid))
-            if unordered and len(out) - first > 1:
-                found = out[first:]
+                    found.append((v, far, sid))
+            if len(found) > 1:
                 order_class(found, ids)
-                out[first:] = found
+            for _, far, sid in found:
+                add_edge((v, far, tags[sid]))
+                add_sid(sid)
 
-    tags = [tag for _, _, tag in starts]
-    return assemble(labels, level, sym, out, tags, pair)
+    return assemble(labels, level, sym, edges, sids, pair)
 
 
 def quotient_level(n: int, graph: Multigraph) -> int:

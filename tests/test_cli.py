@@ -3,10 +3,12 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from hamcirc.cli import main
+from hamcirc.quotients import build_quotient_local
 from hamcirc.words import COUNT_CAP
 from hamcirc.words import ReducedWord
 
@@ -207,6 +209,45 @@ class TestQuotientCommand:
         )
         assert code == 0
         assert "penwidth" in out_path.read_text()
+
+    def test_with_tree_marks_no_edge_without_dot(self, capsys, monkeypatch, tmp_path):
+        # the bold s-edges are looked for only when a DOT file is written
+        argv = ["quotient", "-n", "2", "-s", "abAB", "--with-tree", "-l", "4", "--json"]
+        expected = run_cli(capsys, *argv)
+
+        def no_marks(*args):
+            raise AssertionError("s-edges marked with no DOT file to write")
+
+        monkeypatch.setattr("hamcirc.cli.edge_tag", no_marks)
+        assert run_cli(capsys, *argv) == expected
+        assert expected[0] == 0 and json.loads(expected[1])["edges"] == 321
+        code, _, err = run_cli(capsys, *argv, "--dot", str(tmp_path / "q.dot"))
+        assert code == 4 and "s-edges marked" in err
+
+    def test_dot_holds_one_copy_of_the_graph(self, capsys, tmp_path):
+        # a DOT file is built in bounded chunks and written in bounded
+        # slices, the kernel's edges become the graph's without a second
+        # list of tuples, and the cycle test keeps no positions: the command
+        # peaks near one built graph plus its DOT text, not several copies
+        path = tmp_path / "q8.dot"
+        argv = ["quotient", "-n", "2", "-s", "aabb", "-l", "8", "--dot", str(path), "--json"]
+        run_cli(capsys, *argv)  # imports and caches settle before measuring
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q = build_quotient_local(2, [ReducedWord.parse("aabb", 2)], 8)
+            retained = tracemalloc.get_traced_memory()[0] - base
+            del q
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            code, out, _ = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["is_cycle"]
+        dot_size = path.stat().st_size
+        assert dot_size > 500_000
+        assert peak <= 1.25 * (retained + 2 * dot_size), (peak, retained, dot_size)
 
     def test_multiple_words(self, capsys):
         code, out, _ = run_cli(

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hamcirc.multigraph import (
+    DOT_CHUNK,
     EdgeCut,
     Multigraph,
     circulant_graph,
@@ -72,6 +73,15 @@ class TestCycleRecognition:
         for k in (3, 5, 8):
             g = cycle_graph(k)
             assert g.is_cycle() and g.n_edges == g.n_vertices
+
+    def test_cycle_test_keeps_no_positions(self, monkeypatch):
+        # is_cycle walks the XOR links itself, with no position list
+        def no_positions(g):
+            raise AssertionError("is_cycle recorded positions")
+
+        monkeypatch.setattr("hamcirc.multigraph.cycle_positions", no_positions)
+        assert cycle_graph(7).is_cycle()
+        assert not Multigraph(list("abcd"), [(0, 1), (0, 1), (2, 3), (2, 3)]).is_cycle()
 
 
 class TestComponents:
@@ -420,6 +430,8 @@ class TestCircleOuterplanarity:
         g = Multigraph(list(labels), [(u, v, S) for u, v in circle] + chords)
         assert _circle_verdicts(g) == (False, None)
         assert not _reference_verdicts(g)[0]
+        tagged = _tagged(g, S)
+        assert not tagged.is_cycle() and cycle_positions(tagged) is None
 
     def test_untagged_cycle_is_no_circle(self):
         assert _circle_verdicts(cycle_graph(5)) == (False, None)
@@ -516,9 +528,11 @@ class TestDotExport:
     @staticmethod
     def reference_dot(g, highlight=()):
         """The DOT export as it was written before each label was escaped
-        once: one esc call per edge end and an attribute list per edge."""
+        once and the text was built in chunks: one esc call per edge end
+        (backslashes, then quotes), an attribute list per edge, and one
+        join of every line."""
         hi = set(highlight)
-        esc = lambda s: s.replace('"', '\\"')
+        esc = lambda s: s.replace("\\", "\\\\").replace('"', '\\"')
         lines = ["graph {"]
         for label in g.labels:
             lines.append(f'  "{esc(label)}";')
@@ -564,6 +578,42 @@ class TestDotExport:
             "}",
         ]
         assert parse_adjacency("a\\ b").to_dot().splitlines()[1] == r'  "a\\";'
+
+    @staticmethod
+    def escaped_graph(k: int, m: int) -> Multigraph:
+        """k labels and m edges whose labels and tags hold quotes and
+        backslashes, untagged and tagged edges, and parallel pairs."""
+        marks = ["", '"', "\\", '\\"', '"\\', "\\\\"]
+        labels = [f"v{i}{marks[i % len(marks)]}" for i in range(k)]
+        tags = [None, "s", 'q"', "t\\", "", '\\"x"']
+        rng = random.Random(k * 1000 + m)
+        edges = []
+        while len(edges) < m:
+            u, v = rng.sample(range(k), 2)
+            edges += [(u, v, tags[len(edges) % len(tags)])] * rng.choice([1, 1, 2])
+        return Multigraph(labels, edges[:m])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_matches_reference_across_chunk_boundaries(self, monkeypatch, chunk):
+        # labels and edges fill whole chunks, end one past a boundary or one
+        # short of it, and bold edges sit on both sides of every boundary
+        monkeypatch.setattr("hamcirc.multigraph.DOT_CHUNK", chunk)
+        assert Multigraph([], []).to_dot() == self.reference_dot(Multigraph([], []))
+        for k in (2, chunk, chunk + 1, 2 * chunk - 1, 3 * chunk + 2):
+            for m in (0, 1, chunk, chunk + 1, 3 * chunk - 1, 3 * chunk + 1):
+                g = self.escaped_graph(max(k, 2), m)
+                edges = [i for i in range(m) if i % chunk in (0, chunk - 1)]
+                for highlight in ((), edges, range(0, m, 2)):
+                    assert g.to_dot(highlight=highlight) == self.reference_dot(g, highlight)
+
+    def test_matches_reference_past_one_chunk(self):
+        k, m = 2 * DOT_CHUNK + 3, 3 * DOT_CHUNK + 1
+        g = self.escaped_graph(k, m)
+        highlight = [0, DOT_CHUNK - 1, DOT_CHUNK, 2 * DOT_CHUNK - 1, 2 * DOT_CHUNK, m - 1]
+        for hi in ((), highlight):
+            assert g.to_dot(highlight=hi) == self.reference_dot(g, hi)
+        lines = Multigraph([str(i) for i in range(k)], []).to_dot().splitlines()
+        assert len(lines) == k + 2 and lines[DOT_CHUNK] == f'  "{DOT_CHUNK - 1}";'
 
     def test_matches_reference_on_quotient(self):
         from hamcirc.quotients import build_quotient_local
@@ -685,10 +735,11 @@ class TestLazyAdjacency:
                 for v in range(k):
                     assert g.edges_between(u, v) == [i for w, i in inc[u] if w == v]
             is_cycle = _reference_cycle(g)
-            assert g.is_cycle() == is_cycle
+            assert g.is_cycle() == (cycle_positions(g) is not None) == is_cycle
             for tag in (None, "p", "q"):
                 tagged = _tagged(g, tag)
-                assert (cycle_positions(tagged) is not None) == _reference_cycle(tagged)
+                want = _reference_cycle(tagged)
+                assert tagged.is_cycle() == (cycle_positions(tagged) is not None) == want
             cycles += is_cycle
             non_cycles += set(g.degrees()) == {2} and not is_cycle
         assert cycles >= 10 and non_cycles >= 10
@@ -706,6 +757,7 @@ class TestLazyAdjacency:
         g = cycle_graph(5)
         g.edges = Recorded(g.edges)
         assert g.is_connected() and g.connected_components() == [[0, 1, 2, 3, 4]]
-        assert g.is_cycle()
-        assert states == [False] * 3
+        assert g.is_cycle()  # the walk that records no positions
+        assert cycle_positions(g) == [0, 1, 2, 3, 4]
+        assert states == [False] * 4
         assert gc.isenabled()
