@@ -213,13 +213,6 @@ def apply_chain(chain: Iterable[FGAutomorphism], w: ReducedWord) -> ReducedWord:
     return w
 
 
-def compose_chain(chain: Sequence[FGAutomorphism], rank: int) -> FGAutomorphism:
-    phi = FGAutomorphism.identity(rank)
-    for step in chain:
-        phi = step.compose(phi)
-    return phi
-
-
 def chain_moves(chain: Iterable[FGAutomorphism]) -> list[str]:
     """Flatten a chain into its serialized move list."""
     out: list[str] = []

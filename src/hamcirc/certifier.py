@@ -287,31 +287,3 @@ def classify(n: int, s: ReducedWord) -> CanonicalForm:
         return CanonicalForm(None, None)
     raw, kind = orbit.hit
     return CanonicalForm(kind, orbit.chain_to(raw))
-
-
-def split_check(s: ReducedWord, k: int) -> bool:
-    """For s = u v with u over generators 1..k and v over the rest, test
-    whether both restricted level-1 graphs (induced on each factor's own
-    letters plus the identity) are cycles."""
-    n = s.rank
-    if not 1 <= k < n:
-        raise ValueError(f"split index must be in 1..{n - 1}")
-    letters = s.letters
-    cut = 0
-    while cut < len(letters) and abs(letters[cut]) <= k:
-        cut += 1
-    u, v = letters[:cut], letters[cut:]
-    if not u or not v:
-        raise ValueError("degenerate split: both factors must be nonempty")
-    if any(abs(x) <= k for x in v):
-        raise ValueError("word is not of split form u(1..k) v(k+1..n)")
-
-    def restricted_is_cycle(part: tuple[int, ...]) -> bool:
-        w = ReducedWord(part, n)
-        g = level_one_quotient(w)
-        keep = [0] + sorted(
-            {g.vertex(letter_str(x)) for i in w.support() for x in (i, -i)}
-        )
-        return g.induced_subgraph(keep).is_cycle()
-
-    return restricted_is_cycle(u) and restricted_is_cycle(v)

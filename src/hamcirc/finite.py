@@ -1,5 +1,4 @@
-"""Finite Cayley graphs of Z_n and dihedral groups, plus the bundled
-vertex-transitive fixture corpus.
+"""Finite Cayley graphs of Z_n and dihedral groups.
 
 Dihedral elements are encoded as (flip, rot) = a^flip (ab)^rot acting on the
 rotation index; that avoids any general group machinery.  Spec strings look
@@ -12,15 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
-from typing import Iterable
 
-from .multigraph import (
-    Multigraph,
-    check_enumeration_size,
-    enumerate_hamiltonian_cycles,
-    parse_adjacency,
-)
+from .multigraph import Multigraph
 
 
 @dataclass(frozen=True)
@@ -126,44 +118,3 @@ def build_finite_cayley(spec: FiniteCayleySpec) -> Multigraph:
             u, v = index[el], index[other]
             edges.add((min(u, v), max(u, v)))
     return Multigraph(labels, sorted(edges))
-
-
-def second_cycle_cyclic(n: int, s: int) -> tuple[int, ...]:
-    """The alternate hamiltonian cycle of Cay(Z_n; +-1, +-s) traced by the
-    generator run (s, -1^(s-1), s, 1^(n-s-1)), as a vertex sequence."""
-    if not 2 <= s <= n - 2:
-        raise ValueError(f"step must satisfy 2 <= s <= n-2, got {s}")
-    steps = [s] + [-1] * (s - 1) + [s] + [1] * (n - s - 1)
-    walk = [0]
-    for step in steps:
-        walk.append((walk[-1] + step) % n)
-    if walk[-1] != 0:
-        raise AssertionError("generator run does not close up")
-    cycle = tuple(walk[:-1])
-    if len(set(cycle)) != n:
-        raise AssertionError("generator run revisits a vertex")
-    return cycle
-
-
-def verify_unique_finite(spec: FiniteCayleySpec) -> tuple[int, bool]:
-    """(number of hamiltonian cycles, whether it is exactly one).  A group
-    order past the enumeration cap is refused before the graph is built."""
-    check_enumeration_size(spec.size)
-    count = len(enumerate_hamiltonian_cycles(build_finite_cayley(spec)))
-    return count, count == 1
-
-
-# --- bundled corpus --------------------------------------------------------
-
-def corpus_names() -> list[str]:
-    root = resources.files("hamcirc").joinpath("data/corpus")
-    return sorted(p.name[: -len(".txt")] for p in root.iterdir() if p.name.endswith(".txt"))
-
-
-def load_corpus_graph(name: str) -> Multigraph:
-    path = resources.files("hamcirc").joinpath(f"data/corpus/{name}.txt")
-    return parse_adjacency(path.read_text())
-
-
-def corpus_graphs(names: Iterable[str] | None = None) -> dict[str, Multigraph]:
-    return {name: load_corpus_graph(name) for name in (names or corpus_names())}

@@ -453,28 +453,3 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
         rows.append((circle.n_vertices, circle.is_cycle(), connected, all(circle.degrees())))
     counts, cyc, conn, span = zip(*reversed(rows))
     return TruncationReport(m, n, tuple(range(1, r_max + 1)), counts, cyc, conn, span, deepest)
-
-
-def disconnecting_pair_disconnects(m: int, n: int, depth: int) -> bool:
-    """Removing the two distinguished circle edges b <- a^-1 and
-    b a^-1 -> b^2 from the full truncation must disconnect it.  Each is
-    looked for among the edges between the classes of its two ends, and
-    only those edges' group pairs are derived."""
-    if depth < 2:
-        raise ValueError("the distinguished edges need depth at least 2")
-    full = build_truncation(m, n, [gen_a(m, n), gen_ab(m, n)], depth)
-    graph = full.graph
-    ab = gen_ab(m, n)
-    a_inv = gen_a(m, n).inverse()
-    b = FPWord((("b", 1),), m, n)
-    assert a_inv * ab == b
-
-    def edge_of(u: FPWord) -> int:
-        """The edge of the group pair {u, u ab}."""
-        ends = sorted((u, u * ab))
-        want = tuple(w.syllables for w in ends)
-        cu, cv = (graph.vertex(w.truncate_after_b(depth).display()) for w in ends)
-        return next(i for i in graph.edges_between(cu, cv) if full.pair_of(i) == want)
-
-    drop = [edge_of(u) for u in (a_inv, b * a_inv)]
-    return not graph.without_edges(drop).is_connected()

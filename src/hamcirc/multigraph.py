@@ -1,5 +1,5 @@
-"""Finite undirected multigraphs: cycles, hamiltonian enumeration, cuts,
-outerplanarity, DOT export.
+"""Finite undirected multigraphs: cycles, connectivity, hamiltonian
+enumeration, outerplanarity, DOT export.
 
 Parallel edges are allowed, loops are rejected at construction (the quotient
 constructions delete them before building a graph).  Vertices are integers
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 DOT_CHUNK = 4096  # lines ``to_dot`` joins at a time
@@ -63,31 +61,12 @@ class Multigraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.degrees()[v]
-
     def degrees(self) -> list[int]:
         deg = [0] * len(self.labels)
         for u, v, _ in self.edges:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def neighbors(self, v: int) -> list[int]:
-        return [b if a == v else a for a, b, _ in self.edges if a == v or b == v]
-
-    def edges_between(self, u: int, v: int) -> list[int]:
-        lo, hi = (u, v) if u < v else (v, u)
-        return [i for i, (a, b, _) in enumerate(self.edges) if a == lo and b == hi]
-
-    def vertex(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def connected_components(self) -> list[list[int]]:
-        n = self.n_vertices
-        adj = _neighbour_sets(self)
-        seen = [False] * n
-        return [sorted(_reach(adj, v, seen)) for v in range(n) if not seen[v]]
 
     def is_connected(self) -> bool:
         """One traversal from vertex 0 reaches every vertex."""
@@ -116,32 +95,6 @@ class Multigraph:
                 return False
             seen.add(key)
         return True
-
-    def simple_support(self) -> "Multigraph":
-        """Collapse parallel edges, keeping the first tag."""
-        seen = {}
-        for u, v, tag in self.edges:
-            seen.setdefault((u, v), tag)
-        return Multigraph(
-            self.labels, [(u, v, tag) for (u, v), tag in seen.items()]
-        )
-
-    def without_edges(self, drop: Iterable[int]) -> "Multigraph":
-        dropset = set(drop)
-        return Multigraph._trusted(
-            self.labels,
-            [e for i, e in enumerate(self.edges) if i not in dropset],
-        )
-
-    def induced_subgraph(self, keep: Iterable[int]) -> "Multigraph":
-        kept = sorted(set(keep))
-        index = {v: i for i, v in enumerate(kept)}
-        edges = [
-            (index[u], index[v], tag)
-            for u, v, tag in self.edges
-            if u in index and v in index
-        ]
-        return Multigraph([self.labels[v] for v in kept], edges)
 
     def to_dot(self, highlight: Iterable[int] = ()) -> str:
         """DOT text, no graph name, ``highlight`` edges bold: each label and
@@ -272,53 +225,7 @@ def cycle_positions(g: Multigraph) -> Optional[list[int]]:
     return pos
 
 
-def parse_adjacency(text: str) -> Multigraph:
-    """One edge per line (``u v``), ``#`` comments, single token = lone vertex."""
-    order: list[str] = []
-    index: dict[str, int] = {}
-
-    def vid(token: str) -> int:
-        if token not in index:
-            index[token] = len(order)
-            order.append(token)
-        return index[token]
-
-    edges = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            vid(parts[0])
-        elif len(parts) == 2:
-            edges.append((vid(parts[0]), vid(parts[1])))
-        else:
-            raise ValueError(f"bad adjacency line: {line!r}")
-    return Multigraph(order, edges)
-
-
-@dataclass(frozen=True)
-class EdgeCut:
-    """A vertex side together with the edges leaving it."""
-
-    side: frozenset[int]
-    cut_edges: tuple[int, ...]
-
-    @classmethod
-    def from_side(cls, g: Multigraph, side: Iterable[int]) -> "EdgeCut":
-        s = frozenset(side)
-        if not s or len(s) >= g.n_vertices:
-            raise ValueError("cut side must be nonempty and proper")
-        cut = tuple(
-            i for i, (u, v, _) in enumerate(g.edges) if (u in s) != (v in s)
-        )
-        return cls(s, cut)
-
-
 ENUM_MAX_VERTICES = 20  # the backtracking enumeration is exponential in the order
-CUT_SEARCH_MAX_VERTICES = 22  # so is the search over cut sides
-MINOR_MAX_VERTICES = 10  # and the minor oracle's contraction search
 
 
 def check_enumeration_size(n: int) -> None:
@@ -364,77 +271,6 @@ def enumerate_hamiltonian_cycles(g: Multigraph) -> list[tuple[int, ...]]:
     return sorted(cycles)
 
 
-def cycle_contains_edge(cycle: Sequence[int], u: int, v: int) -> bool:
-    k = len(cycle)
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        if (a, b) == (u, v) or (a, b) == (v, u):
-            return True
-    return False
-
-
-def cubic_cycles_through_edge(g: Multigraph, edge_index: int) -> int:
-    """Number of hamiltonian cycles through one edge of a cubic simple graph."""
-    if any(d != 3 for d in g.degrees()):
-        raise ValueError("graph is not cubic")
-    u, v, _ = g.edges[edge_index]
-    return sum(
-        1
-        for cyc in enumerate_hamiltonian_cycles(g)
-        if cycle_contains_edge(cyc, u, v)
-    )
-
-
-def find_cut_separating_pair(
-    g: Multigraph, factor_edges: Iterable[int], e1: int, e2: int
-) -> Optional[EdgeCut]:
-    """A smallest edge cut meeting a designated 2-factor in exactly {e1, e2}.
-
-    Exhaustive search over vertex sides.  Both named edges must cross the
-    cut, so their endpoints are pinned to opposite sides (which also kills
-    the side/complement symmetry) and only the remaining vertices are
-    enumerated.  Returns None if no such cut exists.  Refuses a graph of
-    more than ``CUT_SEARCH_MAX_VERTICES`` vertices.
-    """
-    n = g.n_vertices
-    if n > CUT_SEARCH_MAX_VERTICES:
-        raise ValueError(f"graph too large for cut search: {n} > {CUT_SEARCH_MAX_VERTICES}")
-    factor = sorted(set(factor_edges))
-    if e1 not in factor or e2 not in factor or e1 == e2:
-        raise ValueError("e1, e2 must be distinct edges of the 2-factor")
-    other_factor = [i for i in factor if i not in (e1, e2)]
-    ends = [(u, v) for u, v, _ in g.edges]
-    (u1, v1), (u2, v2) = ends[e1], ends[e2]
-
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    for flip in (False, True):
-        pin = {u1: True, v1: False}
-        a2, b2 = (u2, v2) if not flip else (v2, u2)
-        if pin.get(a2) is False or pin.get(b2) is True:
-            continue
-        pin[a2], pin[b2] = True, False
-        free = [v for v in range(n) if v not in pin]
-        for bits in range(2 ** len(free)):
-            side = dict(pin)
-            for i, v in enumerate(free):
-                side[v] = bool(bits >> i & 1)
-            ok = True
-            for i in other_factor:
-                u, v = ends[i]
-                if side[u] != side[v]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            cut_size = sum(1 for u, v in ends if side[u] != side[v])
-            key = tuple(sorted(v for v in range(n) if side[v]))
-            if best is None or (cut_size, key) < best:
-                best = (cut_size, key)
-    if best is None:
-        return None
-    return EdgeCut.from_side(g, best[1])
-
-
 def is_outerplanar(
     g: Multigraph,
     circle: Optional[Sequence[int]] = None,
@@ -445,14 +281,16 @@ def is_outerplanar(
     puts each back between them on the rebuilt cycle.  A Yes is a certificate: that
     cycle is hamiltonian on block edges and no two block edges cross it.
 
-    ``circle`` and ``chords`` are given together or not at all.  ``circle`` is each
-    vertex's position on the hamiltonian cycle that g's own edges form, as
-    ``cycle_positions(g)`` finds it, ``chords`` are further edges, pairs of
+    ``circle`` and ``chords`` are given together or not at all, else ValueError.
+    ``circle`` is each vertex's position on the hamiltonian cycle that g's own edges
+    form, as ``cycle_positions(g)`` finds it, ``chords`` are further edges, pairs of
     vertices, and the graph decided is g with the chords added; no reduction runs.
     A 2-connected outerplanar graph has exactly one hamiltonian cycle, its outer
     face (Sysło, Discrete Math. 26, 1979), so that graph is outerplanar iff no two
     of its edges cross as chords of the cycle.  g's own edges join neighbours on
     the cycle or close it, and never cross, so only the chords are checked."""
+    if (circle is None) != (chords is None):
+        raise ValueError("circle and chords are given together or not at all")
     if circle is not None:
         return spans_nest(chords, circle)
     adj = _neighbour_sets(g)
@@ -534,124 +372,3 @@ def _blocks(adj: list[set[int]]) -> list[set[int]]:
         blocks.setdefault(head[v], {p}).add(v)
     return [b for b in blocks.values() if len(b) > 2]
 
-
-# --- independent minor-search oracle (small graphs only) ------------------
-
-def _contract(edges: frozenset, x, y) -> frozenset:
-    z = x | y
-    out = set()
-    for e in edges:
-        a, b = tuple(e)
-        if a in (x, y):
-            a = z
-        if b in (x, y):
-            b = z
-        if a != b:
-            out.add(frozenset((a, b)))
-    return frozenset(out)
-
-
-def _adjacency(edges: frozenset) -> dict:
-    adj: dict = {}
-    for e in edges:
-        a, b = tuple(e)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return adj
-
-
-def _has_k4_subgraph(edges: frozenset) -> bool:
-    adj = _adjacency(edges)
-    verts = list(adj)
-    for quad in itertools.combinations(verts, 4):
-        if all(b in adj[a] for a, b in itertools.combinations(quad, 2)):
-            return True
-    return False
-
-
-def _has_k23_subgraph(edges: frozenset) -> bool:
-    adj = _adjacency(edges)
-    verts = list(adj)
-    for a, b in itertools.combinations(verts, 2):
-        if len(adj[a] & adj[b] - {a, b}) >= 3:
-            return True
-    return False
-
-
-def has_minor(g: Multigraph, target: str) -> bool:
-    """Exact minor test for K4 or K2,3 by contraction enumeration.
-
-    A graph has an H minor iff H is a subgraph of some contraction, so the
-    search contracts edges in all ways (memoized on the resulting graph)
-    and tests for an H subgraph at each step.  Refuses a graph of more
-    than ``MINOR_MAX_VERTICES`` vertices.
-    """
-    if g.n_vertices > MINOR_MAX_VERTICES:
-        raise ValueError(
-            f"minor oracle capped at {MINOR_MAX_VERTICES} vertices, got {g.n_vertices}"
-        )
-    check = {"K4": _has_k4_subgraph, "K23": _has_k23_subgraph}[target]
-    start = frozenset(
-        frozenset((frozenset((u,)), frozenset((v,)))) for u, v, _ in g.edges
-    )
-    seen = set()
-    stack = [start]
-    while stack:
-        edges = stack.pop()
-        if edges in seen:
-            continue
-        seen.add(edges)
-        if check(edges):
-            return True
-        for e in edges:
-            x, y = tuple(e)
-            nxt = _contract(edges, x, y)
-            if nxt not in seen:
-                stack.append(nxt)
-    return False
-
-
-def outerplanar_by_minor_search(g: Multigraph) -> bool:
-    simple = g.simple_support()
-    return not (has_minor(simple, "K4") or has_minor(simple, "K23"))
-
-
-# --- small standard graphs -------------------------------------------------
-
-def cycle_graph(k: int) -> Multigraph:
-    if k < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Multigraph([str(i) for i in range(k)], [(i, (i + 1) % k) for i in range(k)])
-
-
-def complete_graph(k: int) -> Multigraph:
-    return Multigraph(
-        [str(i) for i in range(k)], list(itertools.combinations(range(k), 2))
-    )
-
-
-def complete_bipartite(a: int, b: int) -> Multigraph:
-    labels = [f"u{i}" for i in range(a)] + [f"w{j}" for j in range(b)]
-    return Multigraph(labels, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def generalized_petersen(k: int, j: int) -> Multigraph:
-    labels = [f"u{i}" for i in range(k)] + [f"v{i}" for i in range(k)]
-    edges = []
-    for i in range(k):
-        edges.append((i, (i + 1) % k))
-        edges.append((i, k + i))
-        edges.append((k + i, k + (i + j) % k))
-    return Multigraph(labels, edges)
-
-
-def circulant_graph(n: int, offsets: Iterable[int]) -> Multigraph:
-    edges = set()
-    for s in offsets:
-        s %= n
-        if s == 0:
-            raise ValueError("offset 0 would create loops")
-        for i in range(n):
-            u, v = i, (i + s) % n
-            edges.add((min(u, v), max(u, v)))
-    return Multigraph([str(i) for i in range(n)], sorted(edges))

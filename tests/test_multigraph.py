@@ -3,24 +3,34 @@ import random
 
 import pytest
 
+import oracles
 from hamcirc.multigraph import (
     DOT_CHUNK,
-    EdgeCut,
     Multigraph,
+    cycle_positions,
+    enumerate_hamiltonian_cycles,
+    is_outerplanar,
+    spans_nest,
+)
+from oracles import (
+    EdgeCut,
     circulant_graph,
     complete_bipartite,
     complete_graph,
+    connected_components,
+    corpus_graphs,
     cubic_cycles_through_edge,
     cycle_graph,
-    cycle_positions,
-    enumerate_hamiltonian_cycles,
+    edges_between,
     find_cut_separating_pair,
     generalized_petersen,
     has_minor,
-    is_outerplanar,
+    induced_subgraph,
+    neighbors,
     outerplanar_by_minor_search,
     parse_adjacency,
-    spans_nest,
+    simple_support,
+    without_edges,
 )
 
 
@@ -31,8 +41,8 @@ class TestConstruction:
 
     def test_parallel_edges_and_degrees(self):
         g = Multigraph(["x", "y"], [(0, 1), (1, 0)])
-        assert g.degree(0) == 2 and g.degree(1) == 2
-        assert len(g.edges_between(0, 1)) == 2
+        assert g.degrees() == [2, 2]
+        assert len(edges_between(g, 0, 1)) == 2
         assert not g.is_simple()
 
     def test_handshake(self):
@@ -86,14 +96,14 @@ class TestCycleRecognition:
 
 class TestComponents:
     def test_empty(self):
-        assert Multigraph([], []).connected_components() == []
+        assert connected_components(Multigraph([], [])) == []
 
     def test_triangle_plus_isolated(self):
         g = Multigraph(list("abcd"), [(0, 1), (1, 2), (2, 0)])
-        assert g.connected_components() == [[0, 1, 2], [3]]
+        assert connected_components(g) == [[0, 1, 2], [3]]
 
     def test_k4_connected(self):
-        assert complete_graph(4).connected_components() == [[0, 1, 2, 3]]
+        assert connected_components(complete_graph(4)) == [[0, 1, 2, 3]]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_is_connected_matches_components(self, seed):
@@ -109,7 +119,7 @@ class TestComponents:
                     if rng.random() < 0.1:
                         edges.append(edges[-1])
             g = Multigraph([str(i) for i in range(k)], edges)
-            expected = len(g.connected_components()) <= 1
+            expected = len(connected_components(g)) <= 1
             assert g.is_connected() == expected, (k, edges)
             answers.add((k <= 1, expected))
         assert answers == {(True, True), (False, True), (False, False)}
@@ -129,7 +139,7 @@ class TestHamiltonianEnumeration:
         g = circulant_graph(7, [1, 2])
         cycles = enumerate_hamiltonian_cycles(g)
         assert len(cycles) == len(set(cycles))
-        adj = {v: set(g.neighbors(v)) for v in range(7)}
+        adj = {v: set(neighbors(g, v)) for v in range(7)}
         for cyc in cycles:
             assert cyc[0] == 0 and cyc[1] < cyc[-1]
             assert sorted(cyc) == list(range(7))
@@ -185,7 +195,7 @@ class TestEdgeCuts:
     def test_size_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="^graph too large for cut search: 23 > 22$"):
             find_cut_separating_pair(cycle_graph(23), range(23), 0, 3)
-        monkeypatch.setattr("hamcirc.multigraph.CUT_SEARCH_MAX_VERTICES", 5)
+        monkeypatch.setattr(oracles, "CUT_SEARCH_MAX_VERTICES", 5)
         with pytest.raises(ValueError, match="^graph too large for cut search: 6 > 5$"):
             find_cut_separating_pair(cycle_graph(6), range(6), 0, 3)
 
@@ -212,6 +222,15 @@ class TestOuterplanarity:
         )
         assert is_outerplanar(g)
 
+    def test_circle_and_chords_go_together(self):
+        # with its chords C4 is K4, so answering on C4 alone would say True
+        g = cycle_graph(4)
+        with pytest.raises(ValueError, match="^circle and chords are given together"):
+            is_outerplanar(g, chords=[(0, 2), (1, 3)])
+        with pytest.raises(ValueError, match="^circle and chords are given together"):
+            is_outerplanar(g, cycle_positions(g))
+        assert not is_outerplanar(g, cycle_positions(g), [(0, 2), (1, 3)])
+
     def test_minor_oracle_direct(self):
         assert has_minor(complete_graph(4), "K4")
         assert has_minor(complete_graph(5), "K4")
@@ -229,13 +248,11 @@ class TestOuterplanarity:
         assert not has_minor(cycle_graph(10), "K4")
         with pytest.raises(ValueError, match="^minor oracle capped at 10 vertices, got 11$"):
             has_minor(cycle_graph(11), "K4")
-        monkeypatch.setattr("hamcirc.multigraph.MINOR_MAX_VERTICES", 3)
+        monkeypatch.setattr(oracles, "MINOR_MAX_VERTICES", 3)
         with pytest.raises(ValueError, match="^minor oracle capped at 3 vertices, got 4$"):
             has_minor(cycle_graph(4), "K4")
 
     def test_fast_path_matches_oracle_on_small_corpus(self):
-        from hamcirc.finite import corpus_graphs
-
         checked = 0
         for name, g in corpus_graphs().items():
             if g.n_vertices > 8:
@@ -310,7 +327,7 @@ S = "s"  # the tag of the circle edges
 
 def _tagged(g: Multigraph, tag):
     """The spanning subgraph of the edges tagged ``tag``."""
-    return g.without_edges(i for i, (_, _, t) in enumerate(g.edges) if t != tag)
+    return without_edges(g, (i for i, (_, _, t) in enumerate(g.edges) if t != tag))
 
 
 def _circle_verdicts(g: Multigraph):
@@ -323,7 +340,7 @@ def _circle_verdicts(g: Multigraph):
     at = sorted(range(k), key=pos.__getitem__)
     assert sorted(pos) == list(range(k))
     for i in range(k):
-        assert any(g.edges[e][2] == S for e in g.edges_between(at[i], at[(i + 1) % k]))
+        assert any(g.edges[e][2] == S for e in edges_between(g, at[i], at[(i + 1) % k]))
     chords = [(u, v) for u, v, t in g.edges if t != S]
     return True, is_outerplanar(_tagged(g, S), pos, chords)
 
@@ -440,7 +457,7 @@ class TestCircleOuterplanarity:
     def test_walk_starts_at_the_first_neighbour_of_0(self):
         g = Multigraph(list("abcde"), [(2, 3), (0, 4), (1, 2), (0, 1), (3, 4)])
         assert cycle_positions(g) == [0, 4, 3, 2, 1]
-        assert cycle_positions(g.without_edges([0])) is None
+        assert cycle_positions(without_edges(g, [0])) is None
 
 
 def _tuple_spans_nest(spans):
@@ -630,7 +647,7 @@ class TestAdjacencyFormat:
         g = parse_adjacency(text)
         assert g.labels == ("u", "v", "w", "x")
         assert g.n_edges == 3
-        assert g.degree(3) == 0
+        assert g.degrees()[3] == 0
 
     def test_bad_line(self):
         with pytest.raises(ValueError):
@@ -640,18 +657,18 @@ class TestAdjacencyFormat:
 class TestSubgraphs:
     def test_induced(self):
         g = complete_graph(4)
-        h = g.induced_subgraph([0, 1, 3])
+        h = induced_subgraph(g, [0, 1, 3])
         assert h.n_vertices == 3 and h.n_edges == 3
         assert h.labels == ("0", "1", "3")
 
     def test_without_edges(self):
         g = cycle_graph(4)
-        h = g.without_edges([0])
+        h = without_edges(g, [0])
         assert h.n_edges == 3 and not h.is_cycle()
 
     def test_simple_support(self):
         g = Multigraph(["x", "y"], [(0, 1, "p"), (0, 1, "q")])
-        s = g.simple_support()
+        s = simple_support(g)
         assert s.edges == ((0, 1, "p"),)
 
 
@@ -698,13 +715,13 @@ class TestLazyAdjacency:
             labels = [str(i) for i in range(k)]
             g = Multigraph(labels, edges)
             drop = [i for i in range(len(edges)) if rng.random() < 0.3]
-            copied_fresh = g.without_edges(drop)  # before g's adjacency is built
+            copied_fresh = without_edges(g, drop)  # before g's adjacency is built
             yield g
             yield Multigraph._trusted(tuple(labels), [(min(e[:2]), max(e[:2]), e[2]) for e in edges])
             yield copied_fresh
-            yield g.without_edges(drop)  # after
+            yield without_edges(g, drop)  # after
         yield cycle_graph(5)
-        yield cycle_graph(5).without_edges([2])
+        yield without_edges(cycle_graph(5), [2])
         for _ in range(40):
             # every degree 2, where the cycle walk differs from a degree test:
             # disjoint cycles, a ring of 2 being a parallel pair, under a
@@ -729,11 +746,10 @@ class TestLazyAdjacency:
             k = g.n_vertices
             assert g.is_connected() == _reference_connected(g)
             assert g.degrees() == [len(x) for x in inc]
-            assert [g.degree(v) for v in range(k)] == [len(x) for x in inc]
-            assert [g.neighbors(v) for v in range(k)] == [[w for w, _ in x] for x in inc]
+            assert [neighbors(g, v) for v in range(k)] == [[w for w, _ in x] for x in inc]
             for u in range(k):
                 for v in range(k):
-                    assert g.edges_between(u, v) == [i for w, i in inc[u] if w == v]
+                    assert edges_between(g, u, v) == [i for w, i in inc[u] if w == v]
             is_cycle = _reference_cycle(g)
             assert g.is_cycle() == (cycle_positions(g) is not None) == is_cycle
             for tag in (None, "p", "q"):
@@ -756,8 +772,9 @@ class TestLazyAdjacency:
 
         g = cycle_graph(5)
         g.edges = Recorded(g.edges)
-        assert g.is_connected() and g.connected_components() == [[0, 1, 2, 3, 4]]
+        assert g.is_connected()
         assert g.is_cycle()  # the walk that records no positions
         assert cycle_positions(g) == [0, 1, 2, 3, 4]
-        assert states == [False] * 4
+        assert states == [False] * 3
         assert gc.isenabled()
+        assert connected_components(g) == [[0, 1, 2, 3, 4]]
