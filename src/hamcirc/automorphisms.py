@@ -182,17 +182,6 @@ class FGAutomorphism:
             raise RankError(f"rank mismatch: {self.rank} vs {w.rank}")
         return ReducedWord(_apply_table(self.letter_table(), w.letters), self.rank)
 
-    def compose(self, other: "FGAutomorphism") -> "FGAutomorphism":
-        """self after other: apply(self.compose(other), w) = self(other(w))."""
-        if self.rank != other.rank:
-            raise RankError("rank mismatch in composition")
-        table = self.letter_table()
-        images = tuple(
-            ReducedWord(_apply_table(table, im.letters), self.rank)
-            for im in other.images
-        )
-        return FGAutomorphism(self.rank, images, other.moves + self.moves)
-
     def inverse(self) -> "FGAutomorphism":
         moves = tuple(m.inverse() for m in reversed(self.moves))
         return FGAutomorphism.from_moves(moves, self.rank)

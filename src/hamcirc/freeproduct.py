@@ -7,14 +7,16 @@ its unique hamiltonian circle is the subgraph on (ab)^{+-1} alone.  The
 circle cannot be built whole, so it is verified on finite truncations:
 words are identified when they agree up to and including their r-th
 b-syllable, and the circle's truncation must be a single cycle for every
-checked depth.  The depths are built deepest first.  The deepest circle
-is the (ab)-edge subgraph of the full truncation built there; a depth
-below a connected one is a contraction of it, so it is connected too, and
-only its circle is built.
+checked depth.  Only the deepest depth is built, on {a, ab}, and its
+circle is the (ab)-edge subgraph of it.  When it passes, every shallower
+depth, a contraction of it whose circle is still a cycle, passes too
+(the proof is in ``verify_circle_truncations``); only a depth below a
+failing one is built and checked.
 
 A truncation is built by an integer kernel.  Its classes are numbered in
 syllable_key order of their representatives, one syllable length at a
-time, with per-class arrays of the parent, the code of the last syllable,
+time and a run of classes with the same last letter and b-count at once,
+with per-class arrays of the parent, the code of the last syllable,
 the first child and whether the class is full (ends in its r-th
 b-syllable).  The far end of a group edge is found by walking the
 generator's syllables on those integers: a merge with the last syllable
@@ -122,10 +124,6 @@ class FPWord:
     def b_count(self) -> int:
         return sum(1 for letter, _ in self.syllables if letter == "b")
 
-    def truncate_after_b(self, r: int) -> "FPWord":
-        """The prefix through the r-th b-syllable (the whole word if fewer)."""
-        return FPWord(_truncate_after_b(self.syllables, r), self.m, self.n)
-
 
 def syllables_str(sylls: Syllables) -> str:
     return "".join(f"{s}{e}" for s, e in sylls)
@@ -133,16 +131,6 @@ def syllables_str(sylls: Syllables) -> str:
 
 def syllable_key(sylls: Syllables) -> tuple:
     return (len(sylls), sylls)
-
-
-def _truncate_after_b(sylls: Syllables, r: int) -> Syllables:
-    seen = 0
-    for i, (letter, _) in enumerate(sylls):
-        if letter == "b":
-            seen += 1
-            if seen == r:
-                return sylls[: i + 1]
-    return sylls
 
 
 def _multiply(u: Syllables, v: Iterable[tuple[str, int]], m: int, n: int) -> Syllables:
@@ -228,32 +216,37 @@ def _class_tree(m: int, n: int, depth: int) -> tuple[list, list, list, bytearray
 
     Numbered one syllable length at a time: each layer is the children of
     the previous layer's short classes, taken in class order, and each
-    class's children get consecutive numbers in code order."""
+    class's children get consecutive numbers in code order.  A layer is a
+    few runs of consecutive classes with the same last letter and the same
+    b-count, so the children of a whole run share their codes, their
+    b-count and their fullness, and are numbered at once."""
     k = m + n - 2
     words = [syllables_str((s,)) for s in _syllables(m, n)]
     # the children after a class, by the letter of its last syllable: runs
-    # of codes, each with the b-syllables it adds and the codes' texts
-    a = (list(range(m - 1)), 0, words[: m - 1])
-    b = (list(range(m - 1, k)), 1, words[m - 1 :])
-    runs = {"a": [b], "b": [a], None: [a, b]}
+    # of codes, each with its letter, the b-syllables it adds and the
+    # codes' texts
+    a = ("a", list(range(m - 1)), 0, words[: m - 1])
+    b = ("b", list(range(m - 1, k)), 1, words[m - 1 :])
+    after = {"a": (b,), "b": (a,), None: (a, b)}
     parent, last, base, full, texts = [0], [k], [0], bytearray(1), [""]
-    layer = [(0, 0)]  # (class, b-syllables) of the short classes to extend
+    layer = [(0, 1, None, 0)]  # runs (first class, size, letter, b-syllables) to extend
     while layer:
         deeper = []
-        for x, used in layer:
-            c = last[x]
-            letter = None if c == k else "a" if c < m - 1 else "b"
-            base[x] = len(last) - (m - 1 if letter == "a" else 0)
-            text = texts[x]
-            for codes, added, tails in runs[letter]:
-                first, size, used_after = len(last), len(codes), used + added
-                parent += [x] * size
-                last += codes
-                base += [0] * size
-                texts += [text + tail for tail in tails]
-                full += bytes([used_after == depth]) * size
+        for first, size, letter, used in layer:
+            stop, runs = first + size, after[letter]
+            fan = sum(len(codes) for _, codes, _, _ in runs)
+            start = len(last) - runs[0][1][0]  # base + the first child's code
+            base[first:stop] = range(start, start + size * fan, fan)
+            heads = texts[first:stop]
+            for child, codes, added, tails in runs:
+                count, used_after = size * len(codes), used + added
                 if used_after < depth:
-                    deeper += zip(range(first, first + size), [used_after] * size)
+                    deeper.append((len(last), count, child, used_after))
+                parent += [x for x in range(first, stop) for _ in codes]
+                last += codes * size
+                base += [0] * count
+                full += bytes([used_after == depth]) * count
+                texts += [head + tail for head in heads for tail in tails]
         layer = deeper
     return parent, last, base, full, texts
 
@@ -426,16 +419,40 @@ class TruncationReport:
 
 def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
     """Check that the circle's truncation is a single cycle for r <= r_max,
-    and that it spans the connected full-generating-set truncation.  The
-    depths are checked deepest first.  The deepest one builds the
-    truncation on {a, ab}, checks its connectivity and takes its circle as
-    ``generator_subgraph``.  Classes nest across depths, so depth r is a
-    contraction of depth r + 1, and a contraction of a connected graph is
-    connected: below a connected depth only the circle is built, on ab
-    alone, which gives the same labels and edges.  A depth below one that
-    is not connected builds {a, ab} and checks again.  The circle spans
-    when every class lies on a circle edge (no degree is 0).  The deepest
-    depth is sized against CLASS_BUDGET before any depth is built."""
+    and that it spans the connected full-generating-set truncation.
+
+    Only the deepest depth is built, on {a, ab}: its connectivity is
+    checked and its circle is taken as ``generator_subgraph``.  Depths are
+    checked from the deepest down.  A depth passes when its circle is a
+    cycle, the full truncation is connected and the circle spans it (no
+    class has circle degree 0).  Once a depth passes, every shallower
+    depth d is reported passing with its count_truncation_classes(m, n, d)
+    classes, unbuilt.  A depth below a failing one is built and checked:
+    on ab alone when a deeper depth was connected, since a contraction of
+    a connected graph is connected, else on {a, ab} again.  The deepest
+    depth is sized against CLASS_BUDGET before any depth is built.
+
+    A passing depth r settles depth r - 1:
+
+    1. Classes nest.  A short class of depth r - 1 is one element, a class
+       of depth r too.  A full class w of depth r - 1 becomes at depth r
+       its cone: the classes w, w a^i and w a^i b^j.  As a set of group
+       elements the cone is the same class, w followed by nothing or by a
+       word that starts with an a-syllable.  So depth r - 1 is depth r
+       with every cone contracted and the loops dropped.
+    2. Exactly two ab-edges leave a cone: {w (ab)^-1, w} and
+       {w a^(m-1), w b}.  For w x in the cone, w x ab and w x (ab)^-1
+       reduce inside x, so they stay in the cone (w alone, or w and then
+       an a-syllable) unless x is empty, where (ab)^-1 changes w's last
+       syllable, or x is a^(m-1), where ab gives w b.
+    3. The circle of depth r is a hamiltonian cycle, and a vertex set
+       with exactly two boundary edges on a cycle is one arc of it.  So
+       contracting the cones contracts arcs, which leaves a cycle through
+       the count_truncation_classes(m, n, r - 1) >= 3 classes: the circle
+       of depth r - 1, which spans it.
+    4. Contracting a connected graph leaves it connected, so the full
+       truncation of depth r - 1 is connected.
+    """
     if m < 3 or n < 2:
         raise ValueError("family needs m >= 3 and n >= 2")
     if r_max < 1:
@@ -451,5 +468,9 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
             circle, connected = generator_subgraph(full, ab), full.is_connected()
         deepest = deepest or circle
         rows.append((circle.n_vertices, circle.is_cycle(), connected, all(circle.degrees())))
+        if all(rows[-1][1:]):  # depth r passed, and settles every shallower one
+            for d in range(r - 1, 0, -1):
+                rows.append((count_truncation_classes(m, n, d), True, True, True))
+            break
     counts, cyc, conn, span = zip(*reversed(rows))
     return TruncationReport(m, n, tuple(range(1, r_max + 1)), counts, cyc, conn, span, deepest)

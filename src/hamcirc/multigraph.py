@@ -71,7 +71,17 @@ class Multigraph:
     def is_connected(self) -> bool:
         """One traversal from vertex 0 reaches every vertex."""
         n = self.n_vertices
-        return n <= 1 or len(_reach(_neighbour_sets(self), 0, [False] * n)) == n
+        if n <= 1:
+            return True
+        adj, seen = _neighbour_sets(self), [False] * n
+        seen[0], stack, reached = True, [0], 1
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    reached += 1
+                    stack.append(w)
+        return reached == n
 
     def is_cycle(self) -> bool:
         """Connected, at least 3 vertices, every degree exactly 2: the walk
@@ -165,20 +175,6 @@ def _neighbour_sets(g: Multigraph) -> list[set[int]]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
-
-
-def _reach(adj: list[set[int]], start: int, seen: list[bool]) -> list[int]:
-    """The vertices reachable from ``start`` that ``seen`` has not marked,
-    marked as they are reached, ``start`` first."""
-    seen[start] = True
-    reached, stack = [start], [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                reached.append(w)
-                stack.append(w)
-    return reached
 
 
 @collector_paused

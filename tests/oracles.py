@@ -4,10 +4,11 @@ The slow, independent sides of the differential tests (the minor search
 for outerplanarity, the exhaustive cut search, hamiltonian-cycle counts
 through an edge, the split and disconnecting-pair checks of the paper's
 finite facts, the uniqueness count of a finite Cayley graph, the
-composition of a witness chain), the small standard graphs and the
-adjacency-list corpus under ``data/corpus`` that they run on, and graph
-helpers (components, subgraphs, edge lookups) that only tests call.  Each
-builds on hamcirc's public names alone.
+composition of a witness chain, the free-product truncation of a word and
+the depth-by-depth check of the cycle-tree circle), the small standard
+graphs and the adjacency-list corpus under ``data/corpus`` that they run
+on, and graph helpers (components, subgraphs, edge lookups) that only
+tests call.  Each builds on hamcirc's public names alone.
 """
 
 from __future__ import annotations
@@ -20,9 +21,19 @@ from typing import Iterable, Optional, Sequence
 from hamcirc.automorphisms import FGAutomorphism
 from hamcirc.certifier import level_one_quotient
 from hamcirc.finite import FiniteCayleySpec, build_finite_cayley
-from hamcirc.freeproduct import FPWord, build_truncation, gen_a, gen_ab
+from hamcirc.freeproduct import (
+    CLASS_BUDGET,
+    FPWord,
+    Syllables,
+    TruncationReport,
+    build_truncation,
+    count_truncation_classes,
+    gen_a,
+    gen_ab,
+)
 from hamcirc.multigraph import Multigraph, check_enumeration_size, enumerate_hamiltonian_cycles
-from hamcirc.words import ReducedWord, letter_str
+from hamcirc.quotients import generator_subgraph
+from hamcirc.words import ReducedWord, check_budget, letter_str
 
 CORPUS = Path(__file__).resolve().parent / "data" / "corpus"
 
@@ -411,16 +422,56 @@ def disconnecting_pair_disconnects(m: int, n: int, depth: int) -> bool:
         """The edge of the group pair {u, u ab}."""
         ends = sorted((u, u * ab))
         want = tuple(w.syllables for w in ends)
-        cu, cv = (graph.labels.index(w.truncate_after_b(depth).display()) for w in ends)
+        reps = (FPWord(truncate_after_b(w.syllables, depth), m, n) for w in ends)
+        cu, cv = (graph.labels.index(rep.display()) for rep in reps)
         return next(i for i in edges_between(graph, cu, cv) if full.pair_of(i) == want)
 
     drop = [edge_of(u) for u in (a_inv, b * a_inv)]
     return not without_edges(graph, drop).is_connected()
 
 
+def compose(outer: FGAutomorphism, inner: FGAutomorphism) -> FGAutomorphism:
+    """outer after inner: compose(f, g).apply(w) == f.apply(g.apply(w))."""
+    images = tuple(outer.apply(im) for im in inner.images)
+    return FGAutomorphism(outer.rank, images, inner.moves + outer.moves)
+
+
 def compose_chain(chain: Sequence[FGAutomorphism], rank: int) -> FGAutomorphism:
     """The one automorphism that applies ``chain`` in order, first step first."""
     phi = FGAutomorphism.identity(rank)
     for step in chain:
-        phi = step.compose(phi)
+        phi = compose(step, phi)
     return phi
+
+
+# --- free-product truncations ----------------------------------------------
+
+def truncate_after_b(sylls: Syllables, r: int) -> Syllables:
+    """The prefix through the r-th b-syllable (the whole word if fewer):
+    the representative of a word's class in the depth-r truncation."""
+    seen = 0
+    for i, (letter, _) in enumerate(sylls):
+        if letter == "b":
+            seen += 1
+            if seen == r:
+                return sylls[: i + 1]
+    return sylls
+
+
+def verify_circle_truncations_by_depth(m: int, n: int, r_max: int) -> TruncationReport:
+    """The oracle for ``verify_circle_truncations``: every depth built and
+    checked, deepest first.  A depth below a connected one is a contraction
+    of it, so it takes that connectivity and builds its circle on ab alone."""
+    check_budget(count_truncation_classes(m, n, r_max), CLASS_BUDGET)
+    ab = gen_ab(m, n)
+    rows, connected, deepest = [], False, None
+    for r in range(r_max, 0, -1):
+        if connected:
+            circle = build_truncation(m, n, [ab], r).graph
+        else:
+            full = build_truncation(m, n, [gen_a(m, n), ab], r).graph
+            circle, connected = generator_subgraph(full, ab), full.is_connected()
+        deepest = deepest or circle
+        rows.append((circle.n_vertices, circle.is_cycle(), connected, all(circle.degrees())))
+    counts, cyc, conn, span = zip(*reversed(rows))
+    return TruncationReport(m, n, tuple(range(1, r_max + 1)), counts, cyc, conn, span, deepest)

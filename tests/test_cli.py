@@ -290,7 +290,7 @@ class TestOtherCommands:
             capsys, "cycletree", "-m", "3", "-n", "2", "-r", "3", "--dot", str(out_path)
         )
         assert code == 0
-        assert len(calls) == 3  # the full truncation at depths 1..3
+        assert len(calls) == 1  # the full truncation at depth 3, which settles 1 and 2
         assert out_path.read_text().count(" -- ") == 42  # the depth-3 circle
 
     def test_cycletree_sizes_its_deepest_depth_first(self, capsys, monkeypatch):

@@ -8,7 +8,6 @@ from hamcirc.freeproduct import (
     CLASS_BUDGET,
     FPWord,
     _multiply,
-    _truncate_after_b,
     build_truncation,
     count_truncation_classes,
     enumerate_fp_words,
@@ -32,6 +31,8 @@ from oracles import (
     connected_components,
     disconnecting_pair_disconnects,
     edges_between,
+    truncate_after_b,
+    verify_circle_truncations_by_depth,
     without_edges,
 )
 
@@ -47,19 +48,19 @@ def build_truncation_enum(m, n, gens, depth):
     b-syllables by at most one, so this meets every edge between classes."""
     sym = fp_symmetric_closure(gens)
     words = [w.syllables for w in enumerate_fp_words(m, n, depth + 1)]
-    reps = sorted({_truncate_after_b(w, depth) for w in words}, key=syllable_key)
+    reps = sorted({truncate_after_b(w, depth) for w in words}, key=syllable_key)
     index = {rep: i for i, rep in enumerate(reps)}
     tagged = [(g.syllables, edge_tag(g)) for g in sym]
     pairs = {}
     for w in words:
-        cw = _truncate_after_b(w, depth)
+        cw = truncate_after_b(w, depth)
         for t, tag in tagged:
             v = _multiply((), w + t, m, n)
-            if _truncate_after_b(v, depth) != cw:  # otherwise a loop
+            if truncate_after_b(v, depth) != cw:  # otherwise a loop
                 pairs.setdefault(order_pair(w, v, syllable_key), tag)
     graph, edge_pairs = project(
         [syllables_str(rep) or "1" for rep in reps],
-        lambda w: index[_truncate_after_b(w, depth)],
+        lambda w: index[truncate_after_b(w, depth)],
         pairs,
         syllable_key,
     )
@@ -157,13 +158,13 @@ class TestNormalForm:
 
 class TestTruncationClasses:
     def test_truncate_after_first_b(self):
-        assert fp("a1b1a2b1a1").truncate_after_b(1).display() == "a1b1"
+        assert truncate_after_b(fp("a1b1a2b1a1").syllables, 1) == fp("a1b1").syllables
 
     def test_short_word_is_its_own_class(self):
-        assert fp("a2").truncate_after_b(1) == fp("a2")
+        assert truncate_after_b(fp("a2").syllables, 1) == fp("a2").syllables
 
     def test_truncate_after_second_b(self):
-        assert fp("a1b1a2b1a1").truncate_after_b(2).display() == "a1b1a2b1"
+        assert truncate_after_b(fp("a1b1a2b1a1").syllables, 2) == fp("a1b1a2b1").syllables
 
 
 class TestTruncationGraphs:
@@ -488,6 +489,85 @@ class TestVerification:
 
         fields = self._fields_with(monkeypatch, split_circle, m, n)
         assert fields == [(False, True, True)] * 3
+
+    def test_matches_depth_by_depth_oracle(self):
+        """The deepest passing depth settles the shallower ones: the same
+        report, JSON and deepest circle as building and checking each."""
+        checked = 0
+        for m, n, r in itertools.product(range(3, 7), range(2, 6), range(1, 5)):
+            if count_truncation_classes(m, n, r) > CLASS_BUDGET:
+                continue
+            report = verify_circle_truncations(m, n, r)
+            oracle = verify_circle_truncations_by_depth(m, n, r)
+            assert report == oracle, (m, n, r)
+            assert report.to_json_dict() == oracle.to_json_dict(), (m, n, r)
+            assert report.deepest_circle.labels == oracle.deepest_circle.labels, (m, n, r)
+            assert report.deepest_circle.edges == oracle.deepest_circle.edges, (m, n, r)
+            checked += 1
+        assert checked == 62
+
+    def test_two_circle_edges_leave_each_cone(self):
+        """A full class w of depth r-1 is, at depth r, the cone of classes
+        whose representatives truncate to w; exactly the circle edges
+        {w (ab)^-1, w} and {w a^(m-1), w b} leave it."""
+        checked = 0
+        for m, n, r in itertools.product((3, 4, 5), (2, 3, 4), (2, 3)):
+            if count_truncation_classes(m, n, r) > 2000:
+                continue
+            ab = gen_ab(m, n)
+            q = build_truncation(m, n, [ab], r)
+            cones = {}
+            for x, label in enumerate(q.graph.labels):
+                w = FPWord(truncate_after_b(fp(label, m, n).syllables, r - 1), m, n)
+                if w.b_count() == r - 1:
+                    cones.setdefault(w, set()).add(x)
+            in_cones = sum(map(len, cones.values()))
+            # every other class is a short class of depth r - 1
+            assert len(cones) + q.graph.n_vertices - in_cones == count_truncation_classes(m, n, r - 1)
+            a_last = FPWord((("a", m - 1),), m, n)
+            for w, cone in cones.items():
+                leaving = [
+                    q.pair_of(i)
+                    for i, (u, v, _) in enumerate(q.graph.edges)
+                    if (u in cone) != (v in cone)
+                ]
+                want = [
+                    tuple(x.syllables for x in sorted((u, u * ab)))
+                    for u in (w * ab.inverse(), w * a_last)
+                ]
+                assert sorted(leaving) == sorted(want), (m, n, r, w)
+            checked += 1
+        assert checked == 17
+
+    @pytest.mark.parametrize(
+        "check, field, n_gens",
+        [("is_cycle", "circle_is_cycle", 1), ("is_connected", "full_connected", 2)],
+    )
+    def test_failing_deepest_depth_builds_the_next(self, monkeypatch, check, field, n_gens):
+        """No real input fails: a deepest depth made to fail one check
+        settles nothing, so depth r-1 is built (on ab alone when the deepest
+        was connected) and checked, and it settles the rest."""
+        real_check, real_build = getattr(Multigraph, check), build_truncation
+        calls, built = [], []
+
+        def fails_first(self):
+            calls.append(None)
+            return len(calls) > 1 and real_check(self)
+
+        def recording(m, n, gens, depth):
+            built.append((depth, len(gens)))
+            return real_build(m, n, gens, depth)
+
+        monkeypatch.setattr(Multigraph, check, fails_first)
+        oracle = verify_circle_truncations_by_depth(3, 2, 4)
+        calls.clear()
+        monkeypatch.setattr("hamcirc.freeproduct.build_truncation", recording)
+        report = verify_circle_truncations(3, 2, 4)
+        assert built == [(4, 2), (3, n_gens)]
+        assert report == oracle
+        assert report.to_json_dict() == oracle.to_json_dict()
+        assert getattr(report, field) == (True, True, True, False)
+        assert not report.passed
 
     def test_report_keeps_deepest_circle(self):
         report = verify_circle_truncations(3, 2, 2)
