@@ -467,7 +467,8 @@ def verify_circle_truncations(m: int, n: int, r_max: int) -> TruncationReport:
             full = build_truncation(m, n, [gen_a(m, n), ab], r).graph
             circle, connected = generator_subgraph(full, ab), full.is_connected()
         deepest = deepest or circle
-        rows.append((circle.n_vertices, circle.is_cycle(), connected, all(circle.degrees())))
+        cycle = circle.is_cycle()  # a cycle through every class spans them
+        rows.append((circle.n_vertices, cycle, connected, cycle or all(circle.degrees())))
         if all(rows[-1][1:]):  # depth r passed, and settles every shallower one
             for d in range(r - 1, 0, -1):
                 rows.append((count_truncation_classes(m, n, d), True, True, True))

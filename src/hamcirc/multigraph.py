@@ -109,17 +109,21 @@ class Multigraph:
     def to_dot(self, highlight: Iterable[int] = ()) -> str:
         """DOT text, no graph name, ``highlight`` edges bold: each label and
         tag is escaped once, backslashes and then quotes (a label with
-        neither is used as it is), and an edge line takes its attribute
-        text from a table by tag.  The text grows by DOT_CHUNK lines at a
-        time, so no list of every line and no second copy of the whole
-        text is ever held."""
+        neither is used as it is, and so are all the labels when none has
+        either), and an edge line takes its attribute text from a table by
+        tag.  The text grows by DOT_CHUNK lines at a time, each chunk of
+        label lines one join, so no list of every line and no second copy
+        of the whole text is ever held."""
         def esc(s: str) -> str:
             if '"' in s or "\\" in s:
                 return s.replace("\\", "\\\\").replace('"', '\\"')
             return s
 
         hi = set(highlight)
-        names = [esc(label) for label in self.labels]
+        names = self.labels
+        joined = "".join(names)
+        if '"' in joined or "\\" in joined:
+            names = [esc(label) for label in names]
         edges = self.edges
         tags = {tag for _, _, tag in edges}
         plain = {tag: f' [label="{esc(tag)}"]' if tag else "" for tag in tags}
@@ -129,7 +133,7 @@ class Multigraph:
         }
         text = "graph {\n"
         for lo in range(0, len(names), DOT_CHUNK):
-            text += "".join([f'  "{label}";\n' for label in names[lo : lo + DOT_CHUNK]])
+            text += '  "' + '";\n  "'.join(names[lo : lo + DOT_CHUNK]) + '";\n'
         for lo in range(0, len(edges), DOT_CHUNK):
             text += "".join([
                 f'  "{names[u]}" -- "{names[v]}"{(bold if i in hi else plain)[tag]};\n'

@@ -23,6 +23,55 @@ from a deeper one by the same numbering, without a rebuild, and
 edge to its parent, without a walk; both take each class's parent from
 ``tree_parents``.
 
+The kernel computes few classes one by one and replays the rest, because
+past a fixed depth the blocks of a level repeat up to an affine shift of
+their ids: the Cayley graph of F_n has finitely many cone types up to left
+translation (Muller and Schupp, "The theory of ends, pushdown automata, and
+second-order logic", TCS 37, 1985).  Let r be the length of the longest
+generator, K = max(1, floor(r/2)) (``_cone_depth``), D = d**K and d = 2n-1.
+By the child formula (see ``build_quotient_local``), the classes of depth
+delta > K below one class a >= 1 of depth delta - K, their K-ancestor, are
+the block D*a + e, e in shift..shift+D-1, with shift the same for every a;
+the node j <= K parent steps above D*a + e is d**(K-j)*a + e_j, with e_j
+the same for every a; and the digits of the nodes from a down to its block
+depend only on e and the last digit of a, since the formula numbers a child
+by its letter relative to its parent's.  Two facts let one block stand for
+every block whose K-ancestor has the same last digit.
+
+1. A kept edge's walk leaves from at most K parent steps above its class.
+   A class keeps only edges to larger classes, which are not shallower
+   than it.  A short class v, at depth delta < L, walks a generator of r'
+   <= r letters from v; if the first k letters cancel, the walk climbs k
+   steps and ends at depth min(delta - 2k + r', L), so v keeps it only if
+   2k <= r'.  A full class v, whose last letter is x, walks the m <= r - 1
+   letters after an x^-1 from its parent; with k cancelled it ends at
+   depth min(L - 1 - 2k + m, L), so it is kept only if 2k <= m - 1.  The
+   walk leaves from the node j = k (short) or j = k + 1 (full) steps up,
+   so j <= floor(r/2) <= K.  The kernel checks j <= K on every kept walk
+   that climbs (the others leave from v or its parent), and fails
+   otherwise.
+2. Far ends at the same depth share their slope.  The per-class code reads
+   the digits of v and of its parent, which pick v's plan, and of the
+   nodes its walks climb through.  A walk that stays at or below a reads
+   the same digits in every such block and ends at far class pw * node +
+   off = P*a + C, with P = pw * d**(K-j) = d**(depth(far) - depth(a)).  A
+   walk that climbs past a does so in every such block, so by 1 it is
+   dropped in every one.  The ids of one depth are one consecutive range,
+   deeper ranges after shallower ones, and that holds past the level too,
+   where ``ids`` numbers the two ends of a parallel edge's group pair,
+   which the same walk reaches.  So any two of those numbers, or a far
+   class and v, compare alike in every block: at two depths the deeper is
+   larger, and at one depth they share P and differ by a constant.  The
+   kept edges, their order and the order of parallel edges are the same in
+   every block.
+
+So the kernel runs its per-class code on the first block of each last digit
+of a, records each kept edge as (e, P, C, tag, start id), and emits every
+later block with that digit as (D*b + e, P*b + C, tag) for its K-ancestor
+b, with the same start ids.  Depths up to K have no K-ancestor, and at
+depth K + 1 each K-ancestor, a class of depth 1, has a digit of its own, so
+those depths are computed class by class.
+
 The integer kernels here and in ``freeproduct`` share their tail: each
 puts a class's (class, far class, start id) triples in order with
 ``order_class``, which orders a run of parallel edges by a key of the group
@@ -40,9 +89,10 @@ from __future__ import annotations
 
 import functools
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import floordiv
+from itertools import chain, groupby, repeat
+from operator import floordiv, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .multigraph import Multigraph, collector_paused
@@ -288,6 +338,13 @@ def build_quotient_local(
     the same child formula, is word_key order too (the children of
     consecutive classes are consecutive blocks), so ``ids`` compares the
     pairs by the positions of their ends without forming them.
+
+    The per-class code (``emit``) runs on every class of depth at most
+    K + 1 and, deeper, on the first block of classes below a K-ancestor with
+    each last digit; every other block is replayed from that record as an
+    affine map of its K-ancestor's id (the module docstring proves both).
+    Replay is arithmetic on the record alone, and the edges, their order
+    and their start ids are those the per-class code would give.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -388,8 +445,15 @@ def build_quotient_local(
         u = (text_letters(labels[c]) if c else ()) + pre
         return order_pair(u, concat_letters(u, t), word_key)
 
-    add_edge, add_sid = edges.append, sids.append
-    for lo, hi, plans, full in segments:
+    cone = _cone_depth(max(map(len, sym)))
+    size = d**cone  # D, the classes in a block
+
+    def emit(lo: int, hi: int, plans: list, full: bool) -> None:
+        """The per-class code, the only place edges are computed: append
+        the kept edges of the classes lo..hi-1 of one depth, in order, and
+        the start id of each.  A kept edge's walk leaves from a node j <=
+        ``cone`` parent steps above its class, or the build fails."""
+        add_edge, add_sid = edges.append, sids.append
         for v in range(lo, hi):
             start = ((v - 2) // d if v > root else 0) if full else v
             direct, climbing, unordered = plans[last[start] * width + last[v]]
@@ -411,6 +475,11 @@ def build_quotient_local(
                 pw, row = rows[k]
                 far = pw * node + row[q]
                 if far > v:
+                    if k + full > cone:
+                        raise AssertionError(
+                            f"class {v} keeps an edge {k + full} parent steps up, "
+                            f"past its cone depth {cone}"
+                        )
                     found.append((v, far, sid))
             if len(found) > 1:
                 order_class(found, ids)
@@ -418,7 +487,53 @@ def build_quotient_local(
                 add_edge((v, far, tags[sid]))
                 add_sid(sid)
 
+    depth_starts = [lo for lo, _, _, _ in segments]
+    for depth, (lo, hi, plans, full) in enumerate(segments):
+        top = depth - cone  # the depth of each block's K-ancestor
+        if top <= 1:  # no K-ancestor, or each has a digit of its own
+            emit(lo, hi, plans, full)
+            continue
+        # the classes below the K-ancestor a are D*a + e for e in
+        # shift..shift+D-1; record the first block of each last digit of a,
+        # and replay it for every later a with that digit
+        a_lo, a_hi = segments[top][:2]
+        shift = lo - size * a_lo
+        marks = sorted(last.find(q, a_lo, a_hi) for q in range(root))
+        # by last digit of a: each class's e with its edges' (P, C, tag),
+        # grouped so that a replayed class's edges share one id object, as
+        # emitted ones do; and the start ids of those edges
+        records: list = [None] * root
+        record_sids: list = [None] * root
+        for a, end in zip(marks, marks[1:] + [a_hi]):
+            mark, base = len(edges), size * a + shift
+            emit(base, base + size, plans, full)
+            record = records[last[a]] = []
+            for u, group in groupby(edges[mark:], itemgetter(0)):
+                ends = []
+                for _, far, tag in group:
+                    slope = d ** (bisect_right(depth_starts, far) - 1 - top)
+                    ends.append((slope, far - slope * a, tag))
+                record.append((u - size * a, ends))
+            record_sids[last[a]] = sids[mark:]
+            edges += [
+                (u, slope * b + off, tag)
+                for b, q in zip(range(a + 1, end), last[a + 1 : end])
+                for e, ends in records[q]
+                for u in (size * b + e,)
+                for slope, off, tag in ends
+            ]
+            for q in last[a + 1 : end]:
+                sids += record_sids[q]
+
     return assemble(labels, level, sym, edges, sids, pair)
+
+
+def _cone_depth(longest: int) -> int:
+    """How many parent steps up from its class a kept edge's walk can
+    leave, for generators of at most ``longest`` letters: floor(longest /
+    2), and at least 1 (a full class walks from its parent).  The bound is
+    proved in the module docstring."""
+    return max(1, longest // 2)
 
 
 def quotient_level(n: int, graph: Multigraph) -> int:

@@ -156,12 +156,6 @@ class ReducedWord:
     def max_letter_count(self) -> int:
         return max((self.letter_count(i) for i in range(1, self.rank + 1)), default=0)
 
-    def is_cyclically_reduced(self) -> bool:
-        return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]
-
-    def cyclic_reduction(self) -> "ReducedWord":
-        return ReducedWord(cyclic_reduce_letters(self.letters)[0], self.rank)
-
     def sort_key(self) -> tuple:
         return word_key(self.letters)
 

@@ -7,8 +7,9 @@ finite facts, the uniqueness count of a finite Cayley graph, the
 composition of a witness chain, the free-product truncation of a word and
 the depth-by-depth check of the cycle-tree circle), the small standard
 graphs and the adjacency-list corpus under ``data/corpus`` that they run
-on, and graph helpers (components, subgraphs, edge lookups) that only
-tests call.  Each builds on hamcirc's public names alone.
+on, and graph and word helpers (components, subgraphs, edge lookups,
+cyclic reduction) that only tests call.  Each builds on hamcirc's public
+names alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from hamcirc.freeproduct import (
 )
 from hamcirc.multigraph import Multigraph, check_enumeration_size, enumerate_hamiltonian_cycles
 from hamcirc.quotients import generator_subgraph
-from hamcirc.words import ReducedWord, check_budget, letter_str
+from hamcirc.words import ReducedWord, check_budget, cyclic_reduce_letters, letter_str
 
 CORPUS = Path(__file__).resolve().parent / "data" / "corpus"
 
@@ -442,6 +443,19 @@ def compose_chain(chain: Sequence[FGAutomorphism], rank: int) -> FGAutomorphism:
     for step in chain:
         phi = compose(step, phi)
     return phi
+
+
+# --- words -----------------------------------------------------------------
+
+def is_cyclically_reduced(word: ReducedWord) -> bool:
+    """The first letter does not cancel the last: the word stays reduced
+    when read round."""
+    return len(word.letters) < 2 or word.letters[0] != -word.letters[-1]
+
+
+def cyclic_reduction(word: ReducedWord) -> ReducedWord:
+    """The cyclically reduced core of ``word``, a conjugate of it."""
+    return ReducedWord(cyclic_reduce_letters(word.letters)[0], word.rank)
 
 
 # --- free-product truncations ----------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     cycle_contains_edge,
     disconnecting_pair_disconnects,
     induced_subgraph,
+    is_cyclically_reduced,
     second_cycle_cyclic,
     verify_unique_finite,
 )
@@ -115,7 +116,7 @@ def test_criterion_03_rank_two_exhaustive_equivalence():
             if len(raw) < 2:
                 continue
             word = ReducedWord(raw, 2)
-            if not word.is_cyclically_reduced():
+            if not is_cyclically_reduced(word):
                 continue
             if word.letter_count(1) == 2 and word.letter_count(2) == 2:
                 words.append(word)
@@ -298,7 +299,7 @@ def suite_expansion_connectivity(max_words=30):
         if len(raw) < 2 or len(pool) >= max_words:
             continue
         word = ReducedWord(raw, 2)
-        if not word.is_cyclically_reduced() or raw[0] == raw[-1]:
+        if not is_cyclically_reduced(word) or raw[0] == raw[-1]:
             continue
         minimal, _ = whitehead_minimize(word)
         if len(minimal) == len(word):

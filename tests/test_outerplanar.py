@@ -23,7 +23,7 @@ from hamcirc.quotients import (
     with_tree,
 )
 from hamcirc.words import ReducedWord, count_reduced_words
-from oracles import edges_between, outerplanar_by_minor_search
+from oracles import cyclic_reduction, edges_between, outerplanar_by_minor_search
 
 
 def w(text, rank=2):
@@ -172,7 +172,7 @@ def _random_cyclic_words(rng, n, count, circle):
     words = []
     while len(words) < count:
         length = rng.randrange(2, 9)
-        word = ReducedWord.from_letters(rng.choices(letters, k=length), n).cyclic_reduction()
+        word = cyclic_reduction(ReducedWord.from_letters(rng.choices(letters, k=length), n))
         if len(word) and (not circle or level_one_quotient(word).is_cycle()):
             words.append(word)
     return words
@@ -188,7 +188,7 @@ def _every_circle_word(n):
     letters = [x for k in range(1, n + 1) for x in (k, -k)]
     words = (ReducedWord.from_letters(t, n) for t in itertools.product(letters, repeat=2 * n))
     return [
-        w for w in words if len(w.cyclic_reduction()) == 2 * n and level_one_quotient(w).is_cycle()
+        w for w in words if len(cyclic_reduction(w)) == 2 * n and level_one_quotient(w).is_cycle()
     ]
 
 

@@ -1,10 +1,13 @@
 import gc
 import random
+import sys
 from collections import Counter
 
 import pytest
 from conftest import class_index
 
+import hamcirc.cli as cli
+import hamcirc.quotients as quotients
 from hamcirc.certifier import level_one_quotient
 from hamcirc.multigraph import Multigraph
 from hamcirc.outerplanar import tree_generators
@@ -291,6 +294,98 @@ class TestKernelAgainstOracle:
             ("aaa", ((-1,), (1, 1))),
         ]
         assert quotients_equal(q, build_quotient_enum(2, gens, 1))
+
+
+def per_class_count(n, gens, level):
+    """Build, and count the classes that went through the per-class code
+    (the kernel's ``emit``) rather than being replayed."""
+    ranges = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "emit" and code.co_filename == quotients.__file__:
+            ranges.append(frame.f_locals["hi"] - frame.f_locals["lo"])
+
+    sys.setprofile(profile)
+    try:
+        q = build_quotient_local(n, gens, level)
+    finally:
+        sys.setprofile(None)
+    return q, sum(ranges)
+
+
+class TestRecordAndReplay:
+    """Each depth past K + 1 runs the per-class code on one block per last
+    digit of the K-ancestor and replays the rest; K = max(1, floor(r/2))
+    for the longest generator length r."""
+
+    @pytest.mark.parametrize("rank,texts,tree,levels", [
+        (1, ["aaa"], False, (3, 4)),
+        (2, ["a"], False, (3, 4)),
+        (2, ["ab"], False, (3, 4)),
+        (2, ["aab"], False, (3, 4)),  # no circle
+        (2, ["abab"], False, (4, 5)),  # no circle
+        (2, ["aabb"], False, (4, 5)),
+        (2, ["abaBB"], False, (4, 5)),
+        (2, ["aaabbb"], False, (5,)),  # no circle
+        (2, ["ab", "aabb"], False, (4, 5)),
+        (2, ["abAB"], True, (4, 5)),
+        (3, ["abc"], False, (3, 4)),
+        (3, ["ab", "c"], False, (3, 4)),
+        (3, ["abc"], True, (3,)),
+        (4, ["ad"], False, (3, 4)),
+        (4, ["abc"], False, (3,)),
+        (4, ["ab"], True, (3,)),
+    ])
+    def test_matches_the_enumeration(self, rank, texts, tree, levels):
+        gens = [w(t, rank) for t in texts] + (tree_generators(rank) if tree else [])
+        longest = max(map(len, gens))
+        cone = quotients._cone_depth(longest)
+        assert max(levels) >= cone + 2  # a depth is replayed
+        for level in levels:
+            assert count_reduced_words(rank, level + longest) <= ENUM_BUDGET
+            assert quotients_equal(
+                build_quotient_local(rank, gens, level), build_quotient_enum(rank, gens, level)
+            ), (texts, tree, level)
+
+    @pytest.mark.parametrize("rank,texts,tree,level", [
+        (2, ["aabbbAB"], False, 7),
+        (2, ["aabbAbaB"], False, 8),
+        (2, ["aabbAbaB"], True, 7),
+        (2, ["abab", "aaabbb"], False, 7),
+        (3, ["abcacb"], False, 6),
+        (3, ["abAc", "aabbcc"], False, 5),
+        (3, ["abABcc"], True, 5),
+        (4, ["abcd"], False, 4),
+        (4, ["abAB", "cd"], False, 4),
+        (4, ["aabbccdd"], False, 5),
+    ])
+    def test_matches_the_per_class_code_on_deep_levels(self, monkeypatch, rank, texts, tree, level):
+        # with a cone deeper than the level, every class is computed one by one
+        gens = [w(t, rank) for t in texts] + (tree_generators(rank) if tree else [])
+        replayed = build_quotient_local(rank, gens, level)
+        monkeypatch.setattr(quotients, "_cone_depth", lambda longest: level)
+        assert quotients_equal(replayed, build_quotient_local(rank, gens, level))
+
+    def test_cone_depth_is_half_the_longest_generator(self):
+        assert [quotients._cone_depth(r) for r in range(1, 9)] == [1, 1, 1, 2, 2, 3, 3, 4]
+
+    def test_few_classes_are_computed_one_by_one(self):
+        q, computed = per_class_count(2, [w("aabb")], 9)
+        # depths 0..3 whole (53 classes), then 4 blocks of 3**2 per depth
+        assert computed == 53 + 6 * 4 * 9
+        assert q.graph.n_vertices == 39365
+        assert computed < 0.03 * 39365
+        assert q.graph.is_cycle()
+
+    def test_a_shallow_cone_fails_loudly(self, monkeypatch, capsys):
+        # aabb keeps edges two parent steps up (x AA to x bb), so K = 1 is wrong
+        cone_depth = quotients._cone_depth
+        monkeypatch.setattr(quotients, "_cone_depth", lambda longest: cone_depth(longest) - 1)
+        with pytest.raises(AssertionError, match="past its cone depth 1"):
+            build_quotient_local(2, [w("aabb")], 4)
+        assert cli.main(["quotient", "-n", "2", "-s", "aabb", "-l", "4", "--json"]) == 4
+        assert "AssertionError" in capsys.readouterr().err
 
 
 class TestGeneratorSubgraph:
