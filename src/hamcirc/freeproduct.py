@@ -14,19 +14,52 @@ depth, a contraction of it whose circle is still a cycle, passes too
 failing one is built and checked.
 
 A truncation is built by an integer kernel.  Its classes are numbered in
-syllable_key order of their representatives, one syllable length at a
-time and a run of classes with the same last letter and b-count at once,
-with per-class arrays of the parent, the code of the last syllable,
-the first child and whether the class is full (ends in its r-th
-b-syllable).  The far end of a group edge is found by walking the
-generator's syllables on those integers: a merge with the last syllable
-goes to the parent and then to its child by the merged syllable, a new
-syllable goes to a child, and a full class keeps every element below its
-representative.  The tail is shared with the F_n kernel:
-``quotients.order_class`` puts each class's edges in order, forming the
-group pairs of its parallel edges alone to order them, and
-``quotients.assemble`` builds the ``QuotientGraph``, whose ``level`` is the
-depth.  The class count is sized in closed form before any class is built.
+syllable_key order of their representatives, one syllable length (layer)
+at a time and a run of classes with the same first letter at once, with
+per-class arrays of the parent, the code of the last syllable, the first
+child and whether the class is full (ends in its r-th b-syllable).  The
+far end of a group edge is found by walking the generator's syllables on
+those integers: a merge with the last syllable goes to the parent and
+then to its child by the merged syllable, a cancellation goes to the
+parent, a new syllable goes to a child, and a full class keeps every
+element below its representative.
+
+The kernel walks few classes and replays the rest, as the F_n kernel does
+(see ``quotients``): the graph has finitely many cone types (Muller and
+Schupp, TCS 37, 1985).  Let s be the most syllables in a generator and K =
+ceil(s/2) (``_cone_depth``).  Below the root a run's children are one run
+and take their codes in turn, whatever their parent's code.  So the
+classes of a layer below a class a K layers up, their K-ancestor, in the
+run R of the same first letter, are S*a + e, e in shift..shift+S-1, with
+S and shift the same for every a in R, and their codes and fullness
+depend on e alone.  A cone type is R with the last code of a.
+
+1. A kept walk reads no node above a.  A kept far end is a larger class,
+   so it is in the layer of its class x or deeper.  After a cancellation
+   the next syllable merges, save at the root.  So a walk of s' <= s
+   syllables whose first k cancel either merges next, reading the node
+   k + 1 layers above x and ending at most s' - 2k - 1 layers below x, or
+   reads at most k layers up and ends at most s' - 2k layers below x.  It
+   is kept only if it reads at most ceil(s'/2) <= K layers up.  The
+   per-class code fails on a kept walk that reads higher.
+2. Far ends and parallel pairs compare alike in every block of a type.  A
+   kept walk reads the same codes and fullness in every such block, and
+   ids affine in a, so it ends at P*a + C, where P, the size of the far
+   end's run over R's, is the same for every far end of a layer, x
+   included.  Ids grow with the layer, so any two far ends, or a far end
+   and x, compare alike in every block.  The group pair of a kept edge is
+   rep(a) followed by two words that are the same in every block, so the
+   syllable keys of parallel pairs compare alike too.
+
+So the per-class code runs on every class of a layer up to K + 1, whose
+K-ancestors, if any, are the root's children, each a type of its own, and
+deeper on the first block of each type; ``quotients.record_and_replay``
+emits every other block as (S*b + e, P*b + C, tag), with the same start
+ids.  The tail is shared with the F_n kernel: ``quotients.order_class``
+puts each class's edges in order, forming the group pairs of its parallel
+edges alone to order them, and ``quotients.assemble`` builds the
+``QuotientGraph``, whose ``level`` is the depth.  The class count is sized
+in closed form before any class is built.
 """
 
 from __future__ import annotations
@@ -45,6 +78,7 @@ from .quotients import (
     generator_subgraph,
     order_class,
     order_pair,
+    record_and_replay,
 )
 from .words import COUNT_CAP, check_budget
 
@@ -205,21 +239,24 @@ def _syllables(m: int, n: int) -> list[tuple[str, int]]:
     return [("a", e) for e in range(1, m)] + [("b", f) for f in range(1, n)]
 
 
-def _class_tree(m: int, n: int, depth: int) -> tuple[list, list, list, bytearray, list]:
+def _class_tree(m: int, n: int, depth: int) -> tuple[list, list, list, bytearray, list, list]:
     """The classes of the depth-r truncation, numbered in syllable_key order
     of their representatives, as per-class arrays (parent, last, base,
     full, texts): the parent; the code of the last syllable (the root's is
     m+n-2, one past the last code); ``base``, such that the child by code
     c is ``base[x] + c`` (0 for a full class, which has no children); 1
     when the class is full, that is, ends in its r-th b-syllable; and the
-    representative in text form ("" for the root).
+    representative in text form ("" for the root).  Also the runs of each
+    layer, as (first class, size, number of last codes, first letter).
 
     Numbered one syllable length at a time: each layer is the children of
     the previous layer's short classes, taken in class order, and each
     class's children get consecutive numbers in code order.  A layer is a
-    few runs of consecutive classes with the same last letter and the same
-    b-count, so the children of a whole run share their codes, their
-    b-count and their fullness, and are numbered at once."""
+    run of the classes that start with a and one of those that start with
+    b, each with one last letter and one b-count, so the children of a
+    whole run share their codes, their b-count and their fullness, and are
+    numbered at once.  Below the root a run's children are one run, which
+    starts with the same letter, and its classes take their codes in turn."""
     k = m + n - 2
     words = [syllables_str((s,)) for s in _syllables(m, n)]
     # the children after a class, by the letter of its last syllable: runs
@@ -229,26 +266,30 @@ def _class_tree(m: int, n: int, depth: int) -> tuple[list, list, list, bytearray
     b = ("b", list(range(m - 1, k)), 1, words[m - 1 :])
     after = {"a": (b,), "b": (a,), None: (a, b)}
     parent, last, base, full, texts = [0], [k], [0], bytearray(1), [""]
-    layer = [(0, 1, None, 0)]  # runs (first class, size, letter, b-syllables) to extend
+    runs = [[(0, 1, 1, None)]]
+    # the runs to extend: (first class, size, letter, b-syllables, first letter)
+    layer = [(0, 1, None, 0, None)]
     while layer:
-        deeper = []
-        for first, size, letter, used in layer:
-            stop, runs = first + size, after[letter]
-            fan = sum(len(codes) for _, codes, _, _ in runs)
-            start = len(last) - runs[0][1][0]  # base + the first child's code
+        deeper, runs_below = [], []
+        for first, size, letter, used, origin in layer:
+            stop, after_run = first + size, after[letter]
+            fan = sum(len(codes) for _, codes, _, _ in after_run)
+            start = len(last) - after_run[0][1][0]  # base + the first child's code
             base[first:stop] = range(start, start + size * fan, fan)
             heads = texts[first:stop]
-            for child, codes, added, tails in runs:
+            for child, codes, added, tails in after_run:
                 count, used_after = size * len(codes), used + added
+                runs_below.append((len(last), count, len(codes), origin or child))
                 if used_after < depth:
-                    deeper.append((len(last), count, child, used_after))
+                    deeper.append((len(last), count, child, used_after, origin or child))
                 parent += [x for x in range(first, stop) for _ in codes]
                 last += codes * size
                 base += [0] * count
                 full += bytes([used_after == depth]) * count
                 texts += [head + tail for head in heads for tail in tails]
+        runs.append(runs_below)
         layer = deeper
-    return parent, last, base, full, texts
+    return parent, last, base, full, texts, runs
 
 
 @collector_paused
@@ -281,6 +322,9 @@ def build_truncation(
     from, so a class keeps only the edges to larger classes, put in order
     by ``quotients.order_class`` (parallel edges by the syllable keys of
     their group pairs), and ``quotients.assemble`` finishes the record.
+    The walks run (``emit``) on the classes of a layer up to K + 1 and on
+    the first block of each cone type deeper; the other blocks are
+    replayed (the module docstring proves both).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -291,7 +335,7 @@ def build_truncation(
         raise ValueError("generators may use at most one b-syllable")
     check_budget(count_truncation_classes(m, n, depth), CLASS_BUDGET)
 
-    parent, last, base, full, texts = _class_tree(m, n, depth)
+    parent, last, base, full, texts, runs = _class_tree(m, n, depth)
     syllables = _syllables(m, n)
     code = {s: c for c, s in enumerate(syllables)}
 
@@ -338,34 +382,68 @@ def build_truncation(
         """The order of parallel edges: the keys of the group pair."""
         return tuple(map(syllable_key, pair(x, sid)))
 
-    out: list[tuple[int, int, int]] = []  # (class, far end, start id)
-    for x in range(len(last)):
-        found = []
-        for steps, sid in full_walks if full[x] else short_walks:
-            y = x
-            for row, s in steps:
-                c = row[last[y]]
-                if c == -2:
-                    if full[y]:
-                        break
-                    y = base[y] + s
-                elif c == -1:
-                    y = parent[y]
-                else:
-                    y = base[parent[y]] + c
-            if y > x:
-                found.append((x, y, sid))
-        if len(found) > 1:
-            order_class(found, pair_key)
-        out += found
-
-    # each triple becomes the graph's (class, far end, tag) tuple in place,
-    # so no second list of edges is built
     tags = [tag for _, _, tag in starts]
-    sids = array("I", [sid for _, _, sid in out])
-    for i, (x, y, sid) in enumerate(out):
-        out[i] = (x, y, tags[sid])
-    return assemble(("1", *texts[1:]), depth, sym, out, sids, pair)
+    cone = _cone_depth(max(len(g.syllables) for g in sym))
+    edges: list[tuple[int, int, str]] = []  # (class, far end, tag) per kept edge
+    sids = array("I")  # the start id of each
+
+    def emit(lo: int, hi: int) -> None:
+        """The per-class code, the only place edges are computed: append
+        the kept edges of the classes lo..hi-1, in order, and the start id
+        of each.  A kept edge's walk leaves from a node at most ``cone``
+        parent steps above its class, or the build fails."""
+        add_edge, add_sid = edges.append, sids.append
+        for x in range(lo, hi):
+            found = []
+            for steps, sid in full_walks if full[x] else short_walks:
+                y, up = x, 0  # up: the parent steps above x the walk reads
+                for row, s in steps:
+                    c = row[last[y]]
+                    if c == -2:
+                        if full[y]:
+                            break
+                        y = base[y] + s
+                    else:
+                        y = parent[y] if c == -1 else base[parent[y]] + c
+                        up += 1
+                if y > x:
+                    if up > cone:
+                        raise AssertionError(
+                            f"class {x} keeps an edge {up} parent steps up, "
+                            f"past its cone depth {cone}"
+                        )
+                    found.append((x, y, sid))
+            if len(found) > 1:
+                order_class(found, pair_key)
+            for _, y, sid in found:
+                add_edge((x, y, tags[sid]))
+                add_sid(sid)
+
+    run_starts = [first for layer in runs for first, _, _, _ in layer] + [len(last)]
+    for length, layer in enumerate(runs):
+        top = length - cone  # the layer of each block's K-ancestor
+        if top <= 1:  # no K-ancestor, or each has a code of its own
+            emit(layer[0][0], layer[-1][0] + layer[-1][1])
+            continue
+        # the classes of a run below the K-ancestor a, in the run of the
+        # same first letter K layers up, are S*a + e for e in
+        # shift..shift+S-1; that run's first classes have each code once
+        above = {origin: (first, count, codes) for first, count, codes, origin in runs[top]}
+        for first, count, _, origin in layer:
+            a_first, a_count, codes = above[origin]
+            ancestors = range(a_first, a_first + a_count)
+            marks = list(ancestors[:codes])
+            blocks = range(first, first + count)
+            record_and_replay(edges, sids, emit, last, marks, ancestors, blocks, run_starts)
+
+    return assemble(("1", *texts[1:]), depth, sym, edges, sids, pair)
+
+
+def _cone_depth(longest: int) -> int:
+    """How many parent steps up from its class a kept edge's walk can
+    leave, for generators of at most ``longest`` syllables: ceil(longest /
+    2).  The bound is proved in the module docstring."""
+    return (longest + 1) // 2
 
 
 def gen_a(m: int, n: int) -> FPWord:

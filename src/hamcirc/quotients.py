@@ -68,21 +68,22 @@ every block whose K-ancestor has the same last digit.
 So the kernel runs its per-class code on the first block of each last digit
 of a, records each kept edge as (e, P, C, tag, start id), and emits every
 later block with that digit as (D*b + e, P*b + C, tag) for its K-ancestor
-b, with the same start ids.  Depths up to K have no K-ancestor, and at
-depth K + 1 each K-ancestor, a class of depth 1, has a digit of its own, so
-those depths are computed class by class.
+b, with the same start ids (``record_and_replay``).  Depths up to K have no
+K-ancestor, and at depth K + 1 each K-ancestor, a class of depth 1, has a
+digit of its own, so those depths are computed class by class.
 
-The integer kernels here and in ``freeproduct`` share their tail: each
-puts a class's (class, far class, start id) triples in order with
-``order_class``, which orders a run of parallel edges by a key of the group
-pairs behind it (here the shortlex positions of their ends, with no group
-word formed; a truncation forms the pairs of its parallel edges), and
-``assemble`` builds the ``QuotientGraph``, whose group pairs are derived
-only when asked for.  Every size is checked by ``words.check_budget``
-against a count that stops at ``words.COUNT_CAP``, before any word or
-class is generated, and refused with ``words.BudgetExceeded``.  Every
-budget is a module constant, read when the check runs.  Builders run
-with the cyclic garbage collector held off (``collector_paused``).
+The integer kernels here and in ``freeproduct`` share their replay,
+``record_and_replay``, and their tail: each puts a class's (class, far
+class, start id) triples in order with ``order_class``, which orders a run
+of parallel edges by a key of the group pairs behind it (here the shortlex
+positions of their ends, with no group word formed; a truncation forms the
+pairs of its parallel edges), and ``assemble`` builds the
+``QuotientGraph``, whose group pairs are derived only when asked for.
+Every size is checked by ``words.check_budget`` against a count that stops
+at ``words.COUNT_CAP``, before any word or class is generated, and refused
+with ``words.BudgetExceeded``.  Every budget is a module constant, read
+when the check runs.  Builders run with the cyclic garbage collector held
+off (``collector_paused``).
 """
 
 from __future__ import annotations
@@ -225,6 +226,54 @@ def order_class(found: list, key: Callable) -> None:
         i = j
 
 
+def record_and_replay(
+    edges: list,
+    sids: array,
+    emit: Callable[[int, int], None],
+    types: Sequence[int],
+    marks: list[int],
+    ancestors: range,
+    classes: range,
+    starts: list[int],
+) -> None:
+    """Append the kept edges of ``classes`` and their start ids, in order,
+    running the per-class code on few of them.  The classes are the blocks
+    S*a + shift + e, 0 <= e < S, below the ancestors a of one run
+    (``ancestors``), and ``marks`` are the first ancestor of each type
+    ``types[a]``, in order.  ``emit(lo, hi)`` computes the block of each
+    mark; each of its classes is recorded as its e and its edges' (P, C,
+    tag), with far class P*a + C and P the slope of the far class's run, its
+    size over the ancestors' (``starts`` holds the first class of every run
+    and one past the last).  Every later block whose ancestor b has a
+    recorded type is replayed as (S*b + e, P*b + C, tag), with the same
+    start ids.  A replayed class's edges share one id object, as emitted
+    ones do.  Each kernel proves that replay gives its per-class edges."""
+    size, count = len(classes) // len(ancestors), len(ancestors)
+    shift = classes.start - size * ancestors.start
+    records: dict = {}
+    for a, end in zip(marks, marks[1:] + [ancestors.stop]):
+        mark, base = len(edges), size * a + shift
+        emit(base, base + size)
+        record = []
+        for u, group in groupby(edges[mark:], itemgetter(0)):
+            ends = []
+            for _, far, tag in group:
+                i = bisect_right(starts, far)
+                slope = (starts[i] - starts[i - 1]) // count
+                ends.append((slope, far - slope * a, tag))
+            record.append((u - size * a, ends))
+        records[types[a]] = record, sids[mark:]
+        edges += [
+            (u, slope * b + off, tag)
+            for b, q in zip(range(a + 1, end), types[a + 1 : end])
+            for e, ends in records[q][0]
+            for u in (size * b + e,)
+            for slope, off, tag in ends
+        ]
+        for q in types[a + 1 : end]:
+            sids += records[q][1]
+
+
 def assemble(
     labels: tuple, level: int, gens: tuple, edges: list, sids: array, pair: Callable
 ) -> QuotientGraph:
@@ -238,11 +287,10 @@ def assemble(
     loop.  Keeping only the edges to larger classes keeps each edge once,
     and taking the classes in order, each one's edges put in order by
     ``order_class``, emits them in the order of ``project``.  The list is
-    the graph's own, with no second list of edges beside it: the F_n kernel
-    makes each tuple once, and the truncation kernel turns its triples into
-    tuples in place.  ``pair`` is called only when a group pair is asked
-    for (``pair_of``, or ``edge_pairs`` on first access), from the edge's
-    class and start id.
+    the graph's own, with no second list of edges beside it: each kernel
+    makes each tuple once.  ``pair`` is called only when a group pair is
+    asked for (``pair_of``, or ``edge_pairs`` on first access), from the
+    edge's class and start id.
     """
     graph = Multigraph._trusted(labels, edges)
     edges = graph.edges
@@ -317,7 +365,7 @@ def build_quotient_local(
     of the root are 1..2n, the children of a class i > 0 are d*i + 2 + c
     (c counts the letters allowed after i that come before the appended
     one), and the parent of a class i > 2n is (i-2)//d.  One byte per class
-    holds the digit of its last letter.
+    holds the digit of its last letter (``_last_digits``).
 
     A far end is found by walking a generator's letters from an integer
     node: first the letters that cancel (go to the parent), then the ones
@@ -352,10 +400,7 @@ def build_quotient_local(
     sym = symmetric_closure(gens, n)
     texts = shortlex_labels(n, level)
     d, root = 2 * n - 1, 2 * n
-    chars = "".join(texts[1 : root + 1]).encode()
-    last = bytes([root]) + "".join([t[-1] for t in texts[1:]]).encode().translate(
-        bytes.maketrans(chars, bytes(range(root)))
-    )
+    last = _last_digits(n, level)
     # d*i + step[q][y] is the child by digit y of a class i whose last
     # digit is q; the root's row has q = root
     step = [[2 + y - (y > q ^ 1) for y in range(root)] for q in range(root)]
@@ -446,7 +491,6 @@ def build_quotient_local(
         return order_pair(u, concat_letters(u, t), word_key)
 
     cone = _cone_depth(max(map(len, sym)))
-    size = d**cone  # D, the classes in a block
 
     def emit(lo: int, hi: int, plans: list, full: bool) -> None:
         """The per-class code, the only place edges are computed: append
@@ -487,7 +531,7 @@ def build_quotient_local(
                 add_edge((v, far, tags[sid]))
                 add_sid(sid)
 
-    depth_starts = [lo for lo, _, _, _ in segments]
+    run_starts = [lo for lo, _, _, _ in segments] + [segments[-1][1]]
     for depth, (lo, hi, plans, full) in enumerate(segments):
         top = depth - cone  # the depth of each block's K-ancestor
         if top <= 1:  # no K-ancestor, or each has a digit of its own
@@ -497,35 +541,26 @@ def build_quotient_local(
         # shift..shift+D-1; record the first block of each last digit of a,
         # and replay it for every later a with that digit
         a_lo, a_hi = segments[top][:2]
-        shift = lo - size * a_lo
         marks = sorted(last.find(q, a_lo, a_hi) for q in range(root))
-        # by last digit of a: each class's e with its edges' (P, C, tag),
-        # grouped so that a replayed class's edges share one id object, as
-        # emitted ones do; and the start ids of those edges
-        records: list = [None] * root
-        record_sids: list = [None] * root
-        for a, end in zip(marks, marks[1:] + [a_hi]):
-            mark, base = len(edges), size * a + shift
-            emit(base, base + size, plans, full)
-            record = records[last[a]] = []
-            for u, group in groupby(edges[mark:], itemgetter(0)):
-                ends = []
-                for _, far, tag in group:
-                    slope = d ** (bisect_right(depth_starts, far) - 1 - top)
-                    ends.append((slope, far - slope * a, tag))
-                record.append((u - size * a, ends))
-            record_sids[last[a]] = sids[mark:]
-            edges += [
-                (u, slope * b + off, tag)
-                for b, q in zip(range(a + 1, end), last[a + 1 : end])
-                for e, ends in records[q]
-                for u in (size * b + e,)
-                for slope, off, tag in ends
-            ]
-            for q in last[a + 1 : end]:
-                sids += record_sids[q]
+        blocks = functools.partial(emit, plans=plans, full=full)
+        ancestors, classes = range(a_lo, a_hi), range(lo, hi)
+        record_and_replay(edges, sids, blocks, last, marks, ancestors, classes, run_starts)
 
     return assemble(labels, level, sym, edges, sids, pair)
+
+
+def _last_digits(n: int, level: int) -> bytes:
+    """The digit of each class's last letter, in the numbering of
+    ``build_quotient_local`` (the root's is 2n): the children of a class
+    with last digit q have the digits y != q^1 in order, and the children
+    of consecutive classes are consecutive, so each depth is one join of
+    the follow rows of the digits above it."""
+    root = 2 * n
+    follow = [bytes(y for y in range(root) if y != q ^ 1) for q in range(root)]
+    layers = [bytes([root]), bytes(range(root))]
+    for _ in range(level - 1):
+        layers.append(b"".join(map(follow.__getitem__, layers[-1])))
+    return b"".join(layers)
 
 
 def _cone_depth(longest: int) -> int:

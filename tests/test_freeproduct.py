@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 
+import hamcirc.cli as cli
+import hamcirc.freeproduct as freeproduct
 from hamcirc.freeproduct import (
     CLASS_BUDGET,
     FPWord,
@@ -368,6 +371,116 @@ class TestTruncationGraphs:
             assert derived.edges == alone.edges, (m, n, depth)
             checked += 1
         assert checked == 26
+
+
+def computed_classes(m, n, gens, depth):
+    """Build, and count the classes that went through the per-class code
+    (the kernel's ``emit``) rather than being replayed."""
+    ranges = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "emit" and code.co_filename == freeproduct.__file__:
+            ranges.append(frame.f_locals["hi"] - frame.f_locals["lo"])
+
+    sys.setprofile(profile)
+    try:
+        q = build_truncation(m, n, gens, depth)
+    finally:
+        sys.setprofile(None)
+    return q, sum(ranges)
+
+
+class TestRecordAndReplay:
+    """Each layer past K + 1 runs the per-class code on the first block
+    below a K-ancestor of each cone type and replays the rest; K =
+    ceil(s/2) for the most syllables s in a generator."""
+
+    @pytest.mark.parametrize("gens", sorted(DIFFERENTIAL_SETS))
+    def test_matches_the_enumeration_where_blocks_replay(self, gens):
+        """Every order of a from 2 (an involution) at the deepest depth
+        under 600 classes, where some blocks are replayed (in Z_2 * Z_2
+        every run is one class, so nothing is)."""
+        for m, n in [(2, 3), *itertools.product((3, 4, 5, 6), (2, 3))]:
+            depth = max(d for d in range(2, 9) if count_truncation_classes(m, n, d) <= 600)
+            gen_set = DIFFERENTIAL_SETS[gens](m, n)
+            fast, computed = computed_classes(m, n, gen_set, depth)
+            assert computed < fast.graph.n_vertices, (m, n, depth)
+            assert_same_truncation(fast, build_truncation_enum(m, n, gen_set, depth), (m, n, depth))
+
+    def test_matches_the_enumeration_on_random_generators(self):
+        """Seeded sets of one to three generators with a b-syllable, at
+        depths where blocks are replayed: their edges cancel a class's last
+        syllable and reach the one before, and some are parallel."""
+        rng = random.Random(32)
+        checked = cancelling = parallel = 0
+        while checked < 30:
+            m, n, depth = rng.randrange(2, 6), rng.randrange(2, 4), rng.randrange(3, 5)
+            if count_truncation_classes(m, n, depth) > 600 or m * n == 4:
+                continue
+            gen_set = []
+            while len(gen_set) < rng.randrange(1, 4):
+                g = random_generator(rng, m, n)
+                if g.b_count():
+                    gen_set.append(g)
+            case = (m, n, depth, [g.display() for g in gen_set])
+            fast, computed = computed_classes(m, n, gen_set, depth)
+            assert computed < fast.graph.n_vertices, case
+            oracle = build_truncation_enum(m, n, gen_set, depth)
+            assert_same_truncation(fast, oracle, case)
+            cancelling += sum(map(cancels_past_last_syllable, oracle.edge_pairs))
+            parallel += not fast.graph.is_simple()
+            checked += 1
+        assert cancelling > 100
+        assert parallel >= 10
+
+    @pytest.mark.parametrize("m,n,depth,texts", [
+        (3, 2, 14, None),  # 98,298 classes, the deepest (3, 2) depth under the budget
+        (6, 5, 3, None),
+        (2, 2, 300, None),  # 600 layers of at most two classes
+        (4, 3, 5, ["a1b1a2"]),  # three syllables: K = 2
+        (5, 4, 3, ["a1b3a2", "b2a1", "a3"]),
+        (2, 3, 9, ["a1b1a1", "b2"]),
+    ])
+    def test_matches_the_per_class_code_on_deep_depths(self, monkeypatch, m, n, depth, texts):
+        # with a cone deeper than the last layer, every class is walked
+        gens = [fp(t, m, n) for t in texts] if texts else [gen_a(m, n), gen_ab(m, n)]
+        replayed = build_truncation(m, n, gens, depth)
+        monkeypatch.setattr(freeproduct, "_cone_depth", lambda longest: 2 * depth)
+        walked, computed = computed_classes(m, n, gens, depth)
+        assert computed == walked.graph.n_vertices
+        assert replayed.graph.labels == walked.graph.labels
+        assert replayed.graph.edges == walked.graph.edges
+        sample = range(0, walked.graph.n_edges, 1 + walked.graph.n_edges // 3000)
+        assert [replayed.pair_of(i) for i in sample] == [walked.pair_of(i) for i in sample]
+
+    def test_cone_depth_is_half_the_most_syllables_rounded_up(self):
+        assert [freeproduct._cone_depth(r) for r in (1, 2, 3)] == [1, 1, 2]
+
+    def test_few_classes_are_computed_one_by_one(self):
+        q, computed = computed_classes(4, 3, [gen_a(4, 3), gen_ab(4, 3)], 4)
+        # layers 0..2 whole (18 classes), then in each of layers 3..8 one
+        # block of 2 or 3 classes per code of each ancestor run (6 per run):
+        # two runs in layers 3..7, one in layer 8
+        assert computed == 18 + 6 * (2 * 5 + 1)
+        assert q.graph.n_vertices == 3108
+        assert computed < 0.03 * 3108
+        assert generator_subgraph(q.graph, gen_ab(4, 3)).is_cycle()
+
+    @pytest.mark.parametrize("m,n,texts,cone", [(3, 2, ["a1", "a1b1"], 0), (4, 3, ["a1b1a2"], 1)])
+    def test_a_shallow_cone_fails_loudly(self, monkeypatch, m, n, texts, cone):
+        # a1b1 keeps edges read from the parent (x a1 to its sibling), and
+        # a1b1a2 from the grandparent (x a2 to x' b a2 for a sibling x' b)
+        depth_of = freeproduct._cone_depth
+        monkeypatch.setattr(freeproduct, "_cone_depth", lambda longest: depth_of(longest) - 1)
+        with pytest.raises(AssertionError, match=f"past its cone depth {cone}$"):
+            build_truncation(m, n, [fp(t, m, n) for t in texts], 3)
+
+    def test_a_shallow_cone_makes_cycletree_exit_4(self, monkeypatch, capsys):
+        depth_of = freeproduct._cone_depth
+        monkeypatch.setattr(freeproduct, "_cone_depth", lambda longest: depth_of(longest) - 1)
+        assert cli.main(["cycletree", "-m", "4", "-n", "3", "-r", "4", "--json"]) == 4
+        assert "AssertionError" in capsys.readouterr().err
 
 
 class TestVerification:

@@ -126,14 +126,53 @@ def named(node: ast.AST) -> set[str]:
     return out
 
 
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module's own top-level code defines: its functions,
+    classes and assigned names."""
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out |= {t.id for x in targets for t in ast.walk(x) if isinstance(t, ast.Name)}
+    return out
+
+
+def bench_names(trees: list[ast.Module]) -> set[str]:
+    """The hamcirc names the benchmark reaches: what it imports from
+    hamcirc, every attribute it names, and every bare name it names that
+    it does not define at top level itself, in any of its files."""
+    own = set().union(*map(top_level_names, trees))
+    out = set()
+    for node in (sub for tree in trees for sub in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "hamcirc":
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id not in own:
+            out.add(node.id)
+    return out
+
+
+def test_bench_names_skip_the_benchmarks_own_definitions():
+    own = ast.parse("def shared(): pass\nLIMIT = 3\n")
+    user = ast.parse(
+        "from hamcirc.words import LIMIT\n"
+        "import hamcirc.quotients as q\n"
+        "shared(LIMIT, other, q.contract_level)\n"
+    )
+    assert bench_names([own, user]) == {"LIMIT", "other", "q", "contract_level"}
+
+
 def test_every_public_name_is_reached_outside_the_tests():
-    # a definition is reached when the benchmark, a module's top-level code
-    # (a __main__ block) or a reached definition names it; a name used only
-    # by a definition that nothing reaches is unreached too.  The public
-    # methods of a class with no base are definitions of their own, reached
-    # by their name; the rest of the class, and every method of a derived
-    # class (which its base may call, as argparse calls _Parser.error), is
-    # reached with the class
+    # a definition is reached when the benchmark (``bench_names``), a
+    # module's top-level code (a __main__ block) or a reached definition
+    # names it; a name used only by a definition that nothing reaches is
+    # unreached too.  The public methods of a class with no base are
+    # definitions of their own, reached by their name; the rest of the
+    # class, and every method of a derived class (which its base may call,
+    # as argparse calls _Parser.error), is reached with the class
     defs, reached = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -158,10 +197,9 @@ def test_every_public_name_is_reached_outside_the_tests():
                 defs.append((path.stem, names, [stmt]))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 reached |= named(stmt)
-    bench = sorted(PERFBENCH.glob("*.py"))
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PERFBENCH.glob("*.py"))]
     assert bench
-    for path in bench:
-        reached |= named(ast.parse(path.read_text(encoding="utf-8")))
+    reached |= bench_names(bench)
     while live := [d for d in defs if d[1] & reached]:
         for d in live:
             defs.remove(d)

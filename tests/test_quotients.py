@@ -29,6 +29,7 @@ from hamcirc.words import (
     ReducedWord,
     count_reduced_words,
     reduced_words,
+    shortlex_labels,
 )
 from oracles import (
     connected_components,
@@ -366,6 +367,20 @@ class TestRecordAndReplay:
         replayed = build_quotient_local(rank, gens, level)
         monkeypatch.setattr(quotients, "_cone_depth", lambda longest: level)
         assert quotients_equal(replayed, build_quotient_local(rank, gens, level))
+
+    def test_last_digits_match_the_labels(self):
+        # the digit of each class's last letter, by arithmetic, against the
+        # last characters of the label texts at the deepest level
+        for rank in (1, 2, 3, 4):
+            texts = shortlex_labels(rank, 7)
+            chars = "".join(texts[1 : 2 * rank + 1]).encode()
+            by_text = bytes([2 * rank]) + "".join([t[-1] for t in texts[1:]]).encode().translate(
+                bytes.maketrans(chars, bytes(range(2 * rank)))
+            )
+            del texts
+            for level in range(1, 8):
+                digits = quotients._last_digits(rank, level)
+                assert digits == by_text[: count_reduced_words(rank, level)], (rank, level)
 
     def test_cone_depth_is_half_the_longest_generator(self):
         assert [quotients._cone_depth(r) for r in range(1, 9)] == [1, 1, 1, 2, 2, 3, 3, 4]
