@@ -149,11 +149,15 @@ def collector_paused(build: Callable) -> Callable:
     A build (a quotient, a truncation, the neighbour sets of
     ``_neighbour_sets``, the per-vertex ends a cycle walk follows) allocates
     up to hundreds of thousands of tuples, lists, sets and dicts and makes
-    no reference cycles, so reference counting frees all of it, and the
-    collector's passes over it (hundreds per quotient build, 11-16% of its
-    time) find nothing.  Their cost is memory-bound and swings with the
-    host's caches more than the rest of the build does.  The collector's
-    state is restored on return.
+    no reference cycles, so reference counting frees all of it.  Holding
+    the collector off defers its passes rather than avoiding them: what
+    the build keeps stays in generation 0, and the first collection after
+    it walks all of that once.  It still pays because a build left to the
+    collector runs hundreds of passes (11-16% of a quotient build's time),
+    whose older generations walk again every container that survived the
+    younger ones, while a paused build is walked once and its temporaries,
+    freed before it returns, never.  The collector's state is restored on
+    return.
     """
 
     @functools.wraps(build)

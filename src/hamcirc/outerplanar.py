@@ -2,21 +2,17 @@
 
 When the certifier answers Yes for a word s, every truncation
 Cay(F_n; A u s^{+-1}) / level-L must be outerplanar (no K4 or K2,3 minor)
-and must contain the circle's truncation as a hamiltonian cycle.  Only the
-circle is built, and only at the top level: the quotient of s alone.  The
+and must contain the circle's truncation as a hamiltonian cycle.  The
 levels are checked from the top down, and the first level that passes
 settles every shallower one, which is a minor of it (the proof is in
-``verify_outerplanar_quotient``).  Only a level below a failing one is
-contracted from the level above it (``contract_level``), which gives the
-same classes and the same edge multiset as a rebuild, because prefix
-classes nest: a group edge between two classes at one level joins two
-classes at every deeper one.  The standard generators' edges are never
-walked.  At every level they are the Cayley tree of A, one edge from each
-class to its parent, which the shortlex numbering of the classes gives by
-arithmetic (``tree_parents``).  Only the checked levels and those below
-them are attested; nothing is claimed about the infinite graph beyond
-them.  The checks run on any word; the ``outerplanar`` command certifies s
-first.
+``verify_outerplanar_quotient``).  Each checked level is built by the one
+kernel, ``build_quotient_local``: first its circle, the quotient of s
+alone.  The standard generators' edges are not walked there.  At every
+level they are the Cayley tree of A, one edge from each class to its
+parent, which the shortlex numbering of the classes gives by arithmetic
+(``tree_parents``).  Only the checked levels and those below them are
+attested; nothing is claimed about the infinite graph beyond them.  The
+checks run on any word; the ``outerplanar`` command certifies s first.
 
 One walk decides both checks.  A 2-connected outerplanar graph has exactly
 one hamiltonian cycle, its outer face (Sysło, "Characterizations of
@@ -26,9 +22,10 @@ cross as chords of that cycle.  The s-edges are the cycle itself, and the
 other edges are the tree edges, one per class, so the chords are read off
 the walk's positions and the class numbering, and one sort of integer keys
 decides whether they nest (``is_outerplanar`` given the circle and the
-tree edges as its chords).  The full graph is never formed.  Only a level
+tree edges as its chords).  The full graph is not formed.  Only a level
 whose circle is not a hamiltonian cycle (a negative control such as abab)
-gets its tree edges (``with_tree``) and runs Mitchell's reduction.
+is built whole, on the standard generators and s, and runs Mitchell's
+reduction.
 """
 
 from __future__ import annotations
@@ -36,12 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .multigraph import cycle_positions, is_outerplanar
-from .quotients import (
-    build_quotient_local,
-    contract_level,
-    tree_parents,
-    with_tree,
-)
+from .quotients import build_quotient_local, tree_parents
 from .words import ReducedWord, count_reduced_words
 
 
@@ -91,29 +83,39 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
 
     The checks run whatever the certifier says of s, which is how
     negative controls are exercised; whether s is a Yes, the precondition
-    of the property, is the caller's to ask ``certify``.  Only the circle
-    quotient at ``max_level`` is built.  Levels are checked from the top
-    down, each walking its circle, the quotient of s alone, whose vertices
-    are all the classes, so a cycle on it is hamiltonian.  A level below a
-    failing one is contracted from it; once a level passes, every
-    shallower level l is reported passing with its count_reduced_words(n, l)
-    classes, unbuilt.  The reports are returned in increasing level order.
+    of the property, is the caller's to ask ``certify``.  Levels are
+    checked from the top down, each building its circle, the quotient of
+    s alone, whose vertices are all the classes, so a cycle on it is
+    hamiltonian.  Once a level passes, every shallower level l is reported
+    passing with its count_reduced_words(n, l) classes, unbuilt.  The
+    reports are returned in increasing level order.
+
+    A level's edges other than its s-edges are exactly its tree edges, one
+    {parent(c), c} per class c >= 1, tagged by c's last letter: at level L
+    a group edge {w, wx}, x in A^+-1, joins the classes of w and wx.  If
+    |w| >= L and |wx| >= L, one of the two words extends the other, so both
+    share their first L letters and the edge is a loop.  Otherwise the
+    shorter of the two, of length < L, is its own class and the parent of
+    the other, whose class is the word itself (its length is at most L):
+    the edge is the pair (parent(c), c) for the class c of the longer
+    word.  Each class c >= 1 is the longer end of exactly one group edge,
+    {parent(c), c}.
 
     When the walk succeeds, the level is outerplanar iff its tree edges
     nest as chords of the circle, so ``is_outerplanar(g, pos, tree)`` on the
     level's circle g, its positions pos and the pairs (parent(c), c) for
-    c >= 1 (``tree_parents``) decides the whole level, ``with_tree(n, g)``:
+    c >= 1 (``tree_parents``) decides the whole level:
 
     * the walk succeeded, so g's edges, the s-edges, are the circle: each
       joins two consecutive positions or is the pair (0, N-1) that closes
       it, and such a chord crosses no chord;
-    * the level's other edges are exactly its tree edges, one
-      {parent(c), c} per class c >= 1, as ``with_tree`` proves;
+    * the level's other edges are its tree edges, as above;
     * so the whole quotient's edges nest iff its tree edges do, and by
       Sysło's theorem it is then outerplanar iff they nest.
 
-    When the walk fails, the tree edges are added (``with_tree``) and
-    Mitchell's reduction decides (``is_outerplanar`` given no circle).
+    When the walk fails, the circle is dropped, the whole level is built on
+    the standard generators and s, and Mitchell's reduction decides
+    (``is_outerplanar`` given no circle).
 
     A passing level L settles every level l < L:
 
@@ -121,8 +123,8 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
        edges.  A level-l class of length l, the words that extend its
        word w, is at level L the cone of w: the subtree of tree edges
        below w, so it is connected.  A shorter class is one class at
-       both levels.  Contracting every cone and dropping loops gives
-       level l (``contract_level``), and outerplanarity is closed under
+       both levels.  Prefix classes nest, so contracting every cone and
+       dropping loops gives level l, and outerplanarity is closed under
        minors (no K4 or K2,3 minor), so level l is outerplanar.
     2. Every cone is a contiguous arc of the level-L circle.  Otherwise
        the cone and the rest of the tree, which the tree edges also
@@ -136,18 +138,18 @@ def verify_outerplanar_quotient(n: int, s: ReducedWord, max_level: int) -> Outer
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    circle_graph = build_quotient_local(n, [s], max_level).graph
     levels = []
     for level in range(max_level, 0, -1):
-        if level < max_level:  # the level above failed
-            circle_graph = contract_level(n, circle_graph, level)
+        circle_graph = build_quotient_local(n, [s], level).graph
+        size = len(circle_graph.labels)
         pos = cycle_positions(circle_graph)  # its edges are all s-edges
         if pos is not None:
-            tree = zip(tree_parents(n, 1, len(pos)), range(1, len(pos)))
+            tree = zip(tree_parents(n, 1, size), range(1, size))
             outer = is_outerplanar(circle_graph, pos, tree)
         else:
-            outer = is_outerplanar(with_tree(n, circle_graph))
-        levels.append(LevelReport(level, len(circle_graph.labels), outer, pos is not None))
+            del circle_graph  # free before the whole level is built
+            outer = is_outerplanar(build_quotient_local(n, tree_generators(n) + [s], level).graph)
+        levels.append(LevelReport(level, size, outer, pos is not None))
         if levels[-1].passed:
             shallower = range(level - 1, 0, -1)
             levels += (LevelReport(l, count_reduced_words(n, l), True, True) for l in shallower)

@@ -17,11 +17,8 @@ letters on those integers: short classes walk every generator, and a
 full-length class with last letter a walks from each occurrence of a^-1.
 Both builders take the level's classes in vertex order from
 ``shortlex_labels`` (the enumeration through ``shortlex_words``), so
-nothing is sorted per word.  ``contract_level`` derives a shallower level
-from a deeper one by the same numbering, without a rebuild, and
-``with_tree`` adds the standard generators' edges to a level, each class's
-edge to its parent, without a walk; both take each class's parent from
-``tree_parents``.
+nothing is sorted per word.  ``tree_parents`` gives each class's parent,
+the class of its word less the last letter, by the same arithmetic.
 
 The kernel computes few classes one by one and replays the rest, because
 past a fixed depth the blocks of a level repeat up to an affine shift of
@@ -569,85 +566,6 @@ def _cone_depth(longest: int) -> int:
     2), and at least 1 (a full class walks from its parent).  The bound is
     proved in the module docstring."""
     return max(1, longest // 2)
-
-
-def quotient_level(n: int, graph: Multigraph) -> int:
-    """The level of ``graph``, a rank-n prefix quotient numbered as
-    ``build_quotient_local`` numbers it: the k >= 1 with
-    count_reduced_words(n, k) classes, the last of them a word of length k.
-    Any other graph is refused with ValueError."""
-    size, level = len(graph.labels), 1
-    while count_reduced_words(n, level) < size:
-        level += 1
-    if count_reduced_words(n, level) != size or len(graph.labels[-1]) != level:
-        raise ValueError(f"a graph on {size} classes is no rank-{n} prefix quotient")
-    return level
-
-
-@collector_paused
-def contract_level(n: int, graph: Multigraph, level: int) -> Multigraph:
-    """The rank-n prefix quotient at ``level``, contracted from ``graph``,
-    one at a deeper level numbered as ``build_quotient_local`` numbers it.
-
-    The count_reduced_words(n, level) classes at ``level`` keep their ids;
-    every deeper class merges into its ancestor among them.  Prefix classes
-    nest, so each edge at ``level`` is exactly one edge of ``graph`` whose
-    ends do not merge: the labels and edge multiset are a rebuild's.  The
-    map is not monotone, so mapped ends are put back in order; only the
-    order of the edges differs from a rebuild.  A graph that is not a
-    rank-n quotient at ``level`` or deeper (``quotient_level``) is refused
-    with ValueError.
-    """
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    top = quotient_level(n, graph)
-    if top < level:
-        raise ValueError(f"cannot contract a level-{top} quotient to level {level}")
-    size = count_reduced_words(n, level)
-    up = list(range(size))
-    for p in tree_parents(n, size, len(graph.labels)):
-        up.append(up[p])
-    edges = []
-    for e in graph.edges:
-        u, v, tag = e
-        if v < size:
-            edges.append(e)
-        elif up[u] != up[v]:
-            u, v = up[u], up[v]
-            edges.append((u, v, tag) if u < v else (v, u, tag))
-    return Multigraph._trusted(graph.labels[:size], edges)
-
-
-def with_tree(n: int, graph: Multigraph) -> Multigraph:
-    """``graph``, a rank-n prefix quotient numbered as ``build_quotient_local``
-    numbers it (built or contracted), with the edges of the standard
-    generators A = a, b, ... added after its own: for each class c >= 1 the
-    edge (parent(c), c) tagged with edge_tag of c's last letter, where
-    parent(c) is the class of c's word less that letter (``tree_parents``).
-
-    These are the edges ``build_quotient_local(n, tree_generators(n) + gens,
-    level)`` adds to the build on ``gens``: the labels and the edge multiset,
-    tags included, are that build's, and only the edge order differs.  At
-    level L a group edge {w, wx}, x in A^+-1, joins the classes of w and wx.
-    If |w| >= L and |wx| >= L, one of the two words extends the other, so
-    both share their first L letters and the edge is a loop.  Otherwise the
-    shorter of the two, of length < L, is its own class and the parent of
-    the other, whose class is the word itself (its length is at most L):
-    the edge is the pair (parent(c), c) for the class c of the longer word,
-    tagged by its last letter x^+-1.  Each class c >= 1 is the longer end of
-    exactly one group edge, {parent(c), c}.  When ``gens`` holds a standard
-    generator its edges are tree edges, which the build would keep once,
-    but here they appear twice, as same-tag parallel pairs.  A graph that is
-    no rank-n prefix quotient is refused (``quotient_level``).
-    """
-    labels = graph.labels
-    quotient_level(n, graph)
-    tag = {x: x.lower() for x in labels[1 : 2 * n + 1]}  # one string per generator
-    tree = (
-        (p, c, tag[labels[c][-1]])
-        for c, p in enumerate(tree_parents(n, 1, len(labels)), 1)
-    )
-    return Multigraph._trusted(labels, graph.edges + tuple(tree))
 
 
 def tree_parents(n: int, start: int, stop: int) -> Iterator[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -15,13 +16,7 @@ from hamcirc.certifier import certify, level_one_quotient
 from hamcirc.cli import main
 from hamcirc.multigraph import cycle_positions, is_outerplanar, spans_nest
 from hamcirc.outerplanar import tree_generators, verify_outerplanar_quotient
-from hamcirc.quotients import (
-    build_quotient_local,
-    contract_level,
-    generator_subgraph,
-    tree_parents,
-    with_tree,
-)
+from hamcirc.quotients import build_quotient_local, generator_subgraph, tree_parents
 from hamcirc.words import ReducedWord, count_reduced_words
 from oracles import cyclic_reduction, edges_between, outerplanar_by_minor_search
 
@@ -121,7 +116,7 @@ def test_yes_word_never_builds_adjacency(monkeypatch, n, text, level):
     report = verify_outerplanar_quotient(n, w(text, n), level)
     assert report.passed
     assert [lv.level for lv in report.levels] == list(range(1, level + 1))
-    # one build, at the top level; every shallower level is contracted from it
+    # one build, at the top level; it settles every shallower level, unbuilt
     assert [g.n_vertices for g in built] == [count_reduced_words(n, level)]
 
 
@@ -281,7 +276,6 @@ def test_mitchell_runs_only_where_the_circle_fails(capsys, monkeypatch, word, le
     checks = _spy(monkeypatch, multigraph.is_outerplanar)
     mitchell = _spy(monkeypatch, multigraph._blocks)  # the reduction's first step
     subgraph = _spy(monkeypatch, quotients.generator_subgraph)
-    contracted = _spy(monkeypatch, quotients.contract_level)
     argv = ["outerplanar", "-n", "2", "-s", word, "-l", level]
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
@@ -296,15 +290,39 @@ def test_mitchell_runs_only_where_the_circle_fails(capsys, monkeypatch, word, le
     assert [(g.n_vertices, bool(rest)) for g, *rest in checks] == walked * 2
     failed = [v for v, circle in walked if not circle]
     assert [len(adj) for adj, in mitchell] == failed * 2
-    below_top = {"aabb": [], "abab": [2, 1]}[word]  # contracted from the failing level above
-    assert [lv for _, _, lv in contracted] == below_top * 2
     assert subgraph == []
+
+
+@pytest.mark.parametrize(
+    "n, text, top, digest",
+    [
+        (2, "abab", 6, "08db2e9d015bc648afd16a152471adc1aef3b19cfe9f1f0d9492e222fbb308c3"),
+        (2, "aab", 6, "02daf536dea367a93fc7244877a171c36e748df4a4589091bb6685cc80a4c9ed"),
+        (2, "aaabbb", 6, "304422fd93174e0539a9c18b6b10cb447ca990d43c4a472a3c47f8c695107de7"),
+        (2, "a", 6, "5dc4b71f8d6fed46e60e7ff4e2314ff6e2bf45bd3702d1e9e82269d25dd71bc0"),
+        (2, "B", 6, "c50bc1a0f7da4954dcb38d9949ed5615cec2203a857e65f7c6e0cbb738dda89e"),
+        (2, "abAB", 6, "9dc08de990712be274b233955cf45b5ce9f447f9d9fccdb2808b84284e9178d7"),  # a Yes word
+        (3, "abcabc", 4, "b36413973420e6e6219139f52ad44d4509e5cccfa4cbc6a3f4a32b4e0564c305"),
+        (3, "ab", 4, "179ed2005ed5749ecd6306d82c9e14f94ae5370fe712374a8ee755812abc3d3d"),
+        (3, "abab", 4, "5678aef0591d67642da80189bbbce037b26568210dc25b9161a3a49cb9f4f6d9"),
+    ],
+)
+def test_golden_outerplanar_digest(capsys, n, text, top, digest):
+    # the exit code, stdout and first stderr line of every level 1..top, in
+    # text and --json, pinned byte for byte
+    record = hashlib.sha256()
+    for level, fmt in itertools.product(range(1, top + 1), ([], ["--json"])):
+        code = main(["outerplanar", "-n", str(n), "-s", text, "-l", str(level), *fmt])
+        out, err = capsys.readouterr()
+        first = err.partition("\n")[0]
+        record.update(f"{code}\n{out}{first}\n".encode())
+    assert record.hexdigest() == digest
 
 
 def test_a_walked_level_with_crossing_chords_settles_nothing_below(monkeypatch):
     # no real quotient has a hamiltonian circle and a crossing, so one is
     # faked at the top: only a level that passes both checks settles the
-    # shallower ones, and the level below this one is contracted and checked
+    # shallower ones, and the level below this one is built and checked
     checked = []
 
     def crossing_at_the_top(g, *rest):
@@ -324,15 +342,26 @@ def test_a_walked_level_with_crossing_chords_settles_nothing_below(monkeypatch):
     [
         (2, "abAB", 6, 0, [1, 6]),  # a Yes word: certify rechecks its level-1 quotient
         (3, "abABcc", 4, 0, [1, 4]),
-        (2, "abab", 5, 1, [5]),  # a No word: certify builds no quotient
     ],
 )
 def test_standard_generators_are_never_walked(monkeypatch, n, text, level, code, builds):
-    # the kernel walks s alone, once at the top level; every level's tree
-    # edges are read off the class numbering (quotients.with_tree)
+    # on a Yes word the kernel walks s alone, once at the top level; every
+    # level's tree edges are read off the class numbering (tree_parents)
     calls = _spy(monkeypatch, quotients.build_quotient_local)
     assert main(["outerplanar", "-n", str(n), "-s", text, "-l", str(level)]) == code
     assert calls == [(n, [w(text, n)], lv) for lv in builds]
+
+
+def test_a_failing_circle_builds_the_whole_level(monkeypatch):
+    # abab is a No word, so certify builds no quotient; no level's circle is
+    # a hamiltonian cycle, so each level builds its circle and then the whole
+    # level, on the standard generators and s, for Mitchell's reduction
+    calls = _spy(monkeypatch, quotients.build_quotient_local)
+    assert main(["outerplanar", "-n", "2", "-s", "abab", "-l", "5"]) == 1
+    s = w("abab")
+    assert calls == [
+        call for lv in range(5, 0, -1) for call in ((2, [s], lv), (2, tree_generators(2) + [s], lv))
+    ]
 
 
 def _tree_edges(n, size):
@@ -342,9 +371,8 @@ def _tree_edges(n, size):
 
 def _walked_levels(n, text, top):
     """(level, circle quotient, its walk's positions) for levels top..1."""
-    circle = build_quotient_local(n, [w(text, n)], top).graph
     for level in range(top, 0, -1):
-        g = circle if level == top else contract_level(n, circle, level)
+        g = build_quotient_local(n, [w(text, n)], level).graph
         yield level, g, cycle_positions(g)
 
 
@@ -364,7 +392,7 @@ def test_tree_chords_match_the_full_quotient_checks(n, text, top):
     # every edge and Mitchell's reduction decide on the whole quotient
     for level, g, pos in _walked_levels(n, text, top):
         assert pos is not None, (text, level)
-        full = with_tree(n, g)
+        full = build_quotient_local(n, tree_generators(n) + [w(text, n)], level).graph
         every_edge = spans_nest([(u, v) for u, v, _ in full.edges], pos)
         outer = is_outerplanar(g, pos, _tree_edges(n, len(pos)))
         assert outer == every_edge == is_outerplanar(full), (text, level)

@@ -15,12 +15,10 @@ from hamcirc.quotients import (
     ENUM_BUDGET,
     build_quotient_enum,
     build_quotient_local,
-    contract_level,
     generator_subgraph,
     quotients_equal,
     symmetric_closure,
     tree_parents,
-    with_tree,
 )
 from hamcirc.words import (
     COUNT_CAP,
@@ -436,62 +434,11 @@ def _random_words(rng, n, count, circle, longest):
     return words
 
 
-class TestContractLevel:
-    """A shallower level contracted from a deeper one against a rebuild at
-    that level: the same labels and the same edge multiset, u < v on every
-    edge.  Only the edge order may differ."""
-
-    @staticmethod
-    def same(contracted, built):
-        assert contracted.labels == built.labels
-        assert all(u < v for u, v, _ in contracted.edges)
-        assert sorted(contracted.edges) == sorted(built.edges)
-
-    @pytest.mark.parametrize("rank, top", [(2, 6), (3, 4)])
-    def test_matches_the_kernel_at_every_level(self, rank, top):
-        rng = random.Random(rank * 7)
-        words = _random_words(rng, rank, 8, True, 8) + _random_words(rng, rank, 8, False, top + 4)
-        assert max(len(s) for s in words) > top  # walks that cancel through several depths
-        for s in words:
-            for gens in (tree_generators(rank) + [s], [s]):
-                deepest = build_quotient_local(rank, gens, top).graph
-                above = deepest
-                for level in range(top - 1, 0, -1):
-                    built = build_quotient_local(rank, gens, level).graph
-                    above = contract_level(rank, above, level)  # from the level above
-                    self.same(above, built)
-                    self.same(contract_level(rank, deepest, level), built)  # from the top
-
-    # a rank-3 word of the Yes shape has length 6 or more, which puts the
-    # enumeration horizon past the test's time; the kernel test covers it
-    @pytest.mark.parametrize("rank, longest, shapes", [(2, 5, (True, False)), (3, 3, (False,))])
-    def test_matches_the_enumeration(self, rank, longest, shapes):
-        rng = random.Random(rank * 11)
-        words = [s for circle in shapes for s in _random_words(rng, rank, 3, circle, longest)]
-        for s in words:
-            gens = tree_generators(rank) + [s]
-            kernel = build_quotient_local(rank, gens, 3).graph
-            enum = build_quotient_enum(rank, gens, 3).graph
-            for level in (1, 2):
-                built = build_quotient_enum(rank, gens, level).graph
-                self.same(contract_level(rank, kernel, level), built)
-                self.same(contract_level(rank, enum, level), built)
-
-    def test_refuses_what_it_cannot_contract(self):
-        level3 = build_quotient_local(2, [w("aabb")], 3).graph
-        with pytest.raises(ValueError, match="level-3 quotient to level 5"):
-            contract_level(2, level3, 5)  # deeper than the graph
-        with pytest.raises(ValueError, match="no rank-3 prefix quotient"):
-            contract_level(3, level3, 2)  # 53 classes, no rank-3 count
-        level1 = build_quotient_local(2, [w("aabb")], 1).graph
-        with pytest.raises(ValueError, match="no rank-1 prefix quotient"):
-            contract_level(1, level1, 1)  # 5 classes, the rank-1 count at level 2
-
-
 class TestWithTree:
-    """The standard generators' edges read off the class numbering against
-    the kernel's build with them: the same labels and the same edge
-    multiset, tags included, on a built level and on a contracted one."""
+    """The kernel's build with the standard generators against its build
+    without them: the same labels, and the edges of the standard generators
+    A = a, b, ... are exactly one tree edge per class, read off the class
+    numbering, with the tags included."""
 
     @staticmethod
     def words(n):
@@ -514,18 +461,22 @@ class TestWithTree:
 
     @pytest.mark.parametrize("n, top", [(2, 5), (3, 4), (4, 3)])
     def test_equals_the_build_with_the_tree(self, n, top):
+        # the fact the outerplanar chord check rests on: each class c >= 1
+        # adds one edge (parent(c), c), tagged by c's last letter
         for s in self.words(n):
-            deepest = build_quotient_local(n, [s], top).graph
             for level in range(1, top + 1):
                 full = build_quotient_local(n, tree_generators(n) + [s], level).graph
                 alone = build_quotient_local(n, [s], level).graph
+                labels = full.labels
+                tree = Counter(
+                    (p, c, labels[c][-1].lower())
+                    for c, p in enumerate(tree_parents(n, 1, len(labels)), 1)
+                )
                 want = Counter(full.edges)
                 if len(s) == 1:  # the build keeps a tree generator once
                     want += Counter(alone.edges)
-                for graph in (alone, contract_level(n, deepest, level)):
-                    got = with_tree(n, graph)
-                    assert got.labels == full.labels, (str(s), level)
-                    assert Counter(got.edges) == want, (str(s), level)
+                assert alone.labels == labels, (str(s), level)
+                assert Counter(alone.edges) + tree == want, (str(s), level)
 
     @pytest.mark.parametrize("n, level", [(1, 4), (2, 4), (3, 3), (4, 2)])
     def test_parents_are_the_prefixes(self, n, level):
@@ -537,16 +488,6 @@ class TestWithTree:
         assert list(tree_parents(n, 1, size)) == want
         for start, stop in [(1, 1), (2, 2 * n + 3), (2 * n, size), (size // 2, size), (size - 1, size)]:
             assert list(tree_parents(n, start, stop)) == want[start - 1 : stop - 1], (start, stop)
-
-    def test_refuses_what_is_no_quotient(self):
-        level3 = build_quotient_local(2, [w("aabb")], 3).graph
-        with pytest.raises(ValueError, match="no rank-3 prefix quotient"):
-            with_tree(3, level3)
-        level1 = build_quotient_local(2, [w("aabb")], 1).graph
-        with pytest.raises(ValueError, match="no rank-1 prefix quotient"):
-            with_tree(1, level1)
-        with pytest.raises(ValueError, match="no rank-2 prefix quotient"):
-            with_tree(2, Multigraph(["1", "a"], []))
 
 
 class TestEdgeTuples:
