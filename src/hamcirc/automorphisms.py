@@ -9,7 +9,10 @@ moves, and carries that move list as a witness:
   the letter ``j^sign``; e.g. ``mul(2,left,1,+1)`` is b -> ab.
 
 The multiplier (Whitehead) automorphisms are generated as compositions of
-``mul`` moves, so every chain serializes into this grammar.
+``mul`` moves, so every chain serializes into this grammar.  The
+elementary set is enumerated as move lists with the generator images read
+off their description; an ``FGAutomorphism`` is built only for the moves a
+witness chain uses.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .words import (
     RankError,
     ReducedWord,
     check_budget,
     invert_letters,
-    letter_key,
 )
 
 
@@ -40,12 +42,6 @@ class Perm:
     def __str__(self) -> str:
         return "perm(" + ",".join(str(i) for i in self.images) + ")"
 
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return Perm(tuple(inv))
-
     def letter_images(self, rank: int) -> dict[int, tuple[int, ...]]:
         if len(self.images) != rank:
             raise RankError("permutation size differs from rank")
@@ -58,9 +54,6 @@ class Inv:
 
     def __str__(self) -> str:
         return f"inv({self.gen})"
-
-    def inverse(self) -> "Inv":
-        return self
 
     def letter_images(self, rank: int) -> dict[int, tuple[int, ...]]:
         if not 1 <= self.gen <= rank:
@@ -85,9 +78,6 @@ class Mul:
     def __str__(self) -> str:
         sign = "+1" if self.letter > 0 else "-1"
         return f"mul({self.target},{self.side},{abs(self.letter)},{sign})"
-
-    def inverse(self) -> "Mul":
-        return Mul(self.target, self.side, -self.letter)
 
     def letter_images(self, rank: int) -> dict[int, tuple[int, ...]]:
         if not (1 <= self.target <= rank and abs(self.letter) <= rank):
@@ -158,11 +148,6 @@ class FGAutomorphism:
     moves: tuple[Move, ...] = field(compare=False)
 
     @classmethod
-    def identity(cls, rank: int) -> "FGAutomorphism":
-        images = tuple(ReducedWord((i,), rank) for i in range(1, rank + 1))
-        return cls(rank, images, ())
-
-    @classmethod
     def from_moves(cls, moves: Sequence[Move], rank: int) -> "FGAutomorphism":
         tables = [_full_table(m.letter_images(rank), rank) for m in moves]
         images = []
@@ -181,15 +166,6 @@ class FGAutomorphism:
         if w.rank != self.rank:
             raise RankError(f"rank mismatch: {self.rank} vs {w.rank}")
         return ReducedWord(_apply_table(self.letter_table(), w.letters), self.rank)
-
-    def inverse(self) -> "FGAutomorphism":
-        moves = tuple(m.inverse() for m in reversed(self.moves))
-        return FGAutomorphism.from_moves(moves, self.rank)
-
-    def is_identity(self) -> bool:
-        return all(
-            im.letters == (i,) for i, im in enumerate(self.images, start=1)
-        )
 
     def __str__(self) -> str:
         return ";".join(str(m) for m in self.moves) or "id"
@@ -210,80 +186,62 @@ def chain_moves(chain: Iterable[FGAutomorphism]) -> list[str]:
     return out
 
 
-def permutation_automorphisms(rank: int) -> list[FGAutomorphism]:
-    out = []
-    for sigma in itertools.permutations(range(1, rank + 1)):
-        out.append(FGAutomorphism.from_moves((Perm(sigma),), rank))
-    return out
+# A generator g's multiplier states for the letter x, in the order fixed,
+# g -> g x, g -> x^-1 g and g -> x^-1 g x, each as (right, left): whether g
+# is multiplied by x on the right and by x^-1 on the left.
+_MULT_STATES = ((False, False), (True, False), (False, True), (True, True))
 
 
-def sign_automorphisms(rank: int) -> list[FGAutomorphism]:
-    out = []
-    for signs in itertools.product((1, -1), repeat=rank):
-        moves = tuple(Inv(i) for i, s in enumerate(signs, start=1) if s < 0)
-        out.append(FGAutomorphism.from_moves(moves, rank))
-    return out
-
-
-# Per-generator action of a multiplier automorphism with multiplier letter x:
-# 0 = fixed, 1 = g -> g*x, 2 = g -> x^-1*g, 3 = g -> x^-1*g*x.
-_MULT_STATES = (0, 1, 2, 3)
-
-
-def _mult_moves(x: int, states: Sequence[tuple[int, int]]) -> tuple[Mul, ...]:
-    moves: list[Mul] = []
-    for g, state in states:
-        if state in (1, 3):
-            moves.append(Mul(g, "right", x))
-        if state in (2, 3):
-            moves.append(Mul(g, "left", -x))
-    return tuple(moves)
-
-
-def multiplier_automorphisms(rank: int) -> list[FGAutomorphism]:
-    """The standard multiplier (Whitehead type II) automorphisms.
-
-    One per choice of a multiplier letter x and, for every other generator,
-    one of: fixed, right-multiplied by x, left-multiplied by x^-1, or
-    conjugated.  Includes the identity (all generators fixed).
-    """
-    letters = sorted(
-        [x for i in range(1, rank + 1) for x in (i, -i)], key=letter_key
-    )
-    out = []
-    for x in letters:
-        others = [g for g in range(1, rank + 1) if g != abs(x)]
-        for combo in itertools.product(_MULT_STATES, repeat=len(others)):
-            moves = _mult_moves(x, list(zip(others, combo)))
-            out.append(FGAutomorphism.from_moves(moves, rank))
-    return out
+def _mult_state(g: int, x: int, right: bool, left: bool) -> tuple[tuple[int, ...], tuple[Mul, ...]]:
+    """The image of g in one multiplier state, and the mul moves that give it."""
+    image = (-x,) * left + (g,) + (x,) * right
+    moves = (Mul(g, "right", x),) * right + (Mul(g, "left", -x),) * left
+    return image, moves
 
 
 def conjugation_by_letter(x: int, rank: int) -> FGAutomorphism:
     """The inner automorphism g -> x^-1 g x, as a composition of mul moves."""
-    others = [g for g in range(1, rank + 1) if g != abs(x)]
-    moves = _mult_moves(x, [(g, 3) for g in others])
+    moves = [
+        m for g in range(1, rank + 1) if g != abs(x) for m in _mult_state(g, x, True, True)[1]
+    ]
     return FGAutomorphism.from_moves(moves, rank)
 
 
-MOVE_BUDGET = 100_000  # elementary automorphisms: rank 7 builds 62,512, rank 8 302,720
+MOVE_BUDGET = 100_000  # elementary move lists: rank 7 builds 62,512, rank 8 302,720
+
+Images = tuple[tuple[int, ...], ...]  # images[i-1] = letters of the image of generator i
 
 
-def elementary_automorphisms(rank: int) -> tuple[FGAutomorphism, ...]:
-    """The finite elementary set: permutations, sign flips, and multipliers.
+def _move_lists(rank: int) -> Iterator[tuple[Images, tuple[Move, ...]]]:
+    """Every elementary move list with its generator images, read from the
+    moves' description: the permutations, the sign flips, then the
+    multiplier (Whitehead type II) moves, one per multiplier letter x and,
+    for every other generator, one multiplier state."""
+    gens = range(1, rank + 1)
+    for sigma in itertools.permutations(gens):
+        yield tuple((i,) for i in sigma), (Perm(sigma),)
+    for signs in itertools.product((1, -1), repeat=rank):
+        images = tuple((s * i,) for i, s in zip(gens, signs))
+        yield images, tuple(Inv(i) for i, s in zip(gens, signs) if s < 0)
+    for x in (y for i in gens for y in (i, -i)):
+        states = [[_mult_state(g, x, *st) for st in _MULT_STATES] for g in gens if g != abs(x)]
+        for combo in itertools.product(*states):
+            images = [image for image, _ in combo]
+            images.insert(abs(x) - 1, (abs(x),))
+            yield tuple(images), tuple(m for _, moves in combo for m in moves)
 
-    Deduplicated on images, deterministic order.  Closed under inversion and
-    contains the identity.  The n! + 2^n + 2n 4^(n-1) automorphisms it builds
-    are counted against MOVE_BUDGET before any is built.
+
+def elementary_moves(rank: int) -> dict[Images, tuple[Move, ...]]:
+    """The finite elementary set: generator images to the move list that
+    gives them, the first list found for each, in order.
+
+    The identity comes first, and the set is closed under inversion.  The
+    n! + 2^n + 2n 4^(n-1) move lists are counted against MOVE_BUDGET before
+    any is built.
     """
     count = math.factorial(rank) + 2**rank + 2 * rank * 4 ** (rank - 1)
     check_budget(count, MOVE_BUDGET, "elementary moves")
-    seen: dict[tuple, FGAutomorphism] = {}
-    for phi in (
-        permutation_automorphisms(rank)
-        + sign_automorphisms(rank)
-        + multiplier_automorphisms(rank)
-    ):
-        key = tuple(im.letters for im in phi.images)
-        seen.setdefault(key, phi)
-    return tuple(seen.values())
+    seen: dict[Images, tuple[Move, ...]] = {}
+    for images, moves in _move_lists(rank):
+        seen.setdefault(images, moves)
+    return seen

@@ -32,27 +32,33 @@ where two images meet.  One deletion pass leaves the image freely reduced:
   letter y whose image lacks the trailing x (leading x^-1) that the
   image of z^-1 would have, so y is not z^-1.  Nothing cancels again.
 
-``_move_tables`` derives the cancelling pair from the images and asserts
-that there is at most one per move.  The image is then cyclically reduced
+``_move_tables`` finds the cancelling pair by counting the last letters
+of the 2n letter images: y y^-1 can cancel where two images meet exactly
+when two letters' images end in y, since the image of c^-1 starts with
+the inverse of the last letter of c's image.  It asserts that there is at
+most one such pair per move.  The image is then cyclically reduced
 at its ends, and the stripped letters become conjugation steps of the
 witness chain.  Parents, probes and results stay keyed by letter tuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .automorphisms import (
     FGAutomorphism,
+    Move,
     conjugation_by_letter,
-    elementary_automorphisms,
+    elementary_moves,
 )
 from .words import (
     BudgetExceeded,
     ReducedWord,
     cyclic_reduce_letters,
+    invert_letters,
     letter_str,
     letters_str,
     text_letters,
@@ -69,29 +75,38 @@ class OrbitCapExceeded(BudgetExceeded):
 
 
 @lru_cache(maxsize=None)
-def _move_tables(rank: int) -> tuple[tuple[FGAutomorphism, dict[int, str], str], ...]:
-    """Non-identity elementary automorphisms with their string kernels.
+def _move_tables(rank: int) -> tuple[tuple[tuple[Move, ...], dict[int, str], str], ...]:
+    """Non-identity elementary move lists with their string kernels.
 
-    Each entry is ``(phi, table, pair)``: ``table`` maps every letter's
+    Each entry is ``(moves, table, pair)``: ``table`` maps every letter's
     character to the text of its image, for ``str.translate``, and ``pair``
     is the one two-character string that can cancel where two images meet
-    (``""`` when none can).  See the module docstring for why deleting
-    ``pair`` once reduces every image.
+    (``""`` when none can).  A boundary c|d of a reduced word cancels when
+    the image of c ends in y and the image of d starts with y^-1, that is
+    when the images of c and of d^-1, two different letters, both end in y;
+    conversely two letters c != e whose images end in y meet as c e^-1.  So
+    ``pair`` is y y^-1 for each y that ends two images.  See the module
+    docstring for why deleting ``pair`` once reduces every image.
     """
+    identity = tuple((i,) for i in range(1, rank + 1))
     out = []
-    for phi in elementary_automorphisms(rank):
-        if phi.is_identity():
+    for images, moves in elementary_moves(rank).items():
+        if images == identity:
             continue
-        images = {letter_str(x): letters_str(img) for x, img in phi.letter_table().items()}
-        pairs = {
-            left[-1] + right[0]
-            for c, left in images.items()
-            for d, right in images.items()
-            if d != c.swapcase() and left[-1] == right[0].swapcase()
-        }
-        assert len(pairs) <= 1, f"{phi} cancels at image boundaries in {sorted(pairs)}"
-        out.append((phi, str.maketrans(images), "".join(pairs)))
+        texts = {}
+        for i, img in enumerate(images, start=1):
+            texts[letter_str(i)] = letters_str(img)
+            texts[letter_str(-i)] = letters_str(invert_letters(img))
+        ends = Counter(text[-1] for text in texts.values())
+        pairs = [y + y.swapcase() for y, k in ends.items() if k > 1]
+        assert len(pairs) <= 1, f"{moves} cancels at image boundaries in {sorted(pairs)}"
+        out.append((moves, str.maketrans(texts), "".join(pairs)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _move_auto(rank: int, idx: int) -> FGAutomorphism:
+    return FGAutomorphism.from_moves(_move_tables(rank)[idx][0], rank)
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +116,7 @@ def _conj_auto(letter: int, rank: int) -> FGAutomorphism:
 
 def _images(text: str, moves) -> list[str]:
     """The reduced image of ``text`` under each move, in move order."""
-    return [text.translate(t).replace(p, "") for _phi, t, p in moves]
+    return [text.translate(t).replace(p, "") for _moves, t, p in moves]
 
 
 def _cyclic_core(img: str) -> tuple[str, str]:
@@ -112,8 +127,10 @@ def _cyclic_core(img: str) -> tuple[str, str]:
     return img[k:size - k], img[:k]
 
 
-def _step_chain(rank: int, phi: Optional[FGAutomorphism], strip: tuple[int, ...]) -> list[FGAutomorphism]:
-    chain = [] if phi is None else [phi]
+def _step_chain(rank: int, idx: Optional[int], strip: tuple[int, ...]) -> list[FGAutomorphism]:
+    """The witness of one step: move ``idx`` of the tables (none if ``None``),
+    then one conjugation per stripped letter."""
+    chain = [] if idx is None else [_move_auto(rank, idx)]
     chain.extend(_conj_auto(x, rank) for x in strip)
     return chain
 
@@ -143,7 +160,7 @@ def whitehead_minimize(w: ReducedWord) -> tuple[ReducedWord, tuple[FGAutomorphis
         if best is None:
             return ReducedWord(text_letters(cur), rank), tuple(chain)
         _key, idx, cur, strip_text = best
-        chain.extend(_step_chain(rank, moves[idx][0], text_letters(strip_text)))
+        chain.extend(_step_chain(rank, idx, text_letters(strip_text)))
 
 
 @dataclass
@@ -167,7 +184,6 @@ class OrbitResult:
 
     def chain_to(self, raw: tuple[int, ...]) -> tuple[FGAutomorphism, ...]:
         """Witness chain from the original input word to ``raw``."""
-        moves = _move_tables(self.base.rank)
         steps = []
         cur = raw
         while True:
@@ -175,7 +191,7 @@ class OrbitResult:
             if rec is None:
                 break
             prev, idx, strip = rec
-            steps.append(_step_chain(self.base.rank, moves[idx][0], strip))
+            steps.append(_step_chain(self.base.rank, idx, strip))
             cur = prev
         chain = list(self.base_chain)
         for step in reversed(steps):

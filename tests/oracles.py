@@ -4,7 +4,8 @@ The slow, independent sides of the differential tests (the minor search
 for outerplanarity, the exhaustive cut search, hamiltonian-cycle counts
 through an edge, the split and disconnecting-pair checks of the paper's
 finite facts, the uniqueness count of a finite Cayley graph, the
-composition of a witness chain, the free-product truncation of a word and
+elementary automorphisms built one object per move list, the inverse and
+composition of automorphisms, the free-product truncation of a word and
 the depth-by-depth check of the cycle-tree circle), the small standard
 graphs and the adjacency-list corpus under ``data/corpus`` that they run
 on, and graph and word helpers (components, subgraphs, edge lookups,
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from hamcirc.automorphisms import FGAutomorphism
+from hamcirc.automorphisms import FGAutomorphism, Inv, Move, Mul, Perm
 from hamcirc.certifier import level_one_quotient
 from hamcirc.finite import FiniteCayleySpec, build_finite_cayley
 from hamcirc.freeproduct import (
@@ -34,7 +35,13 @@ from hamcirc.freeproduct import (
 )
 from hamcirc.multigraph import Multigraph, check_enumeration_size, enumerate_hamiltonian_cycles
 from hamcirc.quotients import generator_subgraph
-from hamcirc.words import ReducedWord, check_budget, cyclic_reduce_letters, letter_str
+from hamcirc.words import (
+    ReducedWord,
+    check_budget,
+    cyclic_reduce_letters,
+    letter_key,
+    letter_str,
+)
 
 CORPUS = Path(__file__).resolve().parent / "data" / "corpus"
 
@@ -431,6 +438,61 @@ def disconnecting_pair_disconnects(m: int, n: int, depth: int) -> bool:
     return not without_edges(graph, drop).is_connected()
 
 
+# --- automorphisms ---------------------------------------------------------
+
+def identity(rank: int) -> FGAutomorphism:
+    images = tuple(ReducedWord((i,), rank) for i in range(1, rank + 1))
+    return FGAutomorphism(rank, images, ())
+
+
+def is_identity(phi: FGAutomorphism) -> bool:
+    return all(im.letters == (i,) for i, im in enumerate(phi.images, start=1))
+
+
+def inverse_move(move: Move) -> Move:
+    """The elementary move that undoes ``move``."""
+    if isinstance(move, Perm):
+        inv = [0] * len(move.images)
+        for i, j in enumerate(move.images, start=1):
+            inv[j - 1] = i
+        return Perm(tuple(inv))
+    if isinstance(move, Mul):
+        return Mul(move.target, move.side, -move.letter)
+    return move
+
+
+def inverse(phi: FGAutomorphism) -> FGAutomorphism:
+    """The inverse automorphism, witnessed by the inverse moves in reverse."""
+    return FGAutomorphism.from_moves([inverse_move(m) for m in reversed(phi.moves)], phi.rank)
+
+
+def elementary_automorphisms(rank: int) -> tuple[FGAutomorphism, ...]:
+    """The elementary set built one automorphism per move list, the oracle
+    of ``automorphisms.elementary_moves``: the permutations, the sign flips,
+    then for each multiplier letter x (a, A, b, B, ...) every choice of
+    fixed, g -> g x, g -> x^-1 g or g -> x^-1 g x for the other generators
+    g, deduplicated on images."""
+    gens = range(1, rank + 1)
+    lists = [(Perm(sigma),) for sigma in itertools.permutations(gens)]
+    for signs in itertools.product((1, -1), repeat=rank):
+        lists.append(tuple(Inv(i) for i, s in zip(gens, signs) if s < 0))
+    for x in sorted((y for i in gens for y in (i, -i)), key=letter_key):
+        others = [g for g in gens if g != abs(x)]
+        for combo in itertools.product(range(4), repeat=len(others)):
+            moves = []
+            for g, state in zip(others, combo):
+                if state in (1, 3):
+                    moves.append(Mul(g, "right", x))
+                if state in (2, 3):
+                    moves.append(Mul(g, "left", -x))
+            lists.append(tuple(moves))
+    seen = {}
+    for moves in lists:
+        phi = FGAutomorphism.from_moves(moves, rank)
+        seen.setdefault(tuple(im.letters for im in phi.images), phi)
+    return tuple(seen.values())
+
+
 def compose(outer: FGAutomorphism, inner: FGAutomorphism) -> FGAutomorphism:
     """outer after inner: compose(f, g).apply(w) == f.apply(g.apply(w))."""
     images = tuple(outer.apply(im) for im in inner.images)
@@ -439,7 +501,7 @@ def compose(outer: FGAutomorphism, inner: FGAutomorphism) -> FGAutomorphism:
 
 def compose_chain(chain: Sequence[FGAutomorphism], rank: int) -> FGAutomorphism:
     """The one automorphism that applies ``chain`` in order, first step first."""
-    phi = FGAutomorphism.identity(rank)
+    phi = identity(rank)
     for step in chain:
         phi = compose(step, phi)
     return phi

@@ -8,17 +8,15 @@ from hamcirc.automorphisms import (
     Inv,
     Mul,
     Perm,
+    _move_lists,
     apply_chain,
     chain_moves,
     conjugation_by_letter,
-    elementary_automorphisms,
-    multiplier_automorphisms,
+    elementary_moves,
     parse_move,
-    permutation_automorphisms,
-    sign_automorphisms,
 )
-from hamcirc.words import COUNT_CAP, BudgetExceeded, ReducedWord
-from oracles import compose
+from hamcirc.words import COUNT_CAP, BudgetExceeded, ReducedWord, letters_str
+from oracles import compose, elementary_automorphisms, identity, inverse, is_identity
 
 
 def w(text, rank):
@@ -88,15 +86,18 @@ class TestMoves:
             Perm((1, 1))
 
 
+def automorphisms_of(rank):
+    """The elementary set as automorphisms, built from its move lists."""
+    return [FGAutomorphism.from_moves(moves, rank) for moves in elementary_moves(rank).values()]
+
+
 class TestElementarySet:
     def test_rank_one(self):
-        autos = elementary_automorphisms(1)
-        images = {str(phi.images[0]) for phi in autos}
-        assert images == {"a", "A"}
+        assert list(elementary_moves(1)) == [((1,),), ((-1,),)]
 
     def test_rank_two_contents(self):
-        autos = elementary_automorphisms(2)
-        image_map = {tuple(str(im) for im in phi.images) for phi in autos}
+        autos = elementary_moves(2)
+        image_map = {tuple(letters_str(im) for im in images) for images in autos}
         # single multiplications on either side, in either sign
         for expected in [
             ("ab", "b"), ("ba", "b"), ("a", "ba"), ("a", "ab"),
@@ -111,22 +112,31 @@ class TestElementarySet:
         assert len(autos) == 17
 
     def test_identity_member(self):
-        autos = elementary_automorphisms(2)
-        assert any(phi.is_identity() for phi in autos)
+        # the identity is in the set, first
+        assert next(iter(elementary_moves(2))) == ((1,), (2,))
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_closed_under_inversion(self, rank):
-        autos = elementary_automorphisms(rank)
-        keys = {tuple(im.letters for im in phi.images) for phi in autos}
-        for phi in autos:
-            inv = phi.inverse()
-            assert tuple(im.letters for im in inv.images) in keys
+        keys = set(elementary_moves(rank))
+        for phi in automorphisms_of(rank):
+            assert tuple(im.letters for im in inverse(phi).images) in keys
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_inverse_composition_is_identity(self, rank):
-        for phi in elementary_automorphisms(rank):
-            assert compose(phi, phi.inverse()).is_identity()
-            assert compose(phi.inverse(), phi).is_identity()
+        for phi in automorphisms_of(rank):
+            assert is_identity(compose(phi, inverse(phi)))
+            assert is_identity(compose(inverse(phi), phi))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_images_are_those_the_moves_give(self, rank):
+        # the images read from each move's description are those that
+        # from_moves computes, and the move lists, in order, are the
+        # oracle's, which builds one automorphism per move list
+        found = elementary_moves(rank)
+        for images, moves in found.items():
+            phi = FGAutomorphism.from_moves(moves, rank)
+            assert images == tuple(im.letters for im in phi.images), moves
+        assert list(found.values()) == [phi.moves for phi in elementary_automorphisms(rank)]
 
 
 class TestMoveBudget:
@@ -135,22 +145,23 @@ class TestMoveBudget:
     @staticmethod
     def no_moves(monkeypatch):
         def refuse(*args):
-            raise AssertionError("an automorphism was built")
+            raise AssertionError("a move was built")
 
-        monkeypatch.setattr(FGAutomorphism, "from_moves", refuse)
+        for kind in (Perm, Inv, Mul):
+            monkeypatch.setattr(kind, "__init__", refuse)
 
     def test_rank_eight_refused_before_building(self, monkeypatch):
         self.no_moves(monkeypatch)
         with pytest.raises(BudgetExceeded, match="^302720 elementary moves exceeds 100000$"):
-            elementary_automorphisms(8)
+            elementary_moves(8)
         text = f"^more than {COUNT_CAP} elementary moves exceeds 100000$"
         with pytest.raises(BudgetExceeded, match=text):
-            elementary_automorphisms(26)
+            elementary_moves(26)
 
     def test_rank_seven_admitted(self, monkeypatch):
         self.no_moves(monkeypatch)
-        with pytest.raises(AssertionError, match="an automorphism was built"):
-            elementary_automorphisms(7)
+        with pytest.raises(AssertionError, match="a move was built"):
+            elementary_moves(7)
 
     def test_count_is_what_gets_built(self, monkeypatch):
         counts = []
@@ -158,28 +169,23 @@ class TestMoveBudget:
             "hamcirc.automorphisms.check_budget", lambda count, *args: counts.append(count)
         )
         for rank in (1, 2, 3, 4):
-            elementary_automorphisms(rank)
-            built = (
-                permutation_automorphisms(rank)
-                + sign_automorphisms(rank)
-                + multiplier_automorphisms(rank)
-            )
-            assert counts[-1] == len(built), rank
+            elementary_moves(rank)
+            assert counts[-1] == sum(1 for _ in _move_lists(rank)), rank
         assert counts[-1] == 24 + 16 + 8 * 64
 
     def test_budget_read_at_call_time(self, monkeypatch):
         assert MOVE_BUDGET == 100_000
-        # rank 2 builds 2 + 4 + 16 automorphisms, 17 after deduplication
+        # rank 2 builds 2 + 4 + 16 move lists, 17 after deduplication
         monkeypatch.setattr("hamcirc.automorphisms.MOVE_BUDGET", 21)
         with pytest.raises(BudgetExceeded, match="^22 elementary moves exceeds 21$"):
-            elementary_automorphisms(2)
+            elementary_moves(2)
         monkeypatch.setattr("hamcirc.automorphisms.MOVE_BUDGET", 22)
-        assert len(elementary_automorphisms(2)) == 17
+        assert len(elementary_moves(2)) == 17
 
 
 class TestApply:
     def test_identity_fixes_words(self):
-        phi = FGAutomorphism.identity(3)
+        phi = identity(3)
         for text in ("", "a", "abABcc"):
             assert phi.apply(w(text, 3)) == w(text, 3)
 
@@ -216,7 +222,7 @@ class TestApply:
             word = ReducedWord.from_letters(
                 [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randrange(9))], 3
             )
-            assert phi.inverse().apply(phi.apply(word)) == word
+            assert inverse(phi).apply(phi.apply(word)) == word
 
 
 class TestFiveStepChain:

@@ -501,9 +501,10 @@ class TestMoveBudget:
     ])
     def test_over_budget_rank_exits_three_in_time(self, capsys, monkeypatch, argv, count):
         def no_moves(*args):
-            raise AssertionError("an automorphism was built before the budget check")
+            raise AssertionError("a move was built before the budget check")
 
-        monkeypatch.setattr("hamcirc.automorphisms.FGAutomorphism.from_moves", no_moves)
+        for kind in ("Perm", "Inv", "Mul"):
+            monkeypatch.setattr(f"hamcirc.automorphisms.{kind}.__init__", no_moves)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0

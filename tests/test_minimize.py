@@ -1,10 +1,11 @@
+import hashlib
 import random
 from collections import deque
 
 import pytest
 
 import hamcirc.certifier as certifier
-from hamcirc.automorphisms import Mul, apply_chain, elementary_automorphisms
+from hamcirc.automorphisms import FGAutomorphism, Mul, apply_chain
 from hamcirc.minimize import (
     OrbitCapExceeded,
     _cyclic_core,
@@ -18,11 +19,12 @@ from hamcirc.words import (
     BudgetExceeded,
     ReducedWord,
     cyclic_reduce_letters,
+    letter_str,
     letters_str,
     reduced_words,
     word_key,
 )
-from oracles import is_cyclically_reduced
+from oracles import elementary_automorphisms, is_cyclically_reduced, is_identity
 
 
 def w(text, rank=2):
@@ -74,7 +76,7 @@ def brute_force_orbit_min(rank, max_len):
     into plateau components and shorter images donate their already-known
     minima.
     """
-    autos = [phi for phi in elementary_automorphisms(rank) if not phi.is_identity()]
+    autos = [phi for phi in elementary_automorphisms(rank) if not is_identity(phi)]
     by_len = {}
     for raw in reduced_words(rank, max_len):
         if cyclic_reduce_letters(raw)[0] == raw:
@@ -158,22 +160,23 @@ class TestOrbitMinimalSet:
         assert {"aabb", "abba", "bbaa", "baab"} <= words
 
 
-def moves_of(rank):
-    """The kernel's moves, which must be the non-identity elementary set in order."""
-    moves = _move_tables(rank)
-    autos = [phi for phi in elementary_automorphisms(rank) if not phi.is_identity()]
-    assert [m[0] for m in moves] == autos
-    return moves
+def autos_of(rank):
+    """The kernel's moves, which must be the non-identity elementary set in
+    order, as the oracle's automorphisms."""
+    autos = [phi for phi in elementary_automorphisms(rank) if not is_identity(phi)]
+    assert [m[0] for m in _move_tables(rank)] == [phi.moves for phi in autos]
+    return autos
 
 
 def check_kernel(rank, raws):
     """The kernel's image and strip of every word under every move against
     FGAutomorphism.apply followed by cyclic_reduce_letters."""
-    moves = moves_of(rank)
+    moves = _move_tables(rank)
+    autos = autos_of(rank)
     checked = 0
     for raw in raws:
         word = ReducedWord(raw, rank)
-        for (phi, _t, _p), img in zip(moves, _images(letters_str(raw), moves), strict=True):
+        for phi, img in zip(autos, _images(letters_str(raw), moves), strict=True):
             core, strip = _cyclic_core(img)
             full = phi.apply(word).letters
             assert img == letters_str(full), (phi, raw)
@@ -202,8 +205,8 @@ class TestStringKernel:
         # permutations and sign changes cancel nothing; a multiplier move by
         # x^+-1 can cancel only x against x^-1, and x^+-1 map to themselves
         for rank in (2, 3, 4):
-            for phi, table, pair in _move_tables(rank):
-                gens = {abs(m.letter) for m in phi.moves if isinstance(m, Mul)}
+            for moves, table, pair in _move_tables(rank):
+                gens = {abs(m.letter) for m in moves if isinstance(m, Mul)}
                 if not gens:
                     assert pair == ""
                     continue
@@ -211,11 +214,50 @@ class TestStringKernel:
                 assert pair in ("", x + x.upper(), x.upper() + x)
                 assert x.translate(table) == x and x.upper().translate(table) == x.upper()
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_pair_by_counting_is_the_all_pairs_scan(self, rank):
+        # the pair found by counting image last letters is the one an
+        # all-pairs scan of the boundaries c|d, d != c^-1, finds
+        for moves, table, pair in _move_tables(rank):
+            phi = FGAutomorphism.from_moves(moves, rank)
+            images = {letter_str(x): letters_str(img) for x, img in phi.letter_table().items()}
+            assert {c: c.translate(table) for c in images} == images
+            pairs = {
+                left[-1] + right[0]
+                for c, left in images.items()
+                for d, right in images.items()
+                if d != c.swapcase() and left[-1] == right[0].swapcase()
+            }
+            assert pair == "".join(pairs), moves
+
+
+@pytest.mark.parametrize(
+    "rank, rows, digest",
+    [
+        (1, 1, "cc180fd25284ceb686eaa7e26b9facc39f312c915e6fb98614570530e19cf109"),
+        (2, 16, "351703e60bc15ccf4e8c9ea4c28b59879be6a875b5680f5430c5cce7fbeec60a"),
+        (3, 102, "16a2ae8d142c72eb46121e04596ba84e1a798dc06c2beaec6203ef0ff860346e"),
+        (4, 542, "040a00b9709502e6b8b9118f736f59b8e60d6bfde5cd61b3dc365f6e22b31c10"),
+        (5, 2700, "ede0808169c84774e8dd1e13260b7a969dd937de0682617a4ebb3ab772776791"),
+        (6, 13058, "8cf9c8223baaeade0ed805f378bcd321d7bdd2ff7b3b3a35a67a41bc10d7d048"),
+    ],
+)
+def test_golden_move_tables_digest(rank, rows, digest):
+    # every row of the kernel's tables as (serialized moves, sorted translate
+    # table, pair), pinned byte for byte; a row may hold its move list or an
+    # automorphism that carries it (``.moves``), and both read the same
+    record = hashlib.sha256()
+    tables = _move_tables(rank)
+    for first, table, pair in tables:
+        moves = ";".join(map(str, getattr(first, "moves", first)))
+        record.update(repr((moves, sorted(table.items()), pair)).encode())
+    assert (len(tables), record.hexdigest()) == (rows, digest)
+
 
 def reference_minimize(word):
     """Greedy descent with the same tie-break, from FGAutomorphism.apply."""
     rank = word.rank
-    autos = [phi for phi in elementary_automorphisms(rank) if not phi.is_identity()]
+    autos = autos_of(rank)
     raw = cyclic_reduce_letters(word.letters)[0]
     while True:
         best = None
@@ -233,7 +275,7 @@ def reference_minimize(word):
 def reference_orbit(word, cap, stop=None):
     """Breadth-first closure from FGAutomorphism.apply: (parents, hit, complete)."""
     rank = word.rank
-    autos = [phi for phi in elementary_automorphisms(rank) if not phi.is_identity()]
+    autos = autos_of(rank)
     base = reference_minimize(word)
     parents = {base: None}
     tag = stop and stop(base)
